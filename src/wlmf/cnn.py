@@ -5,9 +5,11 @@ Architecture: a complex convolution layer (strictly linear, one tap vector
 per channel, or widely linear with an extra conjugate-branch vector), a
 split rectifier ``relu(Re + b_re) + 1j relu(Im + b_im)`` with per-channel
 real biases, max-modulus pooling down to one complex value per channel, and
-a real affine head with softmax over two classes. Convolution outputs are
-produced by the same newest-first window filtering used by the matched
-filters, so both layers share one ordering convention.
+a real affine head with softmax over two classes. The convolution contracts
+every channel's taps against one newest-first window tensor, built by the
+same ``sliding_windows`` that feeds the matched filters, so both share one
+ordering convention. The forward pass takes one signal or a batch of them;
+a batch is filtered in one contraction over that tensor.
 
 Gradients are taken with respect to the real and imaginary parts of every
 complex parameter; the complex carrier ``d(Re) + 1j d(Im)`` that the
@@ -22,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, DivergenceDetectedError, EmptyInputError
-from .filters import SlmfWeights, WlmfWeights, apply_filter_sequence
 from .noise import sliding_windows
 from .seeding import as_generator, derive_rng
 
@@ -84,12 +85,6 @@ class CnnParams:
     @property
     def widely_linear(self) -> bool:
         return self.conv2 is not None
-
-    def conv_parameter_count(self) -> int:
-        count = 2 * self.conv1.size
-        if self.conv2 is not None:
-            count += 2 * self.conv2.size
-        return count
 
     def copy(self) -> "CnnParams":
         return CnnParams(
@@ -190,16 +185,27 @@ def init_params(config: CnnConfig, rng: np.random.Generator | int | None = None)
     )
 
 
+def _windows(x: np.ndarray, params: CnnParams) -> np.ndarray:
+    """Newest-first windows, (L, K) for one signal or (B, L, K) for a batch."""
+    return sliding_windows(np.asarray(x, dtype=complex), params.conv1.shape[1])
+
+
+def _filter_bank(windows: np.ndarray, params: CnnParams) -> np.ndarray:
+    # einsum sums over the taps in one order whatever the batch shape, so a
+    # batch agrees bit for bit with its signals filtered one at a time; a
+    # (C, L) @ (L, K) matmul rounds differently.
+    y = np.einsum("cl,...lk->...ck", np.conj(params.conv1), windows)
+    if params.conv2 is not None:
+        y = y + np.einsum("cl,...lk->...ck", np.conj(params.conv2), np.conj(windows))
+    return y
+
+
 def conv_forward(x: np.ndarray, params: CnnParams) -> np.ndarray:
-    """Per-channel filter responses, shape (channels, windows)."""
-    rows = []
-    for c in range(params.conv1.shape[0]):
-        if params.conv2 is None:
-            weights = SlmfWeights(f=params.conv1[c])
-        else:
-            weights = WlmfWeights(f1=params.conv1[c], f2=params.conv2[c])
-        rows.append(apply_filter_sequence(x, weights))
-    return np.vstack(rows)
+    """Per-channel filter responses, shape (channels, windows).
+
+    A batch of signals, shape (B, N), gives shape (B, channels, windows).
+    """
+    return _filter_bank(_windows(x, params), params)
 
 
 def split_relu(y: np.ndarray, bias_re: np.ndarray, bias_im: np.ndarray) -> np.ndarray:
@@ -210,39 +216,53 @@ def split_relu(y: np.ndarray, bias_re: np.ndarray, bias_im: np.ndarray) -> np.nd
 
 
 def max_modulus_pool(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Keep the largest-modulus activation per channel (first index on ties)."""
+    """Keep the largest-modulus activation per channel (first index on ties).
+
+    Pools over the last axis, so ``a`` may carry leading batch axes.
+    """
     if a.size == 0:
         raise EmptyInputError("max_modulus_pool needs a nonempty sequence")
-    idx = np.argmax(np.abs(a), axis=1)
-    pooled = a[np.arange(a.shape[0]), idx]
+    idx = np.argmax(np.abs(a), axis=-1)
+    pooled = np.take_along_axis(a, idx[..., None], axis=-1)[..., 0]
     return pooled, idx
 
 
 def head_forward(
     pooled: np.ndarray, head_w: np.ndarray, head_b: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Affine head over interleaved real/imaginary features, then softmax."""
-    feat = np.empty(2 * pooled.shape[0])
-    feat[0::2] = pooled.real
-    feat[1::2] = pooled.imag
-    logits = head_w @ feat + head_b
-    shifted = logits - np.max(logits)
+    """Affine head over interleaved real/imaginary features, then softmax.
+
+    Works on the last axis, so ``pooled`` may carry leading batch axes.
+    """
+    feat = np.empty(pooled.shape[:-1] + (2 * pooled.shape[-1],))
+    feat[..., 0::2] = pooled.real
+    feat[..., 1::2] = pooled.imag
+    # One matrix-vector product per feature vector, batched or not, so a
+    # batch rounds exactly as its rows would alone.
+    logits = (head_w @ feat[..., None])[..., 0] + head_b
+    shifted = logits - np.max(logits, axis=-1, keepdims=True)
     exp = np.exp(shifted)
-    probs = exp / np.sum(exp)
+    probs = exp / np.sum(exp, axis=-1, keepdims=True)
     return feat, logits, probs
 
 
 def forward(x: np.ndarray, params: CnnParams) -> tuple[np.ndarray, dict]:
-    """Full forward pass; returns class probabilities and the layer cache."""
-    y = conv_forward(x, params)
+    """Full forward pass; returns class probabilities and the layer cache.
+
+    ``x`` is one signal (N,), giving probabilities (2,), or a batch (B, N),
+    giving (B, 2). The windows are built once and kept in the cache.
+    """
+    windows = _windows(x, params)
+    y = _filter_bank(windows, params)
     a = split_relu(y, params.bias_re, params.bias_im)
     pooled, idx = max_modulus_pool(a)
     feat, logits, probs = head_forward(pooled, params.head_w, params.head_b)
-    cache = {"y": y, "a": a, "idx": idx, "feat": feat, "probs": probs}
+    cache = {"windows": windows, "y": y, "a": a, "idx": idx, "feat": feat, "probs": probs}
     return probs, cache
 
 
 def predict_proba(x: np.ndarray, params: CnnParams) -> np.ndarray:
+    """Class probabilities of one signal (N,) -> (2,), or of a batch (B, N) -> (B, 2)."""
     probs, _ = forward(x, params)
     return probs
 
@@ -277,7 +297,7 @@ def backward(x: np.ndarray, t: np.ndarray, params: CnnParams) -> tuple[float, np
     grads["bias_re"] = np.sum(da.real * mask_re, axis=1)
     grads["bias_im"] = np.sum(da.imag * mask_im, axis=1)
 
-    windows = sliding_windows(np.asarray(x, dtype=complex), params.conv1.shape[1])
+    windows = cache["windows"]
     grads["conv1"] = np.conj(s) @ windows.T
     if params.conv2 is not None:
         grads["conv2"] = np.conj(s) @ windows.conj().T
@@ -294,13 +314,19 @@ def _sgd_step(params: CnnParams, grads: dict, lr: float) -> None:
     params.head_b -= lr * grads["head_b"]
 
 
-def _holdout_means(holdout: list[LabeledSignal], params: CnnParams) -> tuple[float, float]:
-    by_pattern: dict[int, list[float]] = {1: [], 2: []}
-    for sample in holdout:
-        probs = predict_proba(sample.x, params)
-        by_pattern[sample.pattern].append(float(probs[int(np.argmax(sample.t))]))
-    mean_p1 = float(np.mean(by_pattern[1])) if by_pattern[1] else 1.0
-    mean_p2 = float(np.mean(by_pattern[2])) if by_pattern[2] else 1.0
+def _holdout_means(x: np.ndarray, t: np.ndarray, params: CnnParams) -> tuple[float, float]:
+    """Mean true-class probability over a held-out batch, per pattern.
+
+    ``x`` holds the signals (B, N) and ``t`` their one-hot targets (B, 2);
+    a pattern with no held-out sample reads 1.0.
+    """
+    if len(x) == 0:
+        return 1.0, 1.0
+    labels = np.argmax(t, axis=1)
+    true_class = predict_proba(x, params)[np.arange(len(labels)), labels]
+    mean_p1, mean_p2 = (
+        float(np.mean(true_class[labels == c])) if np.any(labels == c) else 1.0 for c in (0, 1)
+    )
     return mean_p1, mean_p2
 
 
@@ -330,6 +356,8 @@ def train(config: CnnConfig, seed: int) -> TrainResult:
     total = config.epochs * config.realizations_per_epoch
     stream = make_dataset(total, derive_rng(seed, 0), input_len=config.input_len)
     holdout = make_dataset(config.holdout_size, derive_rng(seed, 2), input_len=config.input_len)
+    holdout_x = np.array([sample.x for sample in holdout])
+    holdout_t = np.array([sample.t for sample in holdout])
     params = init_params(config, derive_rng(seed, 1))
 
     trace: list[tuple[int, int, float]] = []
@@ -341,7 +369,7 @@ def train(config: CnnConfig, seed: int) -> TrainResult:
         trace.append((step, sample.pattern, float(probs[int(np.argmax(sample.t))])))
         _sgd_step(params, grads, config.learning_rate)
         if step % config.eval_every == 0:
-            mean_p1, mean_p2 = _holdout_means(holdout, params)
+            mean_p1, mean_p2 = _holdout_means(holdout_x, holdout_t, params)
             evals.append((step, mean_p1, mean_p2))
 
     return TrainResult(

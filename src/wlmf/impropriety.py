@@ -221,12 +221,15 @@ def lower_bound_rho(epsilon: float) -> float:
     Zero for ``epsilon <= 0``; otherwise ``(1 - sqrt(1 - eps^2)) / eps``,
     reaching 1 only in the limit ``epsilon = 1``. At the interior minimizer
     the factor value is ``sqrt(1 - eps^2)``.
+
+    Evaluated as ``eps / (1 + sqrt((1 - eps)(1 + eps)))``, which has no
+    cancellation: the textbook form loses every digit as ``eps`` goes to 0.
     """
     if not -1.0 <= epsilon <= 1.0:
         raise InvalidImproprietyError(f"epsilon must lie in [-1, 1], got {epsilon}")
     if epsilon <= 0.0:
         return 0.0
-    return float((1.0 - np.sqrt(1.0 - epsilon**2)) / epsilon)
+    return float(epsilon / (1.0 + np.sqrt((1.0 - epsilon) * (1.0 + epsilon))))
 
 
 def approx_snr_gain(x: np.ndarray, aut: AutDecomposition):

@@ -188,15 +188,25 @@ def sliding_windows(sequence: np.ndarray, window_len: int) -> np.ndarray:
 
     Column ``k`` is the window ending at sample ``k + window_len - 1``
     (0-based), i.e. positions L..N in 1-based terms, K = N - L + 1 columns.
+    A stack of sequences, shape ``(..., N)``, gives one such matrix per
+    sequence, shape ``(..., L, K)``.
     """
     sequence = np.asarray(sequence)
     if window_len < 1:
         raise EmptyInputError(f"window_len must be >= 1, got {window_len}")
-    if sequence.ndim != 1 or sequence.size < window_len:
+    if sequence.ndim < 1 or sequence.shape[-1] < window_len:
         raise InsufficientSamplesError(
-            f"need a 1-d sequence of at least {window_len} samples, got shape {sequence.shape}"
+            f"need sequences of at least {window_len} samples, got shape {sequence.shape}"
         )
-    return np.lib.stride_tricks.sliding_window_view(sequence, window_len)[:, ::-1].T
+    # Entry (l, k) is sequence[k + L - 1 - l]: start at sample L - 1, step
+    # back along l and forward along k; the last entry read is sample N - 1.
+    step = sequence.strides[-1]
+    return np.lib.stride_tricks.as_strided(
+        sequence[..., window_len - 1 :],
+        shape=sequence.shape[:-1] + (window_len, sequence.shape[-1] - window_len + 1),
+        strides=sequence.strides[:-1] + (-step, step),
+        writeable=False,
+    )
 
 
 def empirical_covariances(v: np.ndarray, filter_len: int) -> CovariancePair:

@@ -136,6 +136,26 @@ def test_model_nesting_is_exact():
     assert "conv2" in grads_wl and "conv2" not in grads_sl
 
 
+def test_batched_prediction_matches_per_sample():
+    rng = np.random.default_rng(79)
+    batch = np.stack([sample.x for sample in make_dataset(100, rng)])
+    for mode in ("sl", "wl"):
+        params = random_cnn_params(rng, CnnConfig(mode=mode))
+        assert np.all(params.bias_re != 0.0) and np.all(params.bias_im != 0.0)
+        assert mode == "sl" or np.all(params.conv2 != 0.0)
+        probs = predict_proba(batch, params)
+        assert probs.shape == (100, 2)
+        for b in range(100):
+            single = predict_proba(batch[b], params)
+            assert single.shape == (2,)
+            assert np.max(np.abs(probs[b] - single)) <= 1e-15
+    params_wl = random_cnn_params(rng, CnnConfig(mode="wl"))
+    params_wl.conv2[:] = 0.0
+    params_sl = params_wl.copy()
+    params_sl.conv2 = None
+    assert np.array_equal(predict_proba(batch, params_wl), predict_proba(batch, params_sl))
+
+
 @pytest.mark.parametrize("mode", ["sl", "wl"])
 def test_gradients_match_finite_differences(mode):
     rng = np.random.default_rng(75 if mode == "sl" else 76)
@@ -156,17 +176,12 @@ def test_saturated_head_has_vanishing_gradients():
     assert np.linalg.norm(grads["head_w"]) <= 1e-12
 
 
-def test_parameter_count_doubles_in_wl_mode():
-    sl = init_params(CnnConfig(mode="sl"), 1)
-    wl = init_params(CnnConfig(mode="wl"), 1)
-    assert wl.conv_parameter_count() == 2 * sl.conv_parameter_count()
-
-
 def test_init_shares_stream_across_modes():
     sl = init_params(CnnConfig(mode="sl"), derive_rng(9, 1))
     wl = init_params(CnnConfig(mode="wl"), derive_rng(9, 1))
     assert np.array_equal(sl.conv1, wl.conv1)
     assert np.array_equal(sl.head_w, wl.head_w)
+    assert sl.conv2 is None and wl.conv2.shape == wl.conv1.shape
     assert np.all(wl.conv2 == 0.0)
     rng = np.random.default_rng(78)
     x = rng.standard_normal(8) + 1j * rng.standard_normal(8)

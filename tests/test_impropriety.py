@@ -1,3 +1,6 @@
+import math
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 
@@ -173,6 +176,15 @@ def test_lower_bound_rho_branches_and_inverse():
         assert abs(lower_bound_rho(eps) - rho) <= 1e-9
     with pytest.raises(InvalidImproprietyError):
         lower_bound_rho(1.2)
+
+
+def test_lower_bound_rho_matches_decimal_oracle():
+    for eps in (1e-9, 1e-7, 1e-4, 0.5, 1.0 - 1e-12):
+        with localcontext() as ctx:
+            ctx.prec = 60
+            exact = Decimal(eps) / (1 + (1 - Decimal(eps) ** 2).sqrt())
+        error = abs(Decimal(lower_bound_rho(eps)) - exact)
+        assert error <= 4 * Decimal(math.ulp(float(exact)))
 
 
 def test_g_stays_above_lower_bound_on_grid():

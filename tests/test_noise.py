@@ -124,6 +124,12 @@ def test_sliding_windows_newest_first():
     assert np.array_equal(windows[:, 0], [1, 0])
     assert np.array_equal(windows[:, 1], [2, 1])
     assert np.array_equal(windows[:, 2], [3, 2])
+    stack = np.arange(30, dtype=complex).reshape(3, 10)[:, ::2]
+    stacked = sliding_windows(stack, 2)
+    assert stacked.shape == (3, 2, 4)
+    for row_windows, row in zip(stacked, stack):
+        assert np.array_equal(row_windows, sliding_windows(row, 2))
+    assert np.array_equal(stacked[1][:, 0], [12, 10])
     with pytest.raises(InsufficientSamplesError):
         sliding_windows(np.arange(3, dtype=complex), 4)
 
