@@ -47,11 +47,9 @@ from .noise import (
     sliding_windows,
 )
 from .filters import (
-    AugmentedVectors,
     SlmfWeights,
     WlmfWeights,
     apply_filter_sequence,
-    augment,
     slmf_solve,
     snr_gain,
     snr_slmf,
@@ -132,8 +130,6 @@ __all__ = [
     "sliding_windows",
     "SlmfWeights",
     "WlmfWeights",
-    "AugmentedVectors",
-    "augment",
     "slmf_solve",
     "wlmf_solve",
     "snr_slmf",

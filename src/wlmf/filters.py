@@ -7,7 +7,9 @@ conj(w))``. For a deterministic target ``x`` observed in zero-mean noise with
 covariance pair ``(R, C)``, the output-SNR-optimal solutions and their SNR
 values are closed forms in the (augmented) covariance; the widely linear SNR
 never falls below the strictly linear one, and the surplus is itself a
-quadratic form treated by :func:`snr_gain`.
+quadratic form in the Schur complement of the augmented covariance, which
+:func:`snr_gain` evaluates as a squared norm through the whitening map the
+covariance pair factors once and caches (``CovariancePair.whitening``).
 
 All SNR functions accept a single window (shape ``(L,)``) or a batch of
 windows as columns (shape ``(L, K)``), returning a scalar or a length-K
@@ -31,8 +33,6 @@ from .noise import CovariancePair, sliding_windows
 __all__ = [
     "SlmfWeights",
     "WlmfWeights",
-    "AugmentedVectors",
-    "augment",
     "slmf_solve",
     "wlmf_solve",
     "snr_slmf",
@@ -66,14 +66,6 @@ class WlmfWeights:
     dual_path_rel_error: float = 0.0
 
 
-@dataclass(frozen=True)
-class AugmentedVectors:
-    """Augmented input ``z = (x, conj(x))`` and block covariance ``r_q``."""
-
-    z: np.ndarray
-    r_q: np.ndarray
-
-
 def _as_columns(x, dim: int, name: str = "x") -> tuple[np.ndarray, bool]:
     """Coerce to an (L, K) column matrix; report whether input was a vector."""
     x = np.asarray(x, dtype=complex)
@@ -104,15 +96,6 @@ def _real_with_residue_check(values: np.ndarray) -> np.ndarray:
 
 def _scalar_or_vector(values: np.ndarray, was_vector: bool):
     return float(values[0]) if was_vector else values
-
-
-def augment(x: np.ndarray, cov: CovariancePair) -> AugmentedVectors:
-    """Stack ``x`` with its conjugate and pair it with the augmented covariance."""
-    cols, was_vector = _as_columns(x, cov.dim)
-    z = np.vstack([cols, np.conj(cols)])
-    if was_vector:
-        z = z[:, 0]
-    return AugmentedVectors(z=z, r_q=cov.augmented)
 
 
 def slmf_solve(x: np.ndarray, cov: CovariancePair, alpha: float = 1.0) -> SlmfWeights:
@@ -204,19 +187,30 @@ def snr_wlmf(x: np.ndarray, cov: CovariancePair):
 def snr_gain(x: np.ndarray, cov: CovariancePair):
     """SNR surplus of the widely linear filter over the strictly linear one.
 
-    Evaluated in its own numerically stable form
+    The surplus is the quadratic form
 
-        (x^* - C^* R^{-1} x)^H (R^* - C^* R^{-1} C)^{-1} (x^* - C^* R^{-1} x),
+        (x^* - C^* R^{-1} x)^H (R^* - C^* R^{-1} C)^{-1} (x^* - C^* R^{-1} x)
 
-    which is positive for every nonzero ``x`` whenever the augmented
+    in the Schur complement ``S = R^* - C^* R^{-1} C``. With the pair's
+    cached whitening map ``(A, W)``, ``A = C^* R^{-1}`` and ``W = L_S^{-1}``
+    for the Cholesky factor ``S = L_S L_S^H``, it is evaluated as the squared
+    norm ``||W (x^* - A x)||^2``, so repeated calls on one pair factor
+    nothing. The difference ``x^* - A x`` is formed before whitening:
+    whitening the two terms apart cancels catastrophically when ``S`` is
+    nearly singular.
+
+    The value is positive for every nonzero ``x`` whenever the augmented
     covariance is positive definite, and equals ``snr_wlmf - snr_slmf``.
+
+    Raises
+    ------
+    NotPositiveDefiniteError
+        If ``R`` or ``S`` is not positive definite.
     """
     cols, was_vector = _as_columns(x, cov.dim)
-    r, c = cov.r, cov.c
-    u = np.conj(cols) - np.conj(c) @ hermitian_solve(r, cols)
-    schur = np.conj(r) - np.conj(c) @ hermitian_solve(r, c)
-    schur = (schur + schur.conj().T) / 2.0
-    values = _real_with_residue_check(np.sum(np.conj(u) * hermitian_solve(schur, u), axis=0))
+    a, white = cov.whitening
+    w = white @ (np.conj(cols) - a @ cols)
+    values = np.sum(w.real**2 + w.imag**2, axis=0)
     return _scalar_or_vector(values, was_vector)
 
 

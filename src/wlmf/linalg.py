@@ -67,6 +67,27 @@ def _cholesky_or_none(a: np.ndarray) -> np.ndarray | None:
         return None
 
 
+def _pd_cholesky(a: np.ndarray, tol: float | None) -> np.ndarray:
+    """Lower Cholesky factor of a finite Hermitian ``a`` whose pivots all exceed ``tol``."""
+    chol = _cholesky_or_none(a)
+    if chol is None:
+        raise NotPositiveDefiniteError("matrix is not positive definite")
+    if tol is None:
+        tol = _default_pivot_tol(a)
+    if not np.all(np.real(np.diag(chol)) ** 2 > tol):
+        raise NotPositiveDefiniteError("matrix has a pivot below tolerance")
+    return chol
+
+
+def _hermitian_cholesky(a: np.ndarray, tol: float | None = None, name: str = "a") -> np.ndarray:
+    """Lower Cholesky factor of ``a`` after the checks :func:`hermitian_solve`
+    makes: square, finite, Hermitian, and every pivot above ``tol`` (else
+    :class:`NotPositiveDefiniteError`)."""
+    a = _as_square_matrix(a, name)
+    _check_hermitian(a, name)
+    return _pd_cholesky(a, tol)
+
+
 def is_positive_definite(a: np.ndarray, tol: float | None = None) -> bool:
     """True iff the Hermitian matrix ``a`` has all Cholesky pivots above ``tol``.
 
@@ -74,15 +95,11 @@ def is_positive_definite(a: np.ndarray, tol: float | None = None) -> bool:
     whose smallest pivot drowns in rounding noise are reported as not
     positive definite rather than accepted by luck.
     """
-    a = _as_square_matrix(a, "a")
-    _check_hermitian(a, "a")
-    chol = _cholesky_or_none(a)
-    if chol is None:
+    try:
+        _hermitian_cholesky(a, tol)
+    except NotPositiveDefiniteError:
         return False
-    if tol is None:
-        tol = _default_pivot_tol(a)
-    pivots = np.real(np.diag(chol)) ** 2
-    return bool(np.all(pivots > tol))
+    return True
 
 
 def hermitian_solve(a: np.ndarray, b: np.ndarray, tol: float | None = None) -> np.ndarray:
@@ -117,13 +134,7 @@ def hermitian_solve(a: np.ndarray, b: np.ndarray, tol: float | None = None) -> n
         raise DimensionMismatchError(
             f"b has shape {b.shape}, expected ({a.shape[0]},) or ({a.shape[0]}, k)"
         )
-    chol = _cholesky_or_none(a)
-    if chol is None:
-        raise NotPositiveDefiniteError("matrix is not positive definite")
-    if tol is None:
-        tol = _default_pivot_tol(a)
-    if not np.all(np.real(np.diag(chol)) ** 2 > tol):
-        raise NotPositiveDefiniteError("matrix has a pivot below tolerance")
+    chol = _pd_cholesky(a, tol)
     y = sla.cho_solve((chol, True), b)
     y = y + sla.cho_solve((chol, True), b - a @ y)
     return y

@@ -9,9 +9,10 @@ from wlmf import (
     SlmfWeights,
     WlmfWeights,
     analytic_covariances,
+    NotPositiveDefiniteError,
     apply_filter_sequence,
-    augment,
     demo_model,
+    hermitian_solve,
     slmf_solve,
     snr_gain,
     snr_slmf,
@@ -20,6 +21,7 @@ from wlmf import (
     wlmf_solve,
 )
 
+import wlmf.noise
 from helpers import random_improper_pair
 
 
@@ -29,6 +31,16 @@ def white_pair(dim, power=1.0):
 
 def random_window(rng, dim):
     return rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+
+
+def two_solve_snr_gain(cols, cov):
+    """Reference surplus ``u^H S^{-1} u``, ``u = conj(x) - conj(C) R^{-1} x``,
+    by separate Hermitian solves with ``R`` and ``S`` and no cached factors."""
+    r, c = cov.r, cov.c
+    u = np.conj(cols) - np.conj(c) @ hermitian_solve(r, cols)
+    schur = np.conj(r) - np.conj(c) @ hermitian_solve(r, c)
+    schur = (schur + schur.conj().T) / 2.0
+    return np.real(np.sum(np.conj(u) * hermitian_solve(schur, u), axis=0))
 
 
 def test_slmf_white_noise_weights_equal_template():
@@ -169,6 +181,62 @@ def test_snr_gain_equals_snr_difference():
         assert abs(direct - diff) <= 1e-9 * max(abs(diff), 1.0)
 
 
+def test_snr_gain_matches_two_solve_reference():
+    rng = np.random.default_rng(49)
+    pairs = [random_improper_pair(rng, dim) for dim in range(1, 17)]
+    pairs += [
+        analytic_covariances(demo_model(rho), length)
+        for rho in (0.04, 0.5, 0.999)
+        for length in (4, 8, 16)
+    ]
+    for cov in pairs:
+        windows = rng.standard_normal((cov.dim, 64)) + 1j * rng.standard_normal((cov.dim, 64))
+        reference = two_solve_snr_gain(windows, cov)
+        rel = np.abs(snr_gain(windows, cov) - reference) / reference
+        assert np.max(rel) <= 1e-12, (cov.dim, float(np.max(rel)))
+
+
+def test_snr_gain_reuses_cached_whitening(monkeypatch):
+    calls = {"solve": 0, "cholesky": 0}
+    solve, cholesky = wlmf.noise.hermitian_solve, wlmf.noise._hermitian_cholesky
+
+    def counted_solve(*args, **kwargs):
+        calls["solve"] += 1
+        return solve(*args, **kwargs)
+
+    def counted_cholesky(*args, **kwargs):
+        calls["cholesky"] += 1
+        return cholesky(*args, **kwargs)
+
+    monkeypatch.setattr(wlmf.noise, "hermitian_solve", counted_solve)
+    monkeypatch.setattr(wlmf.noise, "_hermitian_cholesky", counted_cholesky)
+    rng = np.random.default_rng(50)
+    cov = random_improper_pair(rng, 5)
+    first = snr_gain(random_window(rng, 5), cov)
+    whitening = cov.whitening
+    second = snr_gain(rng.standard_normal((5, 3)) + 0j, cov)
+    assert first > 0.0 and np.all(second > 0.0)
+    assert calls == {"solve": 1, "cholesky": 1}
+    assert cov.whitening is whitening
+    with pytest.raises(ValueError):
+        cov.c[0, 0] = 0.0
+    snr_gain(random_window(rng, 5), random_improper_pair(rng, 5))
+    assert calls == {"solve": 2, "cholesky": 2}
+
+
+@pytest.mark.parametrize("delta", [1e-6, 1e-10, 1e-13])
+def test_snr_gain_near_singular_schur_complement(delta):
+    """``R = I``, ``C = (1 - delta) I``: ``S = delta' (2 - delta') I`` nearly
+    vanishes, and the surplus of ``x = ones`` is ``3 delta' / (2 - delta')``
+    with ``delta' = 1 - fl(1 - delta)`` the perturbation actually stored."""
+    stored = 1.0 - (1.0 - delta)
+    cov = CovariancePair(r=np.eye(3), c=(1.0 - delta) * np.eye(3))
+    expected = 3.0 * stored / (2.0 - stored)
+    assert abs(snr_gain(np.ones(3), cov) - expected) <= 1e-9 * expected
+    with pytest.raises(NotPositiveDefiniteError):
+        snr_gain(np.ones(3), CovariancePair(r=np.eye(3), c=np.eye(3)))
+
+
 def test_snr_batch_matches_per_column():
     rng = np.random.default_rng(41)
     cov = random_improper_pair(rng, 4)
@@ -196,17 +264,18 @@ def test_wlmf_snr_is_the_maximum_over_conjugate_pair_filters():
     rng = np.random.default_rng(43)
     cov = random_improper_pair(rng, 4)
     x = random_window(rng, 4)
-    aug = augment(x, cov)
+    z = np.concatenate([x, np.conj(x)])
+    r_q = cov.augmented
     best = snr_wlmf(x, cov)
     for _ in range(2000):
         g = random_window(rng, 4)
         w = np.concatenate([g, np.conj(g)])
         w = w / np.linalg.norm(w)
-        ratio = np.abs(np.vdot(w, aug.z)) ** 2 / np.real(np.vdot(w, aug.r_q @ w))
+        ratio = np.abs(np.vdot(w, z)) ** 2 / np.real(np.vdot(w, r_q @ w))
         assert ratio <= best * (1.0 + 1e-9)
     weights = wlmf_solve(x, cov)
     w_opt = np.concatenate([weights.f1, weights.f2])
-    opt_ratio = np.abs(np.vdot(w_opt, aug.z)) ** 2 / np.real(np.vdot(w_opt, aug.r_q @ w_opt))
+    opt_ratio = np.abs(np.vdot(w_opt, z)) ** 2 / np.real(np.vdot(w_opt, r_q @ w_opt))
     assert np.isclose(opt_ratio, best, rtol=1e-9)
 
 
@@ -214,13 +283,17 @@ def test_augment_structure():
     rng = np.random.default_rng(44)
     cov = random_improper_pair(rng, 3)
     x = random_window(rng, 3)
-    aug = augment(x, cov)
-    assert np.array_equal(aug.z[:3], x)
-    assert np.array_equal(aug.z[3:], np.conj(x))
-    assert np.array_equal(aug.r_q[:3, :3], cov.r)
-    assert np.array_equal(aug.r_q[:3, 3:], cov.c)
-    assert np.array_equal(aug.r_q[3:, :3], np.conj(cov.c))
-    assert np.array_equal(aug.r_q[3:, 3:], np.conj(cov.r))
+    r_q = cov.augmented
+    assert r_q.shape == (6, 6)
+    assert np.array_equal(r_q[:3, :3], cov.r)
+    assert np.array_equal(r_q[:3, 3:], cov.c)
+    assert np.array_equal(r_q[3:, :3], np.conj(cov.c))
+    assert np.array_equal(r_q[3:, 3:], np.conj(cov.r))
+    # The augmented covariance belongs to the stack (x; conj x), the vector
+    # snr_wlmf whitens.
+    z = np.concatenate([x, np.conj(x)])
+    direct = np.real(np.vdot(z, np.linalg.solve(r_q, z)))
+    assert np.isclose(snr_wlmf(x, cov), direct, rtol=1e-10)
 
 
 def test_apply_filter_newest_sample_tap():

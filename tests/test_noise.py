@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -69,6 +74,33 @@ def test_ma_filter_impulse_response():
     v = ma_filter(u, (0.9, -0.1j))
     assert np.allclose(v, [0.9, -0.1j, 0.0, 0.0, 0.0], atol=1e-15)
     assert len(v) == len(u)
+
+
+def test_ma_filter_matches_direct_sum():
+    """Against ``v(n) = sum_k taps[k] u(n - k)`` with zero initial state,
+    including inputs shorter than, and as long as, the filter."""
+    rng = np.random.default_rng(5)
+    for n, order in ((1, 3), (3, 3), (4, 2), (40, 5)):
+        u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        taps = rng.standard_normal(order) + 1j * rng.standard_normal(order)
+        expected = np.array(
+            [sum(taps[k] * u[i - k] for k in range(order) if i - k >= 0) for i in range(n)]
+        )
+        assert np.allclose(ma_filter(u, taps), expected, rtol=1e-14, atol=1e-14)
+
+
+def test_import_leaves_scipy_signal_unloaded():
+    """``scipy.signal`` costs about a second of import in every process."""
+    root = Path(__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, wlmf; print('scipy.signal' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 def test_ma_filter_rejects_empty():
