@@ -14,7 +14,6 @@ from wlmf import (
     snr_gain,
     snr_slmf,
     snr_wlmf,
-    wlmf_solve,
 )
 
 
@@ -38,11 +37,6 @@ def main():
             % (rho_u, snr_slmf(x, cov), snr_wlmf(x, cov), snr_gain(x, cov))
         )
     print("the gain is strictly positive whenever C is nonzero and x is not 0")
-
-    cov = analytic_covariances(demo_model(0.5), filter_len)
-    weights = wlmf_solve(x, cov)
-    print("\nwidely linear weights solved two ways agree to %.1e" % weights.dual_path_rel_error)
-    print("conjugate pairing |f1 - conj(f2)| = %.1e" % np.linalg.norm(weights.f1 - np.conj(weights.f2)))
 
     print("\nscalar case, R = 1, C = rho, x = 1: gain = (1 - rho) / (1 + rho)")
     for rho in (0.0, 0.25, 0.5, 0.75):

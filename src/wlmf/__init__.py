@@ -63,7 +63,6 @@ from .impropriety import (
     approx_snr_gain,
     aut_decompose,
     design_matched_sequence,
-    g_derivative,
     g_of_rho,
     impropriety_profile,
     lower_bound_rho,
@@ -143,7 +142,6 @@ __all__ = [
     "rotated_input",
     "impropriety_profile",
     "g_of_rho",
-    "g_derivative",
     "lower_bound_rho",
     "approx_snr_gain",
     "normalized_snr_bias",

@@ -46,4 +46,4 @@ class DivergenceDetectedError(WlmfError, ArithmeticError):
 
 
 class NumericalConsistencyError(WlmfError, ArithmeticError):
-    """Two redundant computations of the same quantity disagreed."""
+    """A numerical self-check failed: a residual or backward error exceeded its bound."""

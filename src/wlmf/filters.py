@@ -9,7 +9,8 @@ values are closed forms in the (augmented) covariance; the widely linear SNR
 never falls below the strictly linear one, and the surplus is itself a
 quadratic form in the Schur complement of the augmented covariance, which
 :func:`snr_gain` evaluates as a squared norm through the whitening map the
-covariance pair factors once and caches (``CovariancePair.whitening``).
+covariance pair factors once and caches (``CovariancePair.whitening``);
+:func:`wlmf_solve` solves for the widely linear weights through the same map.
 
 All SNR functions accept a single window (shape ``(L,)``) or a batch of
 windows as columns (shape ``(L, K)``), returning a scalar or a length-K
@@ -53,17 +54,11 @@ class SlmfWeights:
 
 @dataclass(frozen=True)
 class WlmfWeights:
-    """Widely linear matched filter pair ``(f1, f2)``.
-
-    ``dual_path_rel_error`` records the relative disagreement between the
-    direct augmented solve and the block-elimination solve measured when the
-    weights were computed.
-    """
+    """Widely linear matched filter pair ``(f1, f2)`` with its gain factor ``beta``."""
 
     f1: np.ndarray
     f2: np.ndarray
     beta: float = 1.0
-    dual_path_rel_error: float = 0.0
 
 
 def _as_columns(x, dim: int, name: str = "x") -> tuple[np.ndarray, bool]:
@@ -110,22 +105,28 @@ def slmf_solve(x: np.ndarray, cov: CovariancePair, alpha: float = 1.0) -> SlmfWe
 
 
 def wlmf_solve(x: np.ndarray, cov: CovariancePair, beta: float = 1.0) -> WlmfWeights:
-    """Widely linear matched filter from the augmented covariance.
+    """Widely linear matched filter, the solution ``w = (f1, f2)`` of
+    ``R_q w = beta z`` for the augmented covariance ``R_q`` and ``z = (x,
+    x^*)``.
 
-    Solves ``R_q w = beta z`` directly and again by block elimination
-    through the Schur complements,
+    The optimal branches are conjugate pairs, ``f1 = f2^*``, so block
+    elimination leaves one equation in the Schur complement ``S = R^* - C^*
+    R^{-1} C``,
 
-        f1 = beta (R - C R^{-*} C^*)^{-1} (x - C R^{-*} x^*)
-        f2 = beta (R^* - C^* R^{-1} C)^{-1} (x^* - C^* R^{-1} x),
+        f2 = beta S^{-1} (x^* - C^* R^{-1} x),
 
-    and requires the two solutions to agree to 1e-9 in relative norm. The
-    optimal branches are mutually conjugate; that pairing is verified too.
+    applied through the pair's cached whitening map ``(A, W)``, ``S^{-1} =
+    W^H W``, with one step of iterative refinement through the same map.
+    Repeated calls on one pair factor nothing.
 
     Raises
     ------
+    NotPositiveDefiniteError
+        If ``R`` or ``S`` is not positive definite.
     NumericalConsistencyError
-        If the two solution paths disagree or the conjugate pairing fails,
-        which for positive definite inputs indicates severe ill-conditioning.
+        If the normwise backward error ``||R_q w - beta z|| / (||R_q|| ||w|| +
+        ||beta z||)`` exceeds 1e-12, which for positive definite inputs
+        indicates severe ill-conditioning.
     """
     if not beta > 0:
         raise ValueError(f"beta must be positive, got {beta}")
@@ -133,38 +134,26 @@ def wlmf_solve(x: np.ndarray, cov: CovariancePair, beta: float = 1.0) -> WlmfWei
     if cols.shape[1] != 1:
         raise DimensionMismatchError("wlmf_solve expects a single window")
     xv = cols[:, 0]
-    r, c = cov.r, cov.c
+    a, white = cov.whitening
 
-    z = np.concatenate([xv, np.conj(xv)])
-    w_direct = beta * hermitian_solve(cov.augmented, z)
+    def conjugate_branch(rhs):
+        """``f2`` with ``R f2^* + C f2 = rhs``."""
+        return white.conj().T @ (white @ (np.conj(rhs) - a @ rhs))
 
-    r_inv_x = hermitian_solve(r, xv)
-    r_inv_c = hermitian_solve(r, c)
-    schur_lower = np.conj(r) - np.conj(c) @ r_inv_c
-    schur_lower = (schur_lower + schur_lower.conj().T) / 2.0
-    f2 = beta * hermitian_solve(schur_lower, np.conj(xv) - np.conj(c) @ r_inv_x)
+    f2 = conjugate_branch(xv)
+    f2 = beta * (f2 + conjugate_branch(xv - (cov.r @ np.conj(f2) + cov.c @ f2)))
+    f1 = np.conj(f2)
 
-    rc_inv_xc = hermitian_solve(np.conj(r), np.conj(xv))
-    rc_inv_cc = hermitian_solve(np.conj(r), np.conj(c))
-    schur_upper = r - c @ rc_inv_cc
-    schur_upper = (schur_upper + schur_upper.conj().T) / 2.0
-    f1 = beta * hermitian_solve(schur_upper, xv - c @ rc_inv_xc)
-
-    w_block = np.concatenate([f1, f2])
-    scale = max(float(np.linalg.norm(w_direct)), 1e-300)
-    rel_error = float(np.linalg.norm(w_direct - w_block)) / scale
-    if rel_error > 1e-9:
+    norm = np.linalg.norm
+    w = np.concatenate([f1, f2])
+    z = beta * np.concatenate([xv, np.conj(xv)])
+    residual = norm(cov.augmented @ w - z)
+    scale = norm(cov.augmented) * norm(w) + norm(z)
+    if residual > 1e-12 * scale:
         raise NumericalConsistencyError(
-            f"augmented and block filter solutions disagree (relative error {rel_error:.3e})"
+            f"widely linear filter has backward error {residual / scale:.3e} (above 1e-12)"
         )
-
-    f1_out, f2_out = w_direct[: cov.dim], w_direct[cov.dim :]
-    pair_residual = float(np.linalg.norm(f1_out - np.conj(f2_out)))
-    if pair_residual > 1e-10 * max(float(np.linalg.norm(f1_out)), 1e-300):
-        raise NumericalConsistencyError(
-            f"filter branches are not conjugate pairs (residual {pair_residual:.3e})"
-        )
-    return WlmfWeights(f1=f1_out, f2=f2_out, beta=beta, dual_path_rel_error=rel_error)
+    return WlmfWeights(f1=f1, f2=f2, beta=beta)
 
 
 def snr_slmf(x: np.ndarray, cov: CovariancePair):

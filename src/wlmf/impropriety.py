@@ -44,7 +44,6 @@ __all__ = [
     "rotated_input",
     "impropriety_profile",
     "g_of_rho",
-    "g_derivative",
     "lower_bound_rho",
     "approx_snr_gain",
     "normalized_snr_bias",
@@ -203,15 +202,6 @@ def g_of_rho(rho, epsilon):
     scalar = np.isscalar(rho) and np.isscalar(epsilon)
     rho, epsilon = _validate_rho_eps(rho, epsilon)
     value = (1.0 + rho**2 - 2.0 * epsilon * rho) / (1.0 - rho**2)
-    return float(value) if scalar else value
-
-
-def g_derivative(rho, epsilon):
-    """Derivative of :func:`g_of_rho` in ``rho``:
-    ``-2 (eps rho^2 - 2 rho + eps) / (1 - rho^2)^2``."""
-    scalar = np.isscalar(rho) and np.isscalar(epsilon)
-    rho, epsilon = _validate_rho_eps(rho, epsilon)
-    value = -2.0 * (epsilon * rho**2 - 2.0 * rho + epsilon) / (1.0 - rho**2) ** 2
     return float(value) if scalar else value
 
 

@@ -210,8 +210,6 @@ def analytic_covariances(model: NoiseModel, filter_len: int) -> CovariancePair:
     c = model.rho_u * model.sigma2_u * _lagged_products(taps, conjugate=False, length=filter_len)
     r_mat = sla.toeplitz(np.conj(r), r)
     c_mat = sla.toeplitz(c, c)
-    r_mat = (r_mat + r_mat.conj().T) / 2.0
-    c_mat = (c_mat + c_mat.T) / 2.0
     return CovariancePair(r=r_mat, c=c_mat)
 
 
@@ -245,9 +243,10 @@ def empirical_covariances(v: np.ndarray, filter_len: int) -> CovariancePair:
     """Sample window covariances from a noise record.
 
     Averages ``w w^H`` and ``w w^T`` over every sliding window (normalized by
-    the window count) and symmetrizes exactly, so the augmented matrix is a
-    genuine sample covariance of the stacked ``(w, conj(w))`` vectors and
-    inherits positive semidefiniteness by construction.
+    the window count); :class:`CovariancePair` symmetrizes them exactly, so
+    the augmented matrix is a genuine sample covariance of the stacked ``(w,
+    conj(w))`` vectors and inherits positive semidefiniteness by
+    construction.
     """
     v = np.asarray(v, dtype=complex)
     if v.ndim != 1 or v.size < 10 * filter_len:
@@ -258,6 +257,4 @@ def empirical_covariances(v: np.ndarray, filter_len: int) -> CovariancePair:
     count = windows.shape[1]
     r_mat = windows @ windows.conj().T / count
     c_mat = windows @ windows.T / count
-    r_mat = (r_mat + r_mat.conj().T) / 2.0
-    c_mat = (c_mat + c_mat.T) / 2.0
     return CovariancePair(r=r_mat, c=c_mat)

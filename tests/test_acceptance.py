@@ -16,6 +16,7 @@ from wlmf import (
     demo_model,
     analytic_covariances,
     g_of_rho,
+    hermitian_solve,
     impropriety_profile,
     lower_bound_rho,
     rotated_input,
@@ -88,8 +89,12 @@ def test_criterion_3_dual_path_equality():
     for i in range(200):
         dim = i % 8 + 1
         cov = random_improper_pair(rng, dim)
-        weights = wlmf_solve(_random_window(rng, dim), cov)
-        worst_path = max(worst_path, weights.dual_path_rel_error)
+        x = _random_window(rng, dim)
+        weights = wlmf_solve(x, cov)
+        # Oracle: the direct solve of the augmented system R_q w = z.
+        direct = hermitian_solve(cov.augmented, np.concatenate([x, np.conj(x)]))
+        path = np.linalg.norm(np.concatenate([weights.f1, weights.f2]) - direct)
+        worst_path = max(worst_path, path / np.linalg.norm(direct))
         pair_res = np.linalg.norm(weights.f1 - np.conj(weights.f2))
         worst_pair = max(worst_pair, pair_res / np.linalg.norm(weights.f1))
     _report(

@@ -10,6 +10,7 @@ from wlmf import (
     WlmfWeights,
     analytic_covariances,
     NotPositiveDefiniteError,
+    NumericalConsistencyError,
     apply_filter_sequence,
     demo_model,
     hermitian_solve,
@@ -21,6 +22,7 @@ from wlmf import (
     wlmf_solve,
 )
 
+import wlmf.filters
 import wlmf.noise
 from helpers import random_improper_pair
 
@@ -41,6 +43,37 @@ def two_solve_snr_gain(cols, cov):
     schur = np.conj(r) - np.conj(c) @ hermitian_solve(r, c)
     schur = (schur + schur.conj().T) / 2.0
     return np.real(np.sum(np.conj(u) * hermitian_solve(schur, u), axis=0))
+
+
+def augmented_oracle(x, cov):
+    """``(f1, f2)`` stacked, by a direct Hermitian solve of ``R_q w = z``."""
+    return hermitian_solve(cov.augmented, np.concatenate([x, np.conj(x)]))
+
+
+def block_elimination_weights(x, cov):
+    """``(f1, f2)`` stacked, each branch from its own Schur complement:
+    ``f1 = (R - C R^{-*} C^*)^{-1} (x - C R^{-*} x^*)`` and
+    ``f2 = (R^* - C^* R^{-1} C)^{-1} (x^* - C^* R^{-1} x)``."""
+    r, c = cov.r, cov.c
+    schur_lower = np.conj(r) - np.conj(c) @ hermitian_solve(r, c)
+    schur_lower = (schur_lower + schur_lower.conj().T) / 2.0
+    f2 = hermitian_solve(schur_lower, np.conj(x) - np.conj(c) @ hermitian_solve(r, x))
+    schur_upper = r - c @ hermitian_solve(np.conj(r), np.conj(c))
+    schur_upper = (schur_upper + schur_upper.conj().T) / 2.0
+    f1 = hermitian_solve(schur_upper, x - c @ hermitian_solve(np.conj(r), np.conj(x)))
+    return np.concatenate([f1, f2])
+
+
+def backward_error(weights, x, cov):
+    """Normwise backward error of the weights in ``R_q w = beta z``."""
+    w = np.concatenate([weights.f1, weights.f2])
+    z = weights.beta * np.concatenate([x, np.conj(x)])
+    residual = np.linalg.norm(cov.augmented @ w - z)
+    return residual / (np.linalg.norm(cov.augmented) * np.linalg.norm(w) + np.linalg.norm(z))
+
+
+def relative_error(value, reference):
+    return np.linalg.norm(value - reference) / np.linalg.norm(reference)
 
 
 def test_slmf_white_noise_weights_equal_template():
@@ -116,12 +149,20 @@ def test_wlmf_branches_are_conjugate_pairs():
 
 
 def test_wlmf_dual_path_agreement():
+    """The weights match both the direct augmented solve and the elimination
+    through both Schur complements, and their halves are exact conjugates."""
     rng = np.random.default_rng(35)
     for _ in range(60):
         dim = int(rng.integers(1, 9))
         cov = random_improper_pair(rng, dim)
-        weights = wlmf_solve(random_window(rng, dim), cov)
-        assert weights.dual_path_rel_error <= 1e-9
+        x = random_window(rng, dim)
+        weights = wlmf_solve(x, cov)
+        w = np.concatenate([weights.f1, weights.f2])
+        direct = augmented_oracle(x, cov)
+        assert relative_error(w, direct) <= 1e-9
+        assert relative_error(block_elimination_weights(x, cov), direct) <= 1e-9
+        assert np.array_equal(weights.f1, np.conj(weights.f2))
+        assert backward_error(weights, x, cov) <= 1e-15
 
 
 def test_wlmf_beta_scales_weights_exactly():
@@ -197,8 +238,9 @@ def test_snr_gain_matches_two_solve_reference():
 
 
 def test_snr_gain_reuses_cached_whitening(monkeypatch):
-    calls = {"solve": 0, "cholesky": 0}
+    calls = {"solve": 0, "cholesky": 0, "factor": 0}
     solve, cholesky = wlmf.noise.hermitian_solve, wlmf.noise._hermitian_cholesky
+    factor = np.linalg.cholesky
 
     def counted_solve(*args, **kwargs):
         calls["solve"] += 1
@@ -208,20 +250,28 @@ def test_snr_gain_reuses_cached_whitening(monkeypatch):
         calls["cholesky"] += 1
         return cholesky(*args, **kwargs)
 
-    monkeypatch.setattr(wlmf.noise, "hermitian_solve", counted_solve)
+    def counted_factor(*args, **kwargs):
+        calls["factor"] += 1
+        return factor(*args, **kwargs)
+
+    for module in (wlmf.noise, wlmf.filters):
+        monkeypatch.setattr(module, "hermitian_solve", counted_solve)
     monkeypatch.setattr(wlmf.noise, "_hermitian_cholesky", counted_cholesky)
+    monkeypatch.setattr(np.linalg, "cholesky", counted_factor)
     rng = np.random.default_rng(50)
     cov = random_improper_pair(rng, 5)
     first = snr_gain(random_window(rng, 5), cov)
     whitening = cov.whitening
     second = snr_gain(rng.standard_normal((5, 3)) + 0j, cov)
     assert first > 0.0 and np.all(second > 0.0)
-    assert calls == {"solve": 1, "cholesky": 1}
+    assert calls == {"solve": 1, "cholesky": 1, "factor": 2}
+    wlmf_solve(random_window(rng, 5), cov)
+    assert calls == {"solve": 1, "cholesky": 1, "factor": 2}
     assert cov.whitening is whitening
     with pytest.raises(ValueError):
         cov.c[0, 0] = 0.0
     snr_gain(random_window(rng, 5), random_improper_pair(rng, 5))
-    assert calls == {"solve": 2, "cholesky": 2}
+    assert calls == {"solve": 2, "cholesky": 2, "factor": 4}
 
 
 @pytest.mark.parametrize("delta", [1e-6, 1e-10, 1e-13])
@@ -233,8 +283,32 @@ def test_snr_gain_near_singular_schur_complement(delta):
     cov = CovariancePair(r=np.eye(3), c=(1.0 - delta) * np.eye(3))
     expected = 3.0 * stored / (2.0 - stored)
     assert abs(snr_gain(np.ones(3), cov) - expected) <= 1e-9 * expected
+    singular = CovariancePair(r=np.eye(3), c=np.eye(3))
     with pytest.raises(NotPositiveDefiniteError):
-        snr_gain(np.ones(3), CovariancePair(r=np.eye(3), c=np.eye(3)))
+        snr_gain(np.ones(3), singular)
+    with pytest.raises(NotPositiveDefiniteError):
+        wlmf_solve(np.ones(3), singular)
+
+
+@pytest.mark.parametrize(
+    "corrupt", [np.zeros_like, lambda a: a * (1.0 + 1e-3)], ids=["zero", "scaled"]
+)
+def test_wlmf_solve_rejects_corrupted_whitening(corrupt):
+    """A wrong cached ``A`` gives weights far off ``R_q w = z``; the backward
+    error check must catch it rather than return them."""
+    cov = analytic_covariances(demo_model(0.5), 6)
+    a, white = cov.whitening
+    vars(cov)["whitening"] = (corrupt(a), white)
+    with pytest.raises(NumericalConsistencyError):
+        wlmf_solve(random_window(np.random.default_rng(51), 6), cov)
+
+
+@pytest.mark.parametrize("length", [4, 16, 64])
+@pytest.mark.parametrize("rho_u", [0.999, 1.0 - 1e-6, 1.0 - 1e-8])
+def test_wlmf_solve_backward_error_near_maximal_impropriety(rho_u, length):
+    cov = analytic_covariances(demo_model(rho_u), length)
+    x = random_window(np.random.default_rng(52), length)
+    assert backward_error(wlmf_solve(x, cov), x, cov) <= 1e-15
 
 
 def test_snr_batch_matches_per_column():
@@ -350,4 +424,5 @@ def test_demo_covariance_filter_roundtrip():
     weights = wlmf_solve(x, cov)
     gain = snr_gain(x, cov)
     assert gain > 0.0
-    assert weights.dual_path_rel_error <= 1e-9
+    w = np.concatenate([weights.f1, weights.f2])
+    assert relative_error(w, augmented_oracle(x, cov)) <= 1e-9

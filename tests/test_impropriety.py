@@ -16,7 +16,6 @@ from wlmf import (
     aut_decompose,
     demo_model,
     design_matched_sequence,
-    g_derivative,
     g_of_rho,
     impropriety_profile,
     lower_bound_rho,
@@ -124,6 +123,9 @@ def test_g_trivial_values():
     circular = g_of_rho(rho, np.zeros_like(rho))
     assert np.allclose(circular, (1 + rho**2) / (1 - rho**2), rtol=1e-12)
     assert np.all(np.diff(circular) > 0)
+    # With eps <= 0 the factor never decreases in rho.
+    for eps in (-0.9, -0.2):
+        assert np.all(np.diff(g_of_rho(rho, np.full_like(rho, eps))) >= 0)
 
 
 def test_g_validation():
@@ -133,8 +135,6 @@ def test_g_validation():
         g_of_rho(0.5, 1.5)
     with pytest.raises(InvalidImproprietyError):
         g_of_rho(-0.2, 0.5)
-    with pytest.raises(SingularAtOneError):
-        g_derivative(1.0, 0.0)
 
 
 def test_g_value_at_minimizer():
@@ -142,28 +142,8 @@ def test_g_value_at_minimizer():
         root = lower_bound_rho(eps)
         floor = np.sqrt(1 - eps**2) if eps > 0 else 1.0
         assert abs(g_of_rho(root, eps) - floor) <= 1e-10
-
-
-def test_g_derivative_closed_form_matches_finite_differences():
-    rng = np.random.default_rng(54)
-    for _ in range(200):
-        rho = float(rng.uniform(0.01, 0.9))
-        eps = float(rng.uniform(-0.99, 0.99))
-        h = 1e-6
-        numeric = (g_of_rho(rho + h, eps) - g_of_rho(rho - h, eps)) / (2 * h)
-        analytic = g_derivative(rho, eps)
-        assert abs(analytic - numeric) <= 1e-5 * max(abs(analytic), 1.0)
-
-
-def test_g_derivative_signs_and_root():
-    assert g_derivative(0.0, 0.4) == -0.8
-    assert g_derivative(0.0, -0.5) == 1.0
-    rho = np.linspace(0.0, 0.95, 100)
-    for eps in (-0.9, -0.2, 0.0):
-        assert np.all(g_derivative(rho, np.full_like(rho, eps)) >= 0.0)
     root = lower_bound_rho(0.6)
     assert np.isclose(root, 1.0 / 3.0, rtol=1e-12)
-    assert abs(g_derivative(root, 0.6)) <= 1e-12
     assert np.isclose(g_of_rho(root, 0.6), 0.8, rtol=1e-12)
 
 
