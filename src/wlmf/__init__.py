@@ -21,6 +21,7 @@ from .errors import (
     DivergenceDetectedError,
     EmptyInputError,
     InsufficientSamplesError,
+    NonFiniteInputError,
     InvalidImproprietyError,
     NotHermitianError,
     NotPositiveDefiniteError,
@@ -30,7 +31,6 @@ from .errors import (
     WlmfError,
 )
 from .linalg import (
-    TakagiResult,
     hermitian_eig,
     hermitian_solve,
     is_positive_definite,
@@ -58,8 +58,6 @@ from .filters import (
     wlmf_solve,
 )
 from .impropriety import (
-    AutDecomposition,
-    ImproprietyProfile,
     approx_snr_gain,
     aut_decompose,
     design_matched_sequence,
@@ -74,10 +72,7 @@ from .cnn import (
     PATTERN_TWO,
     CnnConfig,
     CnnParams,
-    LabeledSignal,
-    TrainResult,
     backward,
-    conv_forward,
     forward,
     head_forward,
     init_params,
@@ -93,7 +88,6 @@ from .experiments import (
     DEMO_TEMPLATE,
     EXPERIMENTS,
     ExperimentSpec,
-    RunManifest,
     run_experiment,
 )
 from .seeding import derive_rng
@@ -105,6 +99,7 @@ __all__ = [
     "WlmfError",
     "DimensionMismatchError",
     "EmptyInputError",
+    "NonFiniteInputError",
     "NotHermitianError",
     "NotSymmetricError",
     "NotPositiveDefiniteError",
@@ -114,7 +109,6 @@ __all__ = [
     "DegenerateWindowError",
     "DivergenceDetectedError",
     "NumericalConsistencyError",
-    "TakagiResult",
     "takagi",
     "hermitian_eig",
     "hermitian_solve",
@@ -136,8 +130,6 @@ __all__ = [
     "snr_gain",
     "apply_filter_sequence",
     "template_to_feature",
-    "AutDecomposition",
-    "ImproprietyProfile",
     "aut_decompose",
     "rotated_input",
     "impropriety_profile",
@@ -148,13 +140,10 @@ __all__ = [
     "design_matched_sequence",
     "CnnConfig",
     "CnnParams",
-    "LabeledSignal",
-    "TrainResult",
     "make_dataset",
     "init_params",
     "PATTERN_ONE",
     "PATTERN_TWO",
-    "conv_forward",
     "split_relu",
     "max_modulus_pool",
     "head_forward",
@@ -167,7 +156,6 @@ __all__ = [
     "DEMO_TEMPLATE",
     "DEMO_MATCHED_SEQUENCE",
     "ExperimentSpec",
-    "RunManifest",
     "run_experiment",
     "derive_rng",
 ]

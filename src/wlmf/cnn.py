@@ -36,7 +36,6 @@ __all__ = [
     "TrainResult",
     "make_dataset",
     "init_params",
-    "conv_forward",
     "split_relu",
     "max_modulus_pool",
     "head_forward",
@@ -86,15 +85,6 @@ class CnnParams:
     def widely_linear(self) -> bool:
         return self.conv2 is not None
 
-    def copy(self) -> "CnnParams":
-        return CnnParams(
-            conv1=self.conv1.copy(),
-            conv2=None if self.conv2 is None else self.conv2.copy(),
-            bias_re=self.bias_re.copy(),
-            bias_im=self.bias_im.copy(),
-            head_w=self.head_w.copy(),
-            head_b=self.head_b.copy(),
-        )
 
 
 @dataclass(frozen=True)
@@ -198,14 +188,6 @@ def _filter_bank(windows: np.ndarray, params: CnnParams) -> np.ndarray:
     if params.conv2 is not None:
         y = y + np.einsum("cl,...lk->...ck", np.conj(params.conv2), np.conj(windows))
     return y
-
-
-def conv_forward(x: np.ndarray, params: CnnParams) -> np.ndarray:
-    """Per-channel filter responses, shape (channels, windows).
-
-    A batch of signals, shape (B, N), gives shape (B, channels, windows).
-    """
-    return _filter_bank(_windows(x, params), params)
 
 
 def split_relu(y: np.ndarray, bias_re: np.ndarray, bias_im: np.ndarray) -> np.ndarray:

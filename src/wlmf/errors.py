@@ -13,6 +13,10 @@ class EmptyInputError(WlmfError, ValueError):
     """An input that must be nonempty was empty."""
 
 
+class NonFiniteInputError(WlmfError, ValueError):
+    """A matrix held a NaN or infinite entry."""
+
+
 class NotHermitianError(WlmfError, ValueError):
     """A matrix required to be Hermitian was not."""
 

@@ -10,7 +10,9 @@ never falls below the strictly linear one, and the surplus is itself a
 quadratic form in the Schur complement of the augmented covariance, which
 :func:`snr_gain` evaluates as a squared norm through the whitening map the
 covariance pair factors once and caches (``CovariancePair.whitening``);
-:func:`wlmf_solve` solves for the widely linear weights through the same map.
+:func:`wlmf_solve` solves for the widely linear weights through the same map,
+and :func:`slmf_solve` and :func:`snr_slmf` through the pair's cached
+Cholesky factor of ``R`` (``CovariancePair.cholesky``).
 
 All SNR functions accept a single window (shape ``(L,)``) or a batch of
 windows as columns (shape ``(L, K)``), returning a scalar or a length-K
@@ -22,13 +24,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as sla
 
 from .errors import (
     DimensionMismatchError,
     EmptyInputError,
     NumericalConsistencyError,
 )
-from .linalg import hermitian_solve
+from .linalg import _pd_cholesky, _refined_solve
 from .noise import CovariancePair, sliding_windows
 
 __all__ = [
@@ -77,30 +80,21 @@ def _as_columns(x, dim: int, name: str = "x") -> tuple[np.ndarray, bool]:
     raise DimensionMismatchError(f"{name} must be 1- or 2-dimensional, got ndim={x.ndim}")
 
 
-def _real_with_residue_check(values: np.ndarray) -> np.ndarray:
-    """Discard imaginary parts only after checking they are rounding noise."""
-    re = np.real(values)
-    im = np.imag(values)
-    if np.any(np.abs(im) > 1e-12 * np.abs(re) + 1e-300):
-        worst = float(np.max(np.abs(im)))
-        raise NumericalConsistencyError(
-            f"quadratic form has non-negligible imaginary residue {worst:.3e}"
-        )
-    return re
-
-
-def _scalar_or_vector(values: np.ndarray, was_vector: bool):
+def _squared_norms(w: np.ndarray, was_vector: bool):
+    """Squared column norms of ``w``, a float for a single-window input."""
+    values = np.sum(w.real**2 + w.imag**2, axis=0)
     return float(values[0]) if was_vector else values
 
 
 def slmf_solve(x: np.ndarray, cov: CovariancePair, alpha: float = 1.0) -> SlmfWeights:
-    """Strictly linear matched filter ``f = alpha R^{-1} x``."""
+    """Strictly linear matched filter ``f = alpha R^{-1} x``, solved through the
+    pair's cached Cholesky factor of ``R`` with one refinement step."""
     if not alpha > 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
     cols, _ = _as_columns(x, cov.dim)
     if cols.shape[1] != 1:
         raise DimensionMismatchError("slmf_solve expects a single window")
-    f = alpha * hermitian_solve(cov.r, cols[:, 0])
+    f = alpha * _refined_solve(cov.r, cov.cholesky, cols[:, 0])
     return SlmfWeights(f=f, alpha=alpha)
 
 
@@ -157,20 +151,26 @@ def wlmf_solve(x: np.ndarray, cov: CovariancePair, beta: float = 1.0) -> WlmfWei
 
 
 def snr_slmf(x: np.ndarray, cov: CovariancePair):
-    """Output SNR of the strictly linear matched filter, ``x^H R^{-1} x``."""
+    """Output SNR of the strictly linear matched filter, ``x^H R^{-1} x``,
+    evaluated as ``||L^{-1} x||^2`` with the pair's cached Cholesky factor
+    ``R = L L^H``."""
     cols, was_vector = _as_columns(x, cov.dim)
-    solved = hermitian_solve(cov.r, cols)
-    values = _real_with_residue_check(np.sum(np.conj(cols) * solved, axis=0))
-    return _scalar_or_vector(values, was_vector)
+    return _squared_norms(sla.solve_triangular(cov.cholesky, cols, lower=True), was_vector)
 
 
 def snr_wlmf(x: np.ndarray, cov: CovariancePair):
-    """Output SNR of the widely linear matched filter, ``z^H R_q^{-1} z``."""
+    """Output SNR of the widely linear matched filter, ``z^H R_q^{-1} z`` for
+    ``z = (x, x^*)``, evaluated as ``||L_q^{-1} z||^2`` with a Cholesky factor
+    ``R_q = L_q L_q^H`` of the augmented covariance taken on each call.
+
+    The augmented factor is independent of the Schur-complement map that
+    :func:`snr_gain` uses, so the two cross-check each other.
+    """
     cols, was_vector = _as_columns(x, cov.dim)
     z = np.vstack([cols, np.conj(cols)])
-    solved = hermitian_solve(cov.augmented, z)
-    values = _real_with_residue_check(np.sum(np.conj(z) * solved, axis=0))
-    return _scalar_or_vector(values, was_vector)
+    return _squared_norms(
+        sla.solve_triangular(_pd_cholesky(cov.augmented), z, lower=True), was_vector
+    )
 
 
 def snr_gain(x: np.ndarray, cov: CovariancePair):
@@ -198,9 +198,7 @@ def snr_gain(x: np.ndarray, cov: CovariancePair):
     """
     cols, was_vector = _as_columns(x, cov.dim)
     a, white = cov.whitening
-    w = white @ (np.conj(cols) - a @ cols)
-    values = np.sum(w.real**2 + w.imag**2, axis=0)
-    return _scalar_or_vector(values, was_vector)
+    return _squared_norms(white @ (np.conj(cols) - a @ cols), was_vector)
 
 
 def apply_filter_sequence(sequence: np.ndarray, weights: SlmfWeights | WlmfWeights) -> np.ndarray:

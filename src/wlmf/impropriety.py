@@ -29,11 +29,10 @@ from .errors import (
     DegenerateWindowError,
     DimensionMismatchError,
     InvalidImproprietyError,
-    NotPositiveDefiniteError,
     SingularAtOneError,
 )
 from .filters import _as_columns, snr_gain
-from .linalg import hermitian_eig, is_positive_definite, takagi
+from .linalg import hermitian_eig, takagi
 from .noise import CovariancePair, sliding_windows
 from .seeding import as_generator
 
@@ -72,9 +71,6 @@ class AutDecomposition:
     lambda_r : ndarray
         Eigenvalues of ``R`` (descending, real positive), paired index-wise
         with ``lambda_c``.
-    rotated_diag : ndarray
-        Real diagonal of ``Q^H R Q``: the basis-dependent alternative
-        reading of the noise powers, kept as a diagnostic.
     offdiag_residual : float
         ``||offdiag(Q^H R Q)||_F / ||R||_F``; zero iff the basis in fact
         diagonalizes ``R`` and the approximation is exact.
@@ -83,7 +79,6 @@ class AutDecomposition:
     q: np.ndarray
     lambda_c: np.ndarray
     lambda_r: np.ndarray
-    rotated_diag: np.ndarray
     offdiag_residual: float
 
     @property
@@ -116,21 +111,16 @@ def aut_decompose(cov: CovariancePair) -> AutDecomposition:
     NotPositiveDefiniteError
         If ``R`` is not positive definite.
     """
-    if not is_positive_definite(cov.r):
-        raise NotPositiveDefiniteError("covariance R must be positive definite")
-    factor = takagi(cov.c, companion=cov.r)
-    lambda_r, _ = hermitian_eig(cov.r)
-    rotated = factor.q.conj().T @ cov.r @ factor.q
-    diag = np.real(np.diag(rotated))
+    cov.cholesky  # factors R once per pair; raises unless R is positive definite
+    lambda_r, eigvecs = hermitian_eig(cov.r)
+    factor = takagi(cov.c)
+    # takagi gives all-zero values only for C = 0, whose identity basis
+    # carries no information; R's eigenbasis makes the decomposition exact.
+    q = factor.q if np.any(factor.p) else eigvecs
+    rotated = q.conj().T @ cov.r @ q
     off = rotated - np.diag(np.diag(rotated))
     residual = float(np.linalg.norm(off) / max(np.linalg.norm(cov.r), 1e-300))
-    return AutDecomposition(
-        q=factor.q,
-        lambda_c=factor.p,
-        lambda_r=lambda_r,
-        rotated_diag=diag,
-        offdiag_residual=residual,
-    )
+    return AutDecomposition(q=q, lambda_c=factor.p, lambda_r=lambda_r, offdiag_residual=residual)
 
 
 def rotated_input(aut: AutDecomposition, x: np.ndarray) -> np.ndarray:
@@ -193,6 +183,12 @@ def _validate_rho_eps(rho, epsilon):
     return rho, epsilon
 
 
+def _gain_factor(rho, epsilon):
+    # (1 - rho)(1 + rho) keeps full relative accuracy as rho nears 1, where
+    # 1 - rho^2 loses every digit that rho^2 rounds away.
+    return (1.0 + rho**2 - 2.0 * epsilon * rho) / ((1.0 - rho) * (1.0 + rho))
+
+
 def g_of_rho(rho, epsilon):
     """Component gain factor ``(1 + rho^2 - 2 eps rho) / (1 - rho^2)``.
 
@@ -200,8 +196,7 @@ def g_of_rho(rho, epsilon):
     ``|eps| <= 1``.
     """
     scalar = np.isscalar(rho) and np.isscalar(epsilon)
-    rho, epsilon = _validate_rho_eps(rho, epsilon)
-    value = (1.0 + rho**2 - 2.0 * epsilon * rho) / (1.0 - rho**2)
+    value = _gain_factor(*_validate_rho_eps(rho, epsilon))
     return float(value) if scalar else value
 
 
@@ -232,8 +227,7 @@ def approx_snr_gain(x: np.ndarray, aut: AutDecomposition):
     cols, was_vector = _as_columns(x, aut.dim)
     rotated = aut.q.conj().T @ cols
     eps, _ = _epsilon_columns(rotated)
-    rho = _clamped_rho(aut)[:, None]
-    factor = (1.0 + rho**2 - 2.0 * eps * rho) / (1.0 - rho**2)
+    factor = _gain_factor(_clamped_rho(aut)[:, None], eps)
     values = np.sum(np.abs(rotated) ** 2 / aut.lambda_r[:, None] * factor, axis=0)
     return float(values[0]) if was_vector else values
 

@@ -14,6 +14,7 @@ import scipy.linalg as sla
 from .errors import (
     DimensionMismatchError,
     EmptyInputError,
+    NonFiniteInputError,
     NotHermitianError,
     NotPositiveDefiniteError,
     NotSymmetricError,
@@ -40,7 +41,7 @@ def _as_square_matrix(a: np.ndarray, name: str) -> np.ndarray:
     if a.shape[0] == 0:
         raise EmptyInputError(f"{name} must have at least one row")
     if not np.all(np.isfinite(a.view(float))):
-        raise ValueError(f"{name} contains non-finite entries")
+        raise NonFiniteInputError(f"{name} contains non-finite entries")
     return a
 
 
@@ -56,36 +57,18 @@ def _check_symmetric(a: np.ndarray, name: str) -> None:
         raise NotSymmetricError(f"{name} is not complex symmetric")
 
 
-def _default_pivot_tol(a: np.ndarray) -> float:
-    return 1e-12 * max(float(np.max(np.real(np.diag(a)))), 0.0)
-
-
-def _cholesky_or_none(a: np.ndarray) -> np.ndarray | None:
+def _pd_cholesky(a: np.ndarray, tol: float | None = None) -> np.ndarray:
+    """Lower Cholesky factor of a finite Hermitian ``a`` whose pivots all exceed
+    ``tol``, by default ``1e-12 * max(diag(a))``."""
     try:
-        return np.linalg.cholesky(a)
+        chol = np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
-        return None
-
-
-def _pd_cholesky(a: np.ndarray, tol: float | None) -> np.ndarray:
-    """Lower Cholesky factor of a finite Hermitian ``a`` whose pivots all exceed ``tol``."""
-    chol = _cholesky_or_none(a)
-    if chol is None:
-        raise NotPositiveDefiniteError("matrix is not positive definite")
+        raise NotPositiveDefiniteError("matrix is not positive definite") from None
     if tol is None:
-        tol = _default_pivot_tol(a)
+        tol = 1e-12 * max(float(np.max(np.real(np.diag(a)))), 0.0)
     if not np.all(np.real(np.diag(chol)) ** 2 > tol):
         raise NotPositiveDefiniteError("matrix has a pivot below tolerance")
     return chol
-
-
-def _hermitian_cholesky(a: np.ndarray, tol: float | None = None, name: str = "a") -> np.ndarray:
-    """Lower Cholesky factor of ``a`` after the checks :func:`hermitian_solve`
-    makes: square, finite, Hermitian, and every pivot above ``tol`` (else
-    :class:`NotPositiveDefiniteError`)."""
-    a = _as_square_matrix(a, name)
-    _check_hermitian(a, name)
-    return _pd_cholesky(a, tol)
 
 
 def is_positive_definite(a: np.ndarray, tol: float | None = None) -> bool:
@@ -95,8 +78,10 @@ def is_positive_definite(a: np.ndarray, tol: float | None = None) -> bool:
     whose smallest pivot drowns in rounding noise are reported as not
     positive definite rather than accepted by luck.
     """
+    a = _as_square_matrix(a, "a")
+    _check_hermitian(a, "a")
     try:
-        _hermitian_cholesky(a, tol)
+        _pd_cholesky(a, tol)
     except NotPositiveDefiniteError:
         return False
     return True
@@ -134,10 +119,14 @@ def hermitian_solve(a: np.ndarray, b: np.ndarray, tol: float | None = None) -> n
         raise DimensionMismatchError(
             f"b has shape {b.shape}, expected ({a.shape[0]},) or ({a.shape[0]}, k)"
         )
-    chol = _pd_cholesky(a, tol)
+    return _refined_solve(a, _pd_cholesky(a, tol), b)
+
+
+def _refined_solve(a: np.ndarray, chol: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve ``a @ y = b`` through the lower Cholesky factor ``chol`` of ``a``,
+    with one step of iterative refinement."""
     y = sla.cho_solve((chol, True), b)
-    y = y + sla.cho_solve((chol, True), b - a @ y)
-    return y
+    return y + sla.cho_solve((chol, True), b - a @ y)
 
 
 def hermitian_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -179,7 +168,7 @@ def _group_close(values: np.ndarray, rtol: float) -> list[list[int]]:
     return groups
 
 
-def takagi(c: np.ndarray, companion: np.ndarray | None = None) -> TakagiResult:
+def takagi(c: np.ndarray) -> TakagiResult:
     """Factor a complex symmetric matrix as ``c = q @ diag(p) @ q.T``.
 
     Computed from the singular value decomposition ``c = u s v^H``: symmetry
@@ -193,13 +182,7 @@ def takagi(c: np.ndarray, companion: np.ndarray | None = None) -> TakagiResult:
     Parameters
     ----------
     c : ndarray
-        Complex symmetric matrix.
-    companion : ndarray, optional
-        Hermitian matrix consulted only when ``c`` is exactly zero: its
-        eigenvectors (descending eigenvalue order) are returned as ``q``,
-        which lets callers diagonalizing a covariance pair keep a meaningful
-        basis when the complementary part vanishes. Without a companion the
-        zero matrix yields the identity basis.
+        Complex symmetric matrix. The zero matrix yields the identity basis.
 
     Raises
     ------
@@ -212,11 +195,7 @@ def takagi(c: np.ndarray, companion: np.ndarray | None = None) -> TakagiResult:
 
     c_norm = float(np.linalg.norm(c))
     if c_norm == 0.0:
-        if companion is not None:
-            _, q = hermitian_eig(companion)
-        else:
-            q = np.eye(n, dtype=complex)
-        return TakagiResult(q, np.zeros(n))
+        return TakagiResult(np.eye(n, dtype=complex), np.zeros(n))
 
     u, s, _ = np.linalg.svd(c)
     t = u.conj().T @ c @ u.conj()

@@ -20,13 +20,18 @@ import numpy as np
 import scipy.linalg as sla
 
 from .errors import (
+    DimensionMismatchError,
     EmptyInputError,
     InsufficientSamplesError,
     InvalidImproprietyError,
-    NotHermitianError,
-    NotSymmetricError,
 )
-from .linalg import _hermitian_cholesky, hermitian_solve
+from .linalg import (
+    _as_square_matrix,
+    _check_hermitian,
+    _check_symmetric,
+    _pd_cholesky,
+    _refined_solve,
+)
 from .seeding import as_generator
 
 __all__ = [
@@ -78,7 +83,17 @@ class NoiseModel:
 class CovariancePair:
     """Covariance ``r = E[w w^H]`` and complementary covariance ``c = E[w w^T]``
     of a length-L noise window, plus the augmented block matrix built from them
-    and, on first use, the whitening map of the widely linear SNR surplus.
+    and, on first use, the Cholesky factor of ``r`` and the whitening map of
+    the widely linear SNR surplus.
+
+    Raises
+    ------
+    DimensionMismatchError
+        If ``r`` and ``c`` are not square matrices of one shape.
+    NonFiniteInputError
+        If an entry is NaN or infinite.
+    NotHermitianError, NotSymmetricError
+        If ``r`` is not Hermitian or ``c`` not complex symmetric.
     """
 
     r: np.ndarray
@@ -86,20 +101,19 @@ class CovariancePair:
     augmented: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        r = np.asarray(self.r, dtype=complex)
-        c = np.asarray(self.c, dtype=complex)
-        if r.shape != c.shape or r.ndim != 2 or r.shape[0] != r.shape[1]:
-            raise ValueError(f"covariances must be equal square shapes, got {r.shape} and {c.shape}")
-        scale = max(float(np.linalg.norm(r)), float(np.linalg.norm(c)), 1.0)
-        if np.linalg.norm(r - r.conj().T) > 1e-10 * scale:
-            raise NotHermitianError("covariance r must be Hermitian")
-        if np.linalg.norm(c - c.T) > 1e-10 * scale:
-            raise NotSymmetricError("complementary covariance c must be symmetric")
+        r = _as_square_matrix(self.r, "covariance r")
+        c = _as_square_matrix(self.c, "complementary covariance c")
+        if r.shape != c.shape:
+            raise DimensionMismatchError(
+                f"covariances must have equal shapes, got {r.shape} and {c.shape}"
+            )
+        _check_hermitian(r, "covariance r")
+        _check_symmetric(c, "complementary covariance c")
         r = (r + r.conj().T) / 2.0
         c = (c + c.T) / 2.0
         augmented = np.vstack([np.hstack([r, c]), np.hstack([c.conj(), r.conj()])])
         # Read-only, so nothing derived from them (the augmented matrix, the
-        # cached whitening map) can go stale.
+        # cached factors) can go stale.
         for name, value in (("r", r), ("c", c), ("augmented", augmented)):
             value.flags.writeable = False
             object.__setattr__(self, name, value)
@@ -107,6 +121,21 @@ class CovariancePair:
     @property
     def dim(self) -> int:
         return self.r.shape[0]
+
+    @cached_property
+    def cholesky(self) -> np.ndarray:
+        """Lower Cholesky factor ``L`` of ``R = L L^H``, computed on first
+        access and cached, so every solve with ``R`` on this pair reuses it.
+
+        Raises
+        ------
+        NotPositiveDefiniteError
+            If ``R`` is not positive definite or a pivot falls below the
+            default tolerance ``1e-12 * max(diag(R))``.
+        """
+        chol = _pd_cholesky(self.r)
+        chol.flags.writeable = False
+        return chol
 
     @cached_property
     def whitening(self) -> tuple[np.ndarray, np.ndarray]:
@@ -122,16 +151,14 @@ class CovariancePair:
         Raises
         ------
         NotPositiveDefiniteError
-            If ``R`` or ``S`` fails the checks of
-            :func:`wlmf.linalg.hermitian_solve`, i.e. the augmented covariance
-            is not positive definite.
+            If ``R`` or ``S`` is not positive definite, i.e. the augmented
+            covariance is not.
         """
         # R^{-1} C is the conjugate transpose of A because R is Hermitian and
         # C symmetric.
-        a = hermitian_solve(self.r, self.c).conj().T
+        a = _refined_solve(self.r, self.cholesky, self.c).conj().T
         schur = np.conj(self.r) - a @ self.c
-        schur = (schur + schur.conj().T) / 2.0
-        chol = _hermitian_cholesky(schur, name="schur complement")
+        chol = _pd_cholesky((schur + schur.conj().T) / 2.0)
         # An explicit inverse: a product with it beats a triangular solve
         # with thousands of right-hand sides under threaded BLAS, at equal
         # accuracy for the surplus.

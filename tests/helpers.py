@@ -1,5 +1,7 @@
 """Shared random-instance generators and the CNN gradient checker."""
 
+import copy
+
 import numpy as np
 
 from wlmf import CnnConfig, CnnParams, CovariancePair, backward, forward, make_dataset
@@ -62,9 +64,7 @@ def random_cnn_params(rng, config):
 
 def _kink_margins(x, params):
     """Distance to the nearest ReLU sign flip and pooling tie."""
-    from wlmf import conv_forward
-
-    y = conv_forward(x, params)
+    y = forward(x, params)[1]["y"]
     re = np.abs(y.real + params.bias_re[:, None])
     im = np.abs(y.imag + params.bias_im[:, None])
     a = np.maximum(y.real + params.bias_re[:, None], 0) + 1j * np.maximum(
@@ -112,10 +112,10 @@ def gradient_check(sample, params, h=1e-6):
         for idx in np.ndindex(array.shape):
             parts = (1.0, 1j) if is_complex else (1.0,)
             for part_i, part in enumerate(parts):
-                probe = params.copy()
+                probe = copy.deepcopy(params)
                 getattr(probe, name)[idx] += h * part
                 up = loss_at(probe)
-                probe = params.copy()
+                probe = copy.deepcopy(params)
                 getattr(probe, name)[idx] -= h * part
                 down = loss_at(probe)
                 value = (up - down) / (2 * h)

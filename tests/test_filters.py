@@ -12,6 +12,7 @@ from wlmf import (
     NotPositiveDefiniteError,
     NumericalConsistencyError,
     apply_filter_sequence,
+    aut_decompose,
     demo_model,
     hermitian_solve,
     slmf_solve,
@@ -22,8 +23,6 @@ from wlmf import (
     wlmf_solve,
 )
 
-import wlmf.filters
-import wlmf.noise
 from helpers import random_improper_pair
 
 
@@ -238,25 +237,15 @@ def test_snr_gain_matches_two_solve_reference():
 
 
 def test_snr_gain_reuses_cached_whitening(monkeypatch):
-    calls = {"solve": 0, "cholesky": 0, "factor": 0}
-    solve, cholesky = wlmf.noise.hermitian_solve, wlmf.noise._hermitian_cholesky
+    """A pair factors ``R`` and the Schur complement once each, whatever mix
+    of solves, SNRs and AUTs then runs on it."""
+    calls = []
     factor = np.linalg.cholesky
 
-    def counted_solve(*args, **kwargs):
-        calls["solve"] += 1
-        return solve(*args, **kwargs)
+    def counted_factor(a):
+        calls.append(a.shape)
+        return factor(a)
 
-    def counted_cholesky(*args, **kwargs):
-        calls["cholesky"] += 1
-        return cholesky(*args, **kwargs)
-
-    def counted_factor(*args, **kwargs):
-        calls["factor"] += 1
-        return factor(*args, **kwargs)
-
-    for module in (wlmf.noise, wlmf.filters):
-        monkeypatch.setattr(module, "hermitian_solve", counted_solve)
-    monkeypatch.setattr(wlmf.noise, "_hermitian_cholesky", counted_cholesky)
     monkeypatch.setattr(np.linalg, "cholesky", counted_factor)
     rng = np.random.default_rng(50)
     cov = random_improper_pair(rng, 5)
@@ -264,14 +253,41 @@ def test_snr_gain_reuses_cached_whitening(monkeypatch):
     whitening = cov.whitening
     second = snr_gain(rng.standard_normal((5, 3)) + 0j, cov)
     assert first > 0.0 and np.all(second > 0.0)
-    assert calls == {"solve": 1, "cholesky": 1, "factor": 2}
-    wlmf_solve(random_window(rng, 5), cov)
-    assert calls == {"solve": 1, "cholesky": 1, "factor": 2}
+    assert len(calls) == 2
+    x = random_window(rng, 5)
+    wlmf_solve(x, cov)
+    slmf_solve(x, cov)
+    snr_slmf(x, cov)
+    aut_decompose(cov)
+    assert len(calls) == 2
     assert cov.whitening is whitening
     with pytest.raises(ValueError):
         cov.c[0, 0] = 0.0
-    snr_gain(random_window(rng, 5), random_improper_pair(rng, 5))
-    assert calls == {"solve": 2, "cholesky": 2, "factor": 4}
+    with pytest.raises(ValueError):
+        cov.cholesky[0, 0] = 0.0
+    other = random_improper_pair(rng, 5)
+    slmf_solve(x, other)
+    snr_slmf(x, other)
+    aut_decompose(other)
+    assert len(calls) == 3
+    snr_gain(x, other)
+    assert len(calls) == 4
+
+
+@pytest.mark.parametrize("ridge", [1e-6, 1e-10], ids=["1e-6", "1e-10"])
+def test_snr_wlmf_ill_conditioned_pairs(ridge):
+    """Positive definite pairs with augmented condition numbers up to about
+    1e7, on a few of which a check of the quadratic form's imaginary residue
+    used to raise: the squared norm must return and agree with a refined
+    augmented solve."""
+    rng = np.random.default_rng(5)
+    for _ in range(100):
+        dim = int(rng.integers(1, 7))
+        cov = random_improper_pair(rng, dim, ridge=ridge)
+        x = random_window(rng, dim)
+        z = np.concatenate([x, np.conj(x)])
+        reference = np.real(np.vdot(z, hermitian_solve(cov.augmented, z)))
+        assert abs(snr_wlmf(x, cov) - reference) <= 1e-8 * reference
 
 
 @pytest.mark.parametrize("delta", [1e-6, 1e-10, 1e-13])

@@ -92,14 +92,6 @@ def test_rotated_input_preserves_norm_and_roundtrips():
     assert np.allclose(aut.q @ xt, x, atol=1e-12)
 
 
-def test_rotated_diag_diagnostic():
-    aut = demo_aut()
-    cov = analytic_covariances(demo_model(0.5), 6)
-    trace_share = np.real(np.trace(cov.r)) / 6.0
-    assert np.isclose(np.mean(aut.rotated_diag), trace_share, rtol=1e-12)
-    assert np.all(np.abs(aut.rotated_diag - trace_share) < 0.05)
-
-
 def test_profile_epsilon_extremes():
     cov = CovariancePair(r=np.eye(4), c=np.zeros((4, 4)))
     aut = aut_decompose(cov)
@@ -165,6 +157,19 @@ def test_lower_bound_rho_matches_decimal_oracle():
             exact = Decimal(eps) / (1 + (1 - Decimal(eps) ** 2).sqrt())
         error = abs(Decimal(lower_bound_rho(eps)) - exact)
         assert error <= 4 * Decimal(math.ulp(float(exact)))
+
+
+def test_g_of_rho_matches_decimal_oracle_near_one():
+    """The denominator ``1 - rho^2`` cancels as ``rho`` nears 1; the factor
+    must keep full relative accuracy there."""
+    for rho in (0.999, 1.0 - 1e-6, 1.0 - 1e-9):
+        for eps in (-0.9, 0.0, 0.3):
+            with localcontext() as ctx:
+                ctx.prec = 60
+                r, e = Decimal(rho), Decimal(eps)
+                exact = (1 + r * r - 2 * e * r) / (1 - r * r)
+            error = abs(Decimal(g_of_rho(rho, eps)) - exact) / exact
+            assert error <= Decimal("1e-14"), (rho, eps, float(error))
 
 
 def test_g_stays_above_lower_bound_on_grid():

@@ -3,6 +3,7 @@ import pytest
 
 from wlmf import (
     DimensionMismatchError,
+    NonFiniteInputError,
     NotHermitianError,
     NotPositiveDefiniteError,
     NotSymmetricError,
@@ -63,23 +64,14 @@ def test_hermitian_solve_errors():
     skew = np.array([[1.0, 1j], [1j, 1.0]])
     with pytest.raises(NotHermitianError):
         hermitian_solve(skew, np.ones(2))
+    with pytest.raises(NonFiniteInputError):
+        hermitian_solve(np.diag([1.0, np.nan]), np.ones(2))
 
 
 def test_takagi_zero_matrix():
     result = takagi(np.zeros((4, 4)))
     assert np.allclose(result.p, 0.0)
     assert np.allclose(result.q, np.eye(4))
-
-
-def test_takagi_zero_matrix_with_companion():
-    rng = np.random.default_rng(14)
-    companion = random_hermitian_pd(rng, 4)
-    result = takagi(np.zeros((4, 4)), companion=companion)
-    vals, vecs = hermitian_eig(companion)
-    rotated = result.q.conj().T @ companion @ result.q
-    assert np.allclose(np.diag(rotated), vals, atol=1e-10)
-    assert np.linalg.norm(rotated - np.diag(vals)) <= 1e-9 * np.linalg.norm(companion)
-    assert vecs.shape == result.q.shape
 
 
 def test_takagi_real_diagonal():

@@ -8,10 +8,12 @@ import pytest
 
 from wlmf import (
     CovariancePair,
+    DimensionMismatchError,
     EmptyInputError,
     InsufficientSamplesError,
     InvalidImproprietyError,
     NoiseModel,
+    NonFiniteInputError,
     NotHermitianError,
     NotSymmetricError,
     analytic_covariances,
@@ -148,6 +150,12 @@ def test_covariance_pair_validation():
         CovariancePair(r=np.array([[1.0, 1.0], [0.0, 1.0]]), c=np.zeros((2, 2)))
     with pytest.raises(NotSymmetricError):
         CovariancePair(r=np.eye(2), c=np.array([[0.0, 1.0], [-1.0, 0.0]]))
+    with pytest.raises(NonFiniteInputError):
+        CovariancePair(r=np.array([[1.0, 0.0], [0.0, np.nan]]), c=np.zeros((2, 2)))
+    with pytest.raises(NonFiniteInputError):
+        CovariancePair(r=np.eye(2), c=np.array([[np.inf, 0.0], [0.0, 0.0]]))
+    with pytest.raises(DimensionMismatchError):
+        CovariancePair(r=np.eye(2), c=np.zeros((3, 3)))
 
 
 def test_sliding_windows_newest_first():
