@@ -74,22 +74,12 @@ from .cnn import (
     CnnParams,
     backward,
     forward,
-    head_forward,
     init_params,
     make_dataset,
-    max_modulus_pool,
     predict_proba,
-    split_relu,
     train,
 )
-from .experiments import (
-    DEFAULT_RHO_GRID,
-    DEMO_MATCHED_SEQUENCE,
-    DEMO_TEMPLATE,
-    EXPERIMENTS,
-    ExperimentSpec,
-    run_experiment,
-)
+from .experiments import DEMO_TEMPLATE, ExperimentSpec, run_experiment
 from .seeding import derive_rng
 
 __version__ = "0.1.0"
@@ -144,17 +134,11 @@ __all__ = [
     "init_params",
     "PATTERN_ONE",
     "PATTERN_TWO",
-    "split_relu",
-    "max_modulus_pool",
-    "head_forward",
     "forward",
     "predict_proba",
     "backward",
     "train",
-    "EXPERIMENTS",
-    "DEFAULT_RHO_GRID",
     "DEMO_TEMPLATE",
-    "DEMO_MATCHED_SEQUENCE",
     "ExperimentSpec",
     "run_experiment",
     "derive_rng",

@@ -23,18 +23,29 @@ __all__ = ["build_parser", "load_config", "resolve_spec", "main"]
 
 ENV_OUT_DIR = "WLMF_OUT_DIR"
 
-_CONFIG_KEYS = (
-    "experiment",
-    "rho-u",
-    "filter-len",
-    "signal-len",
-    "trials",
-    "seed",
-    "mode",
-    "out-dir",
-    "workers",
-    "est-len",
-)
+
+def _float_list(text: str) -> tuple[float, ...]:
+    return tuple(float(part) for part in text.split(",") if part.strip())
+
+
+def _int_list(text: str) -> tuple[int, ...]:
+    return tuple(int(part) for part in text.split(",") if part.strip())
+
+
+# Config key (the long flag name) -> converter from its text. Flag values and
+# config lines both arrive as text and go through the same converter.
+_CONVERTERS = {
+    "experiment": str,
+    "rho-u": _float_list,
+    "filter-len": _int_list,
+    "signal-len": int,
+    "trials": int,
+    "seed": int,
+    "mode": str,
+    "out-dir": str,
+    "workers": int,
+    "est-len": int,
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -49,23 +60,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--experiment", choices=EXPERIMENTS, help="experiment to run")
     parser.add_argument(
         "--rho-u",
-        dest="rho_u",
         help="comma-separated driving-noise impropriety grid, values in [0, 1)",
     )
-    parser.add_argument(
-        "--filter-len",
-        dest="filter_len",
-        help="comma-separated filter lengths",
-    )
+    parser.add_argument("--filter-len", help="comma-separated filter lengths")
     parser.add_argument(
         "--signal-len",
-        dest="signal_len",
-        type=int,
         help="input sequence length (gain-bias: draws per trial; "
         "gain-surface: filler length after the matched sequence)",
     )
-    parser.add_argument("--trials", type=int, help="Monte Carlo trials per grid cell")
-    parser.add_argument("--seed", type=int, help="master seed (default 1234)")
+    parser.add_argument("--trials", help="Monte Carlo trials per grid cell")
+    parser.add_argument("--seed", help="master seed (default 1234)")
     parser.add_argument(
         "--mode",
         choices=("analytic", "empirical"),
@@ -73,17 +77,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--out-dir",
-        dest="out_dir",
         help=f"output directory (default: ${ENV_OUT_DIR} or current directory)",
     )
     parser.add_argument("--config", help="flat key-value config file; flags override it")
-    parser.add_argument(
-        "--workers", type=int, help="trial-level parallel workers (default 1)"
-    )
+    parser.add_argument("--workers", help="trial-level parallel workers (default 1)")
     parser.add_argument(
         "--est-len",
-        dest="est_len",
-        type=int,
         help="noise record length for empirical covariance estimates (default 5000)",
     )
     return parser
@@ -101,59 +100,31 @@ def load_config(path: str) -> dict:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
             key, _, value = line.partition("=")
             key = key.strip()
-            if key not in _CONFIG_KEYS:
+            if key not in _CONVERTERS:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
             values[key] = value.strip()
     return values
 
 
-def _float_list(text: str) -> tuple[float, ...]:
-    return tuple(float(part) for part in text.split(",") if part.strip())
-
-
-def _int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(part) for part in text.split(",") if part.strip())
-
-
 def resolve_spec(args: argparse.Namespace) -> ExperimentSpec:
     """Merge defaults, config file, and flags into a resolved spec."""
-    config = load_config(args.config) if args.config else {}
-
-    def pick(flag_value, key: str, convert):
+    texts = load_config(args.config) if args.config else {}
+    for key in _CONVERTERS:
+        flag_value = getattr(args, key.replace("-", "_"))
         if flag_value is not None:
-            return flag_value
-        if key in config:
-            return convert(config[key])
-        return None
+            texts[key] = flag_value
+    params = {}
+    for key, text in texts.items():
+        try:
+            params[key.replace("-", "_")] = _CONVERTERS[key](text)
+        except ValueError as exc:
+            raise ValueError(f"{key}: {exc}") from None
 
-    experiment = pick(args.experiment, "experiment", str)
+    experiment = params.pop("experiment", None)
     if experiment is None:
         raise ValueError("an experiment must be named via --experiment or the config file")
-
-    out_dir = pick(args.out_dir, "out-dir", str)
-    if out_dir is None:
-        out_dir = os.environ.get(ENV_OUT_DIR, ".")
-
-    return ExperimentSpec.with_defaults(
-        experiment,
-        rho_u=pick(
-            _float_list(args.rho_u) if args.rho_u is not None else None,
-            "rho-u",
-            _float_list,
-        ),
-        filter_len=pick(
-            _int_list(args.filter_len) if args.filter_len is not None else None,
-            "filter-len",
-            _int_list,
-        ),
-        signal_len=pick(args.signal_len, "signal-len", int),
-        trials=pick(args.trials, "trials", int),
-        seed=pick(args.seed, "seed", int),
-        mode=pick(args.mode, "mode", str),
-        workers=pick(args.workers, "workers", int),
-        est_len=pick(args.est_len, "est-len", int),
-        out_dir=out_dir,
-    )
+    params.setdefault("out_dir", os.environ.get(ENV_OUT_DIR, "."))
+    return ExperimentSpec.with_defaults(experiment, **params)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -85,8 +85,6 @@ __all__ = [
     "run_experiment",
 ]
 
-EXPERIMENTS = ("gain-bias", "gain-surface", "mf-demo", "cnn-train", "design-sequence")
-
 DEFAULT_RHO_GRID = (0.04, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8)
 
 # Matched-filter demo template and the length-6 matched sequence designed so
@@ -118,13 +116,13 @@ _STREAM_NOTE = (
     "mf-demo=(13,); design-sequence=(14,); cnn-train uses (0|1|2) inside train()"
 )
 
+# Where an experiment's defaults differ from the ExperimentSpec field defaults.
 _DEFAULTS = {
     "gain-bias": {
         "rho_u": DEFAULT_RHO_GRID,
         "filter_len": (4, 6, 8),
         "signal_len": 10_000,
         "trials": 5,
-        "mode": "analytic",
     },
     "gain-surface": {
         "rho_u": DEFAULT_RHO_GRID,
@@ -133,28 +131,12 @@ _DEFAULTS = {
         "trials": 200,
         "mode": "empirical",
     },
-    "mf-demo": {
-        "rho_u": (0.0,),
-        "filter_len": (3,),
-        "signal_len": 8,
-        "trials": 1,
-        "mode": "analytic",
-    },
-    "cnn-train": {
-        "rho_u": (0.0,),
-        "filter_len": (3,),
-        "signal_len": 8,
-        "trials": 1,
-        "mode": "analytic",
-    },
-    "design-sequence": {
-        "rho_u": (0.5,),
-        "filter_len": (6,),
-        "signal_len": 6,
-        "trials": 1,
-        "mode": "analytic",
-    },
+    "design-sequence": {"rho_u": (0.5,), "filter_len": (6,), "signal_len": 6},
 }
+
+# Grid keys an experiment sweeps; every other experiment reads only the first
+# value, so it takes exactly one.
+_SWEPT = {"gain-bias": ("rho_u", "filter_len"), "gain-surface": ("rho_u",)}
 
 
 @dataclass(frozen=True)
@@ -162,12 +144,12 @@ class ExperimentSpec:
     """Fully resolved parameters of one experiment run."""
 
     experiment: str
-    rho_u: tuple[float, ...]
-    filter_len: tuple[int, ...]
-    signal_len: int
-    trials: int
-    seed: int
-    mode: str
+    rho_u: tuple[float, ...] = (0.0,)
+    filter_len: tuple[int, ...] = (3,)
+    signal_len: int = 8
+    trials: int = 1
+    seed: int = 1234
+    mode: str = "analytic"
     est_len: int = 5000
     workers: int = 1
     out_dir: str = "."
@@ -183,6 +165,10 @@ class ExperimentSpec:
             raise ValueError("rho_u grid values must lie in [0, 1)")
         if not self.filter_len or any(v < 1 for v in self.filter_len):
             raise ValueError("filter_len values must be positive")
+        for key in ("rho_u", "filter_len"):
+            count = len(getattr(self, key))
+            if count > 1 and key not in _SWEPT.get(self.experiment, ()):
+                raise ValueError(f"{self.experiment} takes one {key} value, got {count}")
         if self.signal_len < 1 or self.trials < 1 or self.workers < 1 or self.est_len < 1:
             raise ValueError("signal_len, trials, est_len and workers must be positive")
         if self.mode not in ("analytic", "empirical"):
@@ -190,12 +176,7 @@ class ExperimentSpec:
 
     @classmethod
     def with_defaults(cls, experiment: str, **overrides) -> "ExperimentSpec":
-        if experiment not in _DEFAULTS:
-            raise ValueError(f"unknown experiment {experiment!r}")
-        params = dict(_DEFAULTS[experiment])
-        params.update({k: v for k, v in overrides.items() if v is not None})
-        params.setdefault("seed", 1234)
-        return cls(experiment=experiment, **params)
+        return cls(experiment=experiment, **{**_DEFAULTS.get(experiment, {}), **overrides})
 
 
 @dataclass(frozen=True)
@@ -212,15 +193,6 @@ class RunManifest:
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
-
-
-@dataclass(frozen=True)
-class _RunOutput:
-    csv_name: str | None
-    header: tuple[str, ...] | None
-    rows: list
-    summary_name: str | None
-    summary: dict | None
 
 
 def _format_cell(value) -> str:
@@ -274,7 +246,7 @@ def _gain_bias_cell(task) -> float:
     return total / trials
 
 
-def run_gain_bias(spec: ExperimentSpec) -> _RunOutput:
+def run_gain_bias(spec: ExperimentSpec) -> dict:
     if spec.signal_len < 10 * max(spec.filter_len):
         raise InsufficientSamplesError(
             "gain-bias needs signal_len >= 10 x the largest filter length"
@@ -286,13 +258,7 @@ def run_gain_bias(spec: ExperimentSpec) -> _RunOutput:
     ]
     means = _map_tasks(_gain_bias_cell, cells, spec.workers)
     rows = [(cell[3], cell[4], mean) for cell, mean in zip(cells, means)]
-    return _RunOutput(
-        csv_name="gain-bias.csv",
-        header=("rho_u", "filter_len", "normalized_bias"),
-        rows=rows,
-        summary_name=None,
-        summary=None,
-    )
+    return {"gain-bias.csv": (("rho_u", "filter_len", "normalized_bias"), rows)}
 
 
 def _surface_probe(spec: ExperimentSpec) -> np.ndarray:
@@ -324,7 +290,7 @@ def _gain_surface_trial(task) -> np.ndarray:
     return snr_gain(windows, pair)
 
 
-def run_gain_surface(spec: ExperimentSpec) -> _RunOutput:
+def run_gain_surface(spec: ExperimentSpec) -> dict:
     length = spec.filter_len[0]
     probe = _surface_probe(spec)
     windows = sliding_windows(probe, length)
@@ -342,27 +308,19 @@ def run_gain_surface(spec: ExperimentSpec) -> _RunOutput:
             for trial in range(spec.trials)
         ]
         values = _map_tasks(_gain_surface_trial, tasks, spec.workers)
-        for i_rho in range(len(spec.rho_u)):
-            per_trial = [
-                values[k] for k, task in enumerate(tasks) if task[1] == i_rho
-            ]
-            gains_by_rho.append(np.mean(per_trial, axis=0))
+        # Tasks are rho-major, so each rho's trials are one contiguous slice.
+        for start in range(0, len(tasks), spec.trials):
+            gains_by_rho.append(np.mean(values[start : start + spec.trials], axis=0))
 
     rows = [
         (int(n_p), rho, float(gains[k]))
-        for i_rho, (rho, gains) in enumerate(zip(spec.rho_u, gains_by_rho))
+        for rho, gains in zip(spec.rho_u, gains_by_rho)
         for k, n_p in enumerate(positions)
     ]
-    return _RunOutput(
-        csv_name="gain-surface.csv",
-        header=("n_p", "rho_u", "snr_gain"),
-        rows=rows,
-        summary_name=None,
-        summary=None,
-    )
+    return {"gain-surface.csv": (("n_p", "rho_u", "snr_gain"), rows)}
 
 
-def run_mf_demo(spec: ExperimentSpec) -> _RunOutput:
+def run_mf_demo(spec: ExperimentSpec) -> dict:
     template = DEMO_TEMPLATE
     length = len(template)
     n = spec.signal_len
@@ -412,16 +370,13 @@ def run_mf_demo(spec: ExperimentSpec) -> _RunOutput:
         "wl_peak_modulus": float(np.max(wl_mod)),
         "threshold": 0.5 * float(np.max(sl_mod)),
     }
-    return _RunOutput(
-        csv_name="mf-demo.csv",
-        header=("n", "input_re", "input_im", "sl_modulus", "wl_modulus"),
-        rows=rows,
-        summary_name="mf-demo-summary.json",
-        summary=summary,
-    )
+    return {
+        "mf-demo.csv": (("n", "input_re", "input_im", "sl_modulus", "wl_modulus"), rows),
+        "mf-demo-summary.json": summary,
+    }
 
 
-def run_cnn_train(spec: ExperimentSpec) -> _RunOutput:
+def run_cnn_train(spec: ExperimentSpec) -> dict:
     rows = []
     summary = {"seed": spec.seed, "modes": {}}
     for mode in ("sl", "wl"):
@@ -437,16 +392,13 @@ def run_cnn_train(spec: ExperimentSpec) -> _RunOutput:
             "final_holdout_mean_p1": final[1],
             "final_holdout_mean_p2": final[2],
         }
-    return _RunOutput(
-        csv_name="cnn-train.csv",
-        header=("iteration", "mode", "pattern", "probability"),
-        rows=rows,
-        summary_name="cnn-train-summary.json",
-        summary=summary,
-    )
+    return {
+        "cnn-train.csv": (("iteration", "mode", "pattern", "probability"), rows),
+        "cnn-train-summary.json": summary,
+    }
 
 
-def run_design_sequence(spec: ExperimentSpec) -> _RunOutput:
+def run_design_sequence(spec: ExperimentSpec) -> dict:
     rho_u = spec.rho_u[0]
     length = spec.filter_len[0]
     cov = analytic_covariances(demo_model(rho_u), length)
@@ -467,15 +419,11 @@ def run_design_sequence(spec: ExperimentSpec) -> _RunOutput:
         "sequence": _complex_pairs(designed),
         "roundtrip_max_error": roundtrip,
     }
-    return _RunOutput(
-        csv_name=None,
-        header=None,
-        rows=[],
-        summary_name="design-sequence.json",
-        summary=summary,
-    )
+    return {"design-sequence.json": summary}
 
 
+# Each runner returns its output files in write order: {name: (header, rows)}
+# for a ``.csv`` file, {name: summary} for a ``.json`` one.
 _RUNNERS = {
     "gain-bias": run_gain_bias,
     "gain-surface": run_gain_surface,
@@ -484,27 +432,26 @@ _RUNNERS = {
     "design-sequence": run_design_sequence,
 }
 
+EXPERIMENTS = tuple(_RUNNERS)
+
 
 def run_experiment(spec: ExperimentSpec) -> RunManifest:
     """Run one experiment, write its outputs and manifest, return the manifest."""
     from . import __version__
 
     started = datetime.now(timezone.utc).isoformat()
-    output = _RUNNERS[spec.experiment](spec)
+    files = _RUNNERS[spec.experiment](spec)
 
     out_dir = Path(spec.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     digests = {}
-    if output.csv_name is not None:
-        csv_path = out_dir / output.csv_name
-        _write_csv(csv_path, output.header, output.rows)
-        digests[output.csv_name] = _sha256(csv_path)
-    if output.summary_name is not None:
-        summary_path = out_dir / output.summary_name
-        summary_path.write_text(
-            json.dumps(output.summary, indent=2, sort_keys=True) + "\n"
-        )
-        digests[output.summary_name] = _sha256(summary_path)
+    for name, content in files.items():
+        path = out_dir / name
+        if name.endswith(".csv"):
+            _write_csv(path, *content)
+        else:
+            path.write_text(json.dumps(content, indent=2, sort_keys=True) + "\n")
+        digests[name] = _sha256(path)
 
     manifest = RunManifest(
         spec=asdict(spec),

@@ -12,15 +12,12 @@ from wlmf import (
     backward,
     derive_rng,
     forward,
-    head_forward,
     init_params,
     make_dataset,
-    max_modulus_pool,
     predict_proba,
-    split_relu,
     train,
 )
-from wlmf.cnn import _first_sustained
+from wlmf.cnn import _first_sustained, head_forward, max_modulus_pool, split_relu
 
 from helpers import gradient_check, kink_free_case, random_cnn_params
 

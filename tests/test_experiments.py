@@ -1,6 +1,9 @@
 import hashlib
 import json
 import re
+import shlex
+from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,28 +24,27 @@ def read_rows(path):
     return lines[0].split(","), [line.split(",") for line in lines[1:]]
 
 
+SPEC_FIELDS = (
+    "experiment", "rho_u", "filter_len", "signal_len", "trials",
+    "seed", "mode", "est_len", "workers", "out_dir",
+)
+# Every resolved default, in field order: the manifest's ``spec`` of a run
+# with no overrides.
+PINNED_DEFAULTS = (
+    ("gain-bias", DEFAULT_RHO_GRID, (4, 6, 8), 10_000, 5, 1234, "analytic", 5000, 1, "."),
+    ("gain-surface", DEFAULT_RHO_GRID, (6,), 100, 200, 1234, "empirical", 5000, 1, "."),
+    ("mf-demo", (0.0,), (3,), 8, 1, 1234, "analytic", 5000, 1, "."),
+    ("cnn-train", (0.0,), (3,), 8, 1, 1234, "analytic", 5000, 1, "."),
+    ("design-sequence", (0.5,), (6,), 6, 1, 1234, "analytic", 5000, 1, "."),
+)
+
+
 def test_spec_defaults():
-    spec = ExperimentSpec.with_defaults("gain-bias")
-    assert spec.rho_u == DEFAULT_RHO_GRID
-    assert spec.filter_len == (4, 6, 8)
-    assert spec.signal_len == 10_000
-    assert spec.trials == 5
-    assert spec.seed == 1234
-    assert spec.mode == "analytic"
-    assert spec.workers == 1
-    surface = ExperimentSpec.with_defaults("gain-surface")
-    assert surface.filter_len == (6,)
-    assert surface.trials == 200
-    assert surface.signal_len == 100
-    assert surface.mode == "empirical"
-    assert surface.est_len == 5000
-    assert set(EXPERIMENTS) == {
-        "gain-bias",
-        "gain-surface",
-        "mf-demo",
-        "cnn-train",
-        "design-sequence",
-    }
+    assert DEFAULT_RHO_GRID == (0.04, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8)
+    assert EXPERIMENTS == tuple(values[0] for values in PINNED_DEFAULTS)
+    for values in PINNED_DEFAULTS:
+        spec = ExperimentSpec.with_defaults(values[0])
+        assert list(asdict(spec).items()) == list(zip(SPEC_FIELDS, values))
 
 
 def test_spec_validation():
@@ -58,6 +60,21 @@ def test_spec_validation():
         ExperimentSpec.with_defaults("gain-bias", trials=0)
     with pytest.raises(ValueError):
         ExperimentSpec.with_defaults("gain-surface", mode="psychic")
+
+
+@pytest.mark.parametrize(
+    "experiment, key, values",
+    [
+        ("gain-surface", "filter_len", (4, 6)),
+        ("design-sequence", "rho_u", (0.2, 0.7)),
+        ("design-sequence", "filter_len", (6, 8)),
+        ("cnn-train", "filter_len", (3, 5)),
+        ("mf-demo", "rho_u", (0.1, 0.2)),
+    ],
+)
+def test_spec_rejects_grids_the_experiment_does_not_sweep(experiment, key, values):
+    with pytest.raises(ValueError, match=key):
+        ExperimentSpec.with_defaults(experiment, **{key: values})
 
 
 def small_gain_bias_spec(out_dir, workers=1):
@@ -254,6 +271,61 @@ def test_cli_rejects_unknown_config_key(tmp_path, capsys):
     assert payload["error"] == "ValueError"
     assert "bogus" in payload["message"]
     assert ":2:" in payload["message"]
+
+
+def test_cli_config_and_flags_resolve_alike(tmp_path, capsys):
+    settings = {
+        "experiment": "gain-surface",
+        "rho-u": "0.2, 0.5",
+        "filter-len": "8",
+        "signal-len": "40",
+        "trials": "3",
+        "seed": "5",
+        "mode": "analytic",
+        "out-dir": str(tmp_path / "out"),
+        "workers": "2",
+        "est-len": "900",
+    }
+    config = tmp_path / "all.cfg"
+    config.write_text("".join(f"{key} = {value}\n" for key, value in settings.items()))
+    flags = [arg for key, value in settings.items() for arg in (f"--{key}", value)]
+    parser = cli.build_parser()
+    from_file = cli.resolve_spec(parser.parse_args(["--config", str(config)]))
+    from_flags = cli.resolve_spec(parser.parse_args(flags))
+    assert from_file == from_flags == ExperimentSpec(
+        "gain-surface", (0.2, 0.5), (8,), 40, 3, 5, "analytic", 900, 2, str(tmp_path / "out")
+    )
+
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("experiment = gain-bias\ntrials = abc\n")
+    for argv in (["--experiment", "gain-bias", "--trials", "abc"], ["--config", str(bad)]):
+        assert cli.main(argv + ["--out-dir", str(tmp_path / "never")]) == 1
+        payload = json.loads(capsys.readouterr().err.strip())
+        assert payload["error"] == "ValueError"
+        assert "trials" in payload["message"]
+    assert not (tmp_path / "never").exists()
+
+
+def test_readme_cli_examples_resolve(tmp_path, monkeypatch):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", readme, re.S | re.M)
+    (config,) = [block for block in blocks if block.startswith("# desk.cfg\n")]
+    (tmp_path / "desk.cfg").write_text(config)
+    monkeypatch.chdir(tmp_path)
+    runs = 0
+    for block in blocks:
+        for line in block.splitlines():
+            words = shlex.split(line)
+            if words[:1] == ["wlmf-run"]:
+                argv = words[1:]
+            elif words[:3] == ["python3", "-m", "wlmf"]:
+                argv = words[3:]
+            else:
+                continue
+            args = cli.build_parser().parse_args(argv)
+            assert cli.resolve_spec(args).experiment == args.experiment
+            runs += 1
+    assert runs >= 6
 
 
 def test_cli_missing_experiment(capsys):
