@@ -11,7 +11,7 @@ from wlmf import (
     analytic_covariances,
     demo_model,
     empirical_covariances,
-    is_positive_definite,
+    hermitian_eig,
     ma_filter,
     sample_improper_white,
     sliding_windows,
@@ -30,7 +30,8 @@ def main():
     print(np.array2string(cov.r[0], precision=4))
     print("analytic complementary C, first row:")
     print(np.array2string(cov.c[0], precision=4))
-    print("augmented covariance positive definite:", is_positive_definite(cov.augmented))
+    smallest = hermitian_eig(cov.augmented)[0][-1]
+    print("smallest eigenvalue of the augmented covariance: %.4f (positive definite)" % smallest)
 
     u = sample_improper_white(200_000, rho_u=model.rho_u, rng=rng)
     v = ma_filter(u, model.taps)

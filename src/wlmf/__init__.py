@@ -33,7 +33,6 @@ from .errors import (
 from .linalg import (
     hermitian_eig,
     hermitian_solve,
-    is_positive_definite,
     takagi,
 )
 from .noise import (
@@ -102,7 +101,6 @@ __all__ = [
     "takagi",
     "hermitian_eig",
     "hermitian_solve",
-    "is_positive_definite",
     "NoiseModel",
     "CovariancePair",
     "demo_model",

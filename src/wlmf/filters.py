@@ -12,7 +12,7 @@ quadratic form in the Schur complement of the augmented covariance, which
 covariance pair factors once and caches (``CovariancePair.whitening``);
 :func:`wlmf_solve` solves for the widely linear weights through the same map,
 and :func:`slmf_solve` and :func:`snr_slmf` through the pair's cached
-Cholesky factor of ``R`` (``CovariancePair.cholesky``).
+inverse Cholesky factor of ``R`` (``CovariancePair.inverse_cholesky``).
 
 All SNR functions accept a single window (shape ``(L,)``) or a batch of
 windows as columns (shape ``(L, K)``), returning a scalar or a length-K
@@ -24,14 +24,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import (
     DimensionMismatchError,
     EmptyInputError,
     NumericalConsistencyError,
 )
-from .linalg import _pd_cholesky, _refined_solve
+from .linalg import _lower_inverse, _pd_cholesky, _refined_solve
 from .noise import CovariancePair, sliding_windows
 
 __all__ = [
@@ -88,13 +87,13 @@ def _squared_norms(w: np.ndarray, was_vector: bool):
 
 def slmf_solve(x: np.ndarray, cov: CovariancePair, alpha: float = 1.0) -> SlmfWeights:
     """Strictly linear matched filter ``f = alpha R^{-1} x``, solved through the
-    pair's cached Cholesky factor of ``R`` with one refinement step."""
+    pair's cached inverse Cholesky factor of ``R`` with one refinement step."""
     if not alpha > 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
     cols, _ = _as_columns(x, cov.dim)
     if cols.shape[1] != 1:
         raise DimensionMismatchError("slmf_solve expects a single window")
-    f = alpha * _refined_solve(cov.r, cov.cholesky, cols[:, 0])
+    f = alpha * _refined_solve(cov.r, cov.inverse_cholesky, cols[:, 0])
     return SlmfWeights(f=f, alpha=alpha)
 
 
@@ -152,10 +151,10 @@ def wlmf_solve(x: np.ndarray, cov: CovariancePair, beta: float = 1.0) -> WlmfWei
 
 def snr_slmf(x: np.ndarray, cov: CovariancePair):
     """Output SNR of the strictly linear matched filter, ``x^H R^{-1} x``,
-    evaluated as ``||L^{-1} x||^2`` with the pair's cached Cholesky factor
-    ``R = L L^H``."""
+    evaluated as ``||L^{-1} x||^2`` with the pair's cached inverse Cholesky
+    factor, ``R = L L^H``."""
     cols, was_vector = _as_columns(x, cov.dim)
-    return _squared_norms(sla.solve_triangular(cov.cholesky, cols, lower=True), was_vector)
+    return _squared_norms(cov.inverse_cholesky @ cols, was_vector)
 
 
 def snr_wlmf(x: np.ndarray, cov: CovariancePair):
@@ -168,9 +167,7 @@ def snr_wlmf(x: np.ndarray, cov: CovariancePair):
     """
     cols, was_vector = _as_columns(x, cov.dim)
     z = np.vstack([cols, np.conj(cols)])
-    return _squared_norms(
-        sla.solve_triangular(_pd_cholesky(cov.augmented), z, lower=True), was_vector
-    )
+    return _squared_norms(_lower_inverse(_pd_cholesky(cov.augmented)) @ z, was_vector)
 
 
 def snr_gain(x: np.ndarray, cov: CovariancePair):

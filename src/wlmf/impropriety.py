@@ -111,7 +111,7 @@ def aut_decompose(cov: CovariancePair) -> AutDecomposition:
     NotPositiveDefiniteError
         If ``R`` is not positive definite.
     """
-    cov.cholesky  # factors R once per pair; raises unless R is positive definite
+    cov.inverse_cholesky  # factors R once per pair; raises unless R is positive definite
     lambda_r, eigvecs = hermitian_eig(cov.r)
     factor = takagi(cov.c)
     # takagi gives all-zero values only for C = 0, whose identity basis

@@ -9,7 +9,6 @@ the library's typed errors instead of letting LAPACK failures float up.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import (
     DimensionMismatchError,
@@ -25,7 +24,6 @@ __all__ = [
     "TakagiResult",
     "hermitian_solve",
     "hermitian_eig",
-    "is_positive_definite",
     "takagi",
 ]
 
@@ -46,14 +44,12 @@ def _as_square_matrix(a: np.ndarray, name: str) -> np.ndarray:
 
 
 def _check_hermitian(a: np.ndarray, name: str) -> None:
-    scale = max(float(np.linalg.norm(a)), 1.0)
-    if np.linalg.norm(a - a.conj().T) > _STRUCTURE_RTOL * scale:
+    if np.linalg.norm(a - a.conj().T) > _STRUCTURE_RTOL * np.linalg.norm(a):
         raise NotHermitianError(f"{name} is not Hermitian")
 
 
 def _check_symmetric(a: np.ndarray, name: str) -> None:
-    scale = max(float(np.linalg.norm(a)), 1.0)
-    if np.linalg.norm(a - a.T) > _STRUCTURE_RTOL * scale:
+    if np.linalg.norm(a - a.T) > _STRUCTURE_RTOL * np.linalg.norm(a):
         raise NotSymmetricError(f"{name} is not complex symmetric")
 
 
@@ -71,20 +67,14 @@ def _pd_cholesky(a: np.ndarray, tol: float | None = None) -> np.ndarray:
     return chol
 
 
-def is_positive_definite(a: np.ndarray, tol: float | None = None) -> bool:
-    """True iff the Hermitian matrix ``a`` has all Cholesky pivots above ``tol``.
-
-    ``tol`` defaults to ``1e-12 * max(diag(a))``, so near-singular matrices
-    whose smallest pivot drowns in rounding noise are reported as not
-    positive definite rather than accepted by luck.
-    """
-    a = _as_square_matrix(a, "a")
-    _check_hermitian(a, "a")
-    try:
-        _pd_cholesky(a, tol)
-    except NotPositiveDefiniteError:
-        return False
-    return True
+def _lower_inverse(chol: np.ndarray) -> np.ndarray:
+    """Inverse of a nonsingular lower triangular ``chol`` by forward
+    substitution, row by row, so the result is exactly lower triangular."""
+    inv = np.zeros_like(chol)
+    for i in range(chol.shape[0]):
+        inv[i, :i] = -(chol[i, :i] @ inv[:i, :i]) / chol[i, i]
+        inv[i, i] = 1.0 / chol[i, i]
+    return inv
 
 
 def hermitian_solve(a: np.ndarray, b: np.ndarray, tol: float | None = None) -> np.ndarray:
@@ -119,14 +109,19 @@ def hermitian_solve(a: np.ndarray, b: np.ndarray, tol: float | None = None) -> n
         raise DimensionMismatchError(
             f"b has shape {b.shape}, expected ({a.shape[0]},) or ({a.shape[0]}, k)"
         )
-    return _refined_solve(a, _pd_cholesky(a, tol), b)
+    return _refined_solve(a, _lower_inverse(_pd_cholesky(a, tol)), b)
 
 
-def _refined_solve(a: np.ndarray, chol: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve ``a @ y = b`` through the lower Cholesky factor ``chol`` of ``a``,
-    with one step of iterative refinement."""
-    y = sla.cho_solve((chol, True), b)
-    return y + sla.cho_solve((chol, True), b - a @ y)
+def _refined_solve(a: np.ndarray, inv_chol: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve ``a @ y = b`` as ``L^{-H} (L^{-1} b)`` through the inverse
+    ``inv_chol = L^{-1}`` of the lower Cholesky factor of ``a``, with one step
+    of iterative refinement through the same inverse."""
+
+    def solve(rhs):
+        return inv_chol.conj().T @ (inv_chol @ rhs)
+
+    y = solve(b)
+    return y + solve(b - a @ y)
 
 
 def hermitian_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -168,6 +163,16 @@ def _group_close(values: np.ndarray, rtol: float) -> list[list[int]]:
     return groups
 
 
+def _principal_root(block: np.ndarray) -> np.ndarray:
+    """Principal square root ``V diag(sqrt(lambda)) V^{-1}`` of a diagonalizable
+    (here symmetric unitary) block with eigensystem ``(lambda, V)``."""
+    try:
+        vals, vecs = np.linalg.eig(block)
+        return (vecs * np.sqrt(vals)) @ np.linalg.inv(vecs)
+    except np.linalg.LinAlgError:
+        raise NumericalConsistencyError("Takagi block has no invertible eigenbasis") from None
+
+
 def takagi(c: np.ndarray) -> TakagiResult:
     """Factor a complex symmetric matrix as ``c = q @ diag(p) @ q.T``.
 
@@ -207,7 +212,7 @@ def takagi(c: np.ndarray) -> TakagiResult:
         elif len(group) == 1:
             d[group[0], group[0]] = np.sqrt(t[group[0], group[0]] / sg)
         else:
-            d[np.ix_(group, group)] = sla.sqrtm(t[np.ix_(group, group)] / sg)
+            d[np.ix_(group, group)] = _principal_root(t[np.ix_(group, group)] / sg)
     q = u @ d
 
     # Guard against a mis-grouped degenerate cluster; reconstruction failure

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg as sla
 
 from .errors import (
     DimensionMismatchError,
@@ -29,6 +28,7 @@ from .linalg import (
     _as_square_matrix,
     _check_hermitian,
     _check_symmetric,
+    _lower_inverse,
     _pd_cholesky,
     _refined_solve,
 )
@@ -83,8 +83,8 @@ class NoiseModel:
 class CovariancePair:
     """Covariance ``r = E[w w^H]`` and complementary covariance ``c = E[w w^T]``
     of a length-L noise window, plus the augmented block matrix built from them
-    and, on first use, the Cholesky factor of ``r`` and the whitening map of
-    the widely linear SNR surplus.
+    and, on first use, the inverse Cholesky factor of ``r`` and the whitening
+    map of the widely linear SNR surplus.
 
     Raises
     ------
@@ -123,9 +123,10 @@ class CovariancePair:
         return self.r.shape[0]
 
     @cached_property
-    def cholesky(self) -> np.ndarray:
-        """Lower Cholesky factor ``L`` of ``R = L L^H``, computed on first
-        access and cached, so every solve with ``R`` on this pair reuses it.
+    def inverse_cholesky(self) -> np.ndarray:
+        """``L^{-1}``, the inverse of the lower Cholesky factor of ``R = L
+        L^H``, computed on first access and cached, so every solve with ``R``
+        on this pair is two matrix products.
 
         Raises
         ------
@@ -133,9 +134,9 @@ class CovariancePair:
             If ``R`` is not positive definite or a pivot falls below the
             default tolerance ``1e-12 * max(diag(R))``.
         """
-        chol = _pd_cholesky(self.r)
-        chol.flags.writeable = False
-        return chol
+        inv_chol = _lower_inverse(_pd_cholesky(self.r))
+        inv_chol.flags.writeable = False
+        return inv_chol
 
     @cached_property
     def whitening(self) -> tuple[np.ndarray, np.ndarray]:
@@ -156,13 +157,9 @@ class CovariancePair:
         """
         # R^{-1} C is the conjugate transpose of A because R is Hermitian and
         # C symmetric.
-        a = _refined_solve(self.r, self.cholesky, self.c).conj().T
+        a = _refined_solve(self.r, self.inverse_cholesky, self.c).conj().T
         schur = np.conj(self.r) - a @ self.c
-        chol = _pd_cholesky((schur + schur.conj().T) / 2.0)
-        # An explicit inverse: a product with it beats a triangular solve
-        # with thousands of right-hand sides under threaded BLAS, at equal
-        # accuracy for the surplus.
-        return a, sla.solve_triangular(chol, np.eye(self.dim), lower=True)
+        return a, _lower_inverse(_pd_cholesky((schur + schur.conj().T) / 2.0))
 
 
 def demo_model(rho_u: float, sigma2_u: float = 1.0) -> NoiseModel:
@@ -235,9 +232,11 @@ def analytic_covariances(model: NoiseModel, filter_len: int) -> CovariancePair:
     taps = np.asarray(model.taps, dtype=complex)
     r = model.sigma2_u * _lagged_products(taps, conjugate=True, length=filter_len)
     c = model.rho_u * model.sigma2_u * _lagged_products(taps, conjugate=False, length=filter_len)
-    r_mat = sla.toeplitz(np.conj(r), r)
-    c_mat = sla.toeplitz(c, c)
-    return CovariancePair(r=r_mat, c=c_mat)
+    # Toeplitz by indexing with lag[a, b] = a - b; R is conjugated on and below the diagonal.
+    lag = np.subtract.outer(np.arange(filter_len), np.arange(filter_len))
+    dist = np.abs(lag)
+    r_mat = np.where(lag >= 0, np.conj(r)[dist], r[dist])
+    return CovariancePair(r=r_mat, c=c[dist])
 
 
 def sliding_windows(sequence: np.ndarray, window_len: int) -> np.ndarray:

@@ -264,7 +264,7 @@ def test_snr_gain_reuses_cached_whitening(monkeypatch):
     with pytest.raises(ValueError):
         cov.c[0, 0] = 0.0
     with pytest.raises(ValueError):
-        cov.cholesky[0, 0] = 0.0
+        cov.inverse_cholesky[0, 0] = 0.0
     other = random_improper_pair(rng, 5)
     slmf_solve(x, other)
     snr_slmf(x, other)

@@ -19,10 +19,10 @@ from wlmf import (
     analytic_covariances,
     demo_model,
     empirical_covariances,
-    is_positive_definite,
     ma_filter,
     sample_improper_white,
     sliding_windows,
+    snr_wlmf,
 )
 
 
@@ -91,18 +91,20 @@ def test_ma_filter_matches_direct_sum():
         assert np.allclose(ma_filter(u, taps), expected, rtol=1e-14, atol=1e-14)
 
 
-def test_import_leaves_scipy_signal_unloaded():
-    """``scipy.signal`` costs about a second of import in every process."""
+def test_import_leaves_scipy_unloaded():
+    """The package runs on numpy alone; scipy would add a second BLAS and
+    about half of the import time of every process."""
     root = Path(__file__).resolve().parents[1]
+    probe = "import sys, wlmf; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
     done = subprocess.run(
-        [sys.executable, "-c", "import sys, wlmf; print('scipy.signal' in sys.modules)"],
+        [sys.executable, "-c", probe],
         env={**os.environ, "PYTHONPATH": str(root / "src")},
         capture_output=True,
         text=True,
         timeout=60,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+    assert done.stdout.strip() == "[]"
 
 
 def test_ma_filter_rejects_empty():
@@ -142,14 +144,20 @@ def test_augmented_positive_definite_across_models():
         rho = float(rng.uniform(0.0, 0.95))
         model = NoiseModel(taps=tuple(taps), rho_u=rho)
         cov = analytic_covariances(model, int(rng.integers(1, 8)))
-        assert is_positive_definite(cov.augmented)
+        x = rng.standard_normal(cov.dim) + 1j * rng.standard_normal(cov.dim)
+        assert snr_wlmf(x, cov) > 0.0  # factors the augmented matrix; raises unless definite
 
 
 def test_covariance_pair_validation():
+    # The structure tolerances are relative: tiny and huge inputs are judged
+    # as at unit scale, not symmetrized silently.
+    for scale in (1e-12, 1.0, 1e12):
+        with pytest.raises(NotHermitianError):
+            CovariancePair(r=scale * np.array([[2.0, 1.0], [0.0, 2.0]]), c=np.zeros((2, 2)))
+        with pytest.raises(NotSymmetricError):
+            CovariancePair(r=scale * np.eye(2), c=scale * np.array([[0.0, 1.0], [-1.0, 0.0]]))
     with pytest.raises(NotHermitianError):
         CovariancePair(r=np.array([[1.0, 1.0], [0.0, 1.0]]), c=np.zeros((2, 2)))
-    with pytest.raises(NotSymmetricError):
-        CovariancePair(r=np.eye(2), c=np.array([[0.0, 1.0], [-1.0, 0.0]]))
     with pytest.raises(NonFiniteInputError):
         CovariancePair(r=np.array([[1.0, 0.0], [0.0, np.nan]]), c=np.zeros((2, 2)))
     with pytest.raises(NonFiniteInputError):
