@@ -53,12 +53,13 @@ from .filters import (
     wlmf_solve,
 )
 from .impropriety import (
+    _windows_snr_bias,
     aut_decompose,
     design_matched_sequence,
     impropriety_profile,
-    normalized_snr_bias,
     rotated_input,
 )
+from .linalg import _blas_threads, _set_blas_threads
 from .noise import (
     CovariancePair,
     analytic_covariances,
@@ -224,25 +225,32 @@ def _map_tasks(func, tasks: list, workers: int) -> list:
     if workers <= 1 or len(tasks) <= 1:
         return [func(t) for t in tasks]
     chunk = max(1, len(tasks) // (8 * workers))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    # Each worker holds OpenBLAS at one thread, whatever the start method: the
+    # workers already share the cores, and a BLAS thread of their own would
+    # only compete with them.
+    with ProcessPoolExecutor(
+        max_workers=workers, initializer=_set_blas_threads, initargs=(1,)
+    ) as pool:
         return list(pool.map(func, tasks, chunksize=chunk))
 
 
 def _gain_bias_cell(task) -> float:
     """Mean normalized bias of one (rho_u, L) cell over its trials.
 
-    The covariance pair is built once and shared by the trials, so its
-    whitening map is factored once. The trials sum left to right in trial
-    order; ``sum`` is avoided because Python 3.12 made it compensated, which
-    would move the output bytes between interpreter versions.
+    The covariance pair and its AUT are built once and shared by the trials,
+    so its whitening map and Takagi basis are factored once. The trials sum
+    left to right in trial order; ``sum`` is avoided because Python 3.12 made
+    it compensated, which would move the output bytes between interpreter
+    versions.
     """
     seed, i_rho, i_len, rho_u, filter_len, signal_len, trials = task
     cov = analytic_covariances(demo_model(rho_u), filter_len)
+    aut = aut_decompose(cov)
     total = 0.0
     for trial in range(trials):
         rng = derive_rng(seed, _STREAM_GAIN_BIAS, i_rho, i_len, trial)
         signal = rng.standard_normal(signal_len) + 1j * rng.standard_normal(signal_len)
-        total += normalized_snr_bias(signal, cov)
+        total += _windows_snr_bias(sliding_windows(signal, filter_len), cov, aut)
     return total / trials
 
 
@@ -440,7 +448,8 @@ def run_experiment(spec: ExperimentSpec) -> RunManifest:
     from . import __version__
 
     started = datetime.now(timezone.utc).isoformat()
-    files = _RUNNERS[spec.experiment](spec)
+    with _blas_threads(1):
+        files = _RUNNERS[spec.experiment](spec)
 
     out_dir = Path(spec.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

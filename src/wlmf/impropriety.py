@@ -246,10 +246,19 @@ def normalized_snr_bias(signal: np.ndarray, cov: CovariancePair) -> float:
         normalization meaningless.
     """
     windows = sliding_windows(np.asarray(signal, dtype=complex), cov.dim)
+    return _windows_snr_bias(windows, cov, aut_decompose(cov))
+
+
+def _windows_snr_bias(windows: np.ndarray, cov: CovariancePair, aut: AutDecomposition) -> float:
+    """normalized_snr_bias over a window batch, with the pair's AUT given, so a
+    caller averaging many signals under one pair decomposes it once."""
+    # sliding_windows gives a negative-stride view, which numpy cannot hand to
+    # BLAS; one copy makes both batch products BLAS calls.
+    windows = np.ascontiguousarray(windows)
     exact = snr_gain(windows, cov)
     if np.any(exact < 1e-14):
         raise DegenerateWindowError("a window has numerically zero exact SNR surplus")
-    approx = approx_snr_gain(windows, aut_decompose(cov))
+    approx = approx_snr_gain(windows, aut)
     return float(np.mean((approx - exact) / exact))
 
 

@@ -8,6 +8,10 @@ the library's typed errors instead of letting LAPACK failures float up.
 
 from __future__ import annotations
 
+import functools
+import os
+from contextlib import contextmanager
+
 import numpy as np
 
 from .errors import (
@@ -30,6 +34,72 @@ __all__ = [
 # Structure checks use a relative Frobenius tolerance; covariance builders in
 # this package symmetrize exactly, so anything past this is a caller bug.
 _STRUCTURE_RTOL = 1e-10
+
+# (set, get) thread-count symbols of the OpenBLAS builds numpy ships or links:
+# numpy's own ILP64 wheel build, its LP64 variant, then a system OpenBLAS.
+_OPENBLAS_SYMBOLS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+)
+
+
+@functools.cache
+def _openblas_threads():
+    """(set, get) thread-count functions of the OpenBLAS loaded in this
+    process, or None where there is none to find (another BLAS, or a system
+    without ``/proc/self/maps``)."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = sorted(
+                {
+                    line.split(maxsplit=5)[5].strip()
+                    for line in maps
+                    if "openblas" in os.path.basename(line).lower()
+                }
+            )
+    except OSError:
+        return None
+    import ctypes
+
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for set_name, get_name in _OPENBLAS_SYMBOLS:
+            setter = getattr(lib, set_name, None)
+            getter = getattr(lib, get_name, None)
+            if setter is not None and getter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                return setter, getter
+    return None
+
+
+def _set_blas_threads(n: int) -> int | None:
+    """Set the OpenBLAS thread count to ``n``; return the prior count, or
+    None (and change nothing) when no OpenBLAS is loaded."""
+    funcs = _openblas_threads()
+    if funcs is None:
+        return None
+    setter, getter = funcs
+    prior = getter()
+    setter(n)
+    return prior
+
+
+@contextmanager
+def _blas_threads(n: int):
+    """Hold OpenBLAS at ``n`` threads inside the block, then restore the
+    prior count. The kernels here multiply (L, L) matrices by (L, K) batches
+    with small L, where a second BLAS thread only competes with the first."""
+    prior = _set_blas_threads(n)
+    try:
+        yield
+    finally:
+        if prior is not None:
+            _set_blas_threads(prior)
 
 
 def _as_square_matrix(a: np.ndarray, name: str) -> np.ndarray:

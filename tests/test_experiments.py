@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import re
 import shlex
 from dataclasses import asdict
@@ -8,13 +9,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wlmf import cli
+from wlmf import analytic_covariances, cli, demo_model, linalg, normalized_snr_bias
 from wlmf.experiments import (
+    _STREAM_GAIN_BIAS,
     DEFAULT_RHO_GRID,
     EXPERIMENTS,
     ExperimentSpec,
+    _gain_bias_cell,
+    _map_tasks,
     run_experiment,
 )
+from wlmf.seeding import derive_rng
 
 FLOAT_CELL = re.compile(r"-?\d\.\d{12}e[+-]\d{2,3}")
 
@@ -122,6 +127,41 @@ def test_gain_bias_determinism_across_dirs_and_workers(tmp_path):
     run_experiment(small_gain_bias_spec(dirs[2], workers=2))
     blobs = [(d / "gain-bias.csv").read_bytes() for d in dirs]
     assert blobs[0] == blobs[1] == blobs[2]
+
+
+def test_gain_bias_cell_shares_one_aut_across_trials():
+    """A cell decomposes its pair once; the result must equal, bit for bit,
+    the left-to-right mean of the public per-signal bias on the same streams."""
+    seed, i_rho, i_len, rho_u, length, signal_len, trials = 5, 1, 2, 0.5, 4, 300, 3
+    cov = analytic_covariances(demo_model(rho_u), length)
+    total = 0.0
+    for trial in range(trials):
+        rng = derive_rng(seed, _STREAM_GAIN_BIAS, i_rho, i_len, trial)
+        signal = rng.standard_normal(signal_len) + 1j * rng.standard_normal(signal_len)
+        total += normalized_snr_bias(signal, cov)
+    task = (seed, i_rho, i_len, rho_u, length, signal_len, trials)
+    assert _gain_bias_cell(task) == total / trials
+
+
+def test_run_experiment_sets_no_environment_variable(tmp_path):
+    before = dict(os.environ)
+    run_experiment(small_gain_bias_spec(tmp_path / "serial"))
+    run_experiment(small_gain_bias_spec(tmp_path / "parallel", workers=2))
+    assert dict(os.environ) == before
+
+
+def _worker_blas_threads(_):
+    return linalg._openblas_threads()[1]()
+
+
+def test_pool_workers_run_one_blas_thread():
+    if linalg._openblas_threads() is None:
+        pytest.skip("numpy is not linked to a findable OpenBLAS")
+    # A forked worker inherits the parent's count; two here, so the worker's
+    # one thread comes from the pool initializer.
+    with linalg._blas_threads(2):
+        counts = _map_tasks(_worker_blas_threads, list(range(4)), workers=2)
+    assert counts == [1, 1, 1, 1]
 
 
 def test_gain_surface_analytic_slice_minimum(tmp_path):

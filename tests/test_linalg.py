@@ -11,6 +11,7 @@ from wlmf import (
     demo_model,
     hermitian_eig,
     hermitian_solve,
+    linalg,
     takagi,
 )
 from helpers import random_hermitian_pd, random_unitary
@@ -155,3 +156,52 @@ def test_hermitian_eig_rejects_nonhermitian():
     with pytest.raises(NotHermitianError):
         hermitian_eig(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
+
+class FakeBlas:
+    """Stands in for an OpenBLAS's (set, get) thread-count pair."""
+
+    def __init__(self, count):
+        self.count = count
+        self.sets = []
+
+    def set(self, n):
+        self.sets.append(n)
+        self.count = n
+
+    def get(self):
+        return self.count
+
+
+def test_blas_threads_restores_prior_count(monkeypatch):
+    fake = FakeBlas(4)
+    monkeypatch.setattr(linalg, "_openblas_threads", lambda: (fake.set, fake.get))
+    with linalg._blas_threads(1):
+        assert fake.count == 1
+    assert fake.count == 4
+    with pytest.raises(RuntimeError):
+        with linalg._blas_threads(1):
+            assert fake.count == 1
+            raise RuntimeError("inside the block")
+    assert fake.count == 4
+    assert fake.sets == [1, 4, 1, 4]
+
+
+def test_blas_threads_without_openblas_is_a_no_op(monkeypatch):
+    monkeypatch.setattr(linalg, "_openblas_threads", lambda: None)
+    assert linalg._set_blas_threads(1) is None
+    with linalg._blas_threads(1):
+        pass
+    with pytest.raises(RuntimeError):
+        with linalg._blas_threads(1):
+            raise RuntimeError("inside the block")
+
+
+def test_blas_threads_sets_the_loaded_openblas():
+    funcs = linalg._openblas_threads()
+    if funcs is None:
+        pytest.skip("numpy is not linked to a findable OpenBLAS")
+    _, get_threads = funcs
+    prior = get_threads()
+    with linalg._blas_threads(1):
+        assert get_threads() == 1
+    assert get_threads() == prior

@@ -107,6 +107,30 @@ def test_import_leaves_scipy_unloaded():
     assert done.stdout.strip() == "[]"
 
 
+def test_import_leaves_ctypes_to_first_use():
+    """The BLAS thread cap opens OpenBLAS through ctypes on first use only:
+    ``import wlmf`` adds no ctypes module to those numpy loads itself, binds
+    none in ``wlmf.linalg`` and does not look for OpenBLAS."""
+    root = Path(__file__).resolve().parents[1]
+    probe = (
+        "import sys, numpy\n"
+        "def loaded(): return {m for m in sys.modules if m.split('.')[0] == 'ctypes'}\n"
+        "before = loaded()\n"
+        "import wlmf.linalg as linalg\n"
+        "print(sorted(loaded() - before), 'ctypes' in vars(linalg),"
+        " linalg._openblas_threads.cache_info().currsize)"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[] False 0"
+
+
 def test_ma_filter_rejects_empty():
     with pytest.raises(EmptyInputError):
         ma_filter(np.array([], dtype=complex), (1.0,))
