@@ -162,7 +162,7 @@ class ExperimentSpec:
         object.__setattr__(self, "filter_len", tuple(int(v) for v in self.filter_len))
         if not self.rho_u:
             raise ValueError("rho_u grid is empty")
-        if any(r < 0 or r >= 1 for r in self.rho_u):
+        if any(not 0 <= r < 1 for r in self.rho_u):
             raise ValueError("rho_u grid values must lie in [0, 1)")
         if not self.filter_len or any(v < 1 for v in self.filter_len):
             raise ValueError("filter_len values must be positive")

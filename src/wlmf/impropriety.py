@@ -174,6 +174,8 @@ def impropriety_profile(aut: AutDecomposition, rotated: np.ndarray) -> Improprie
 def _validate_rho_eps(rho, epsilon):
     rho = np.asarray(rho, dtype=float)
     epsilon = np.asarray(epsilon, dtype=float)
+    if not (np.all(np.isfinite(rho)) and np.all(np.isfinite(epsilon))):
+        raise InvalidImproprietyError("rho and epsilon must be finite")
     if np.any(rho < 0):
         raise InvalidImproprietyError("rho must be nonnegative")
     if np.any(rho >= 1):

@@ -221,38 +221,19 @@ class TakagiResult:
         self.p = p
 
 
-def _group_close(values: np.ndarray, rtol: float) -> list[list[int]]:
-    """Partition indices of a descending vector into runs of near-equal values."""
-    scale = max(float(values[0]), 1e-300) if len(values) else 1.0
-    groups: list[list[int]] = []
-    start = 0
-    for i in range(1, len(values) + 1):
-        if i == len(values) or abs(values[start] - values[i]) > rtol * scale:
-            groups.append(list(range(start, i)))
-            start = i
-    return groups
-
-
-def _principal_root(block: np.ndarray) -> np.ndarray:
-    """Principal square root ``V diag(sqrt(lambda)) V^{-1}`` of a diagonalizable
-    (here symmetric unitary) block with eigensystem ``(lambda, V)``."""
-    try:
-        vals, vecs = np.linalg.eig(block)
-        return (vecs * np.sqrt(vals)) @ np.linalg.inv(vecs)
-    except np.linalg.LinAlgError:
-        raise NumericalConsistencyError("Takagi block has no invertible eigenbasis") from None
-
-
 def takagi(c: np.ndarray) -> TakagiResult:
     """Factor a complex symmetric matrix as ``c = q @ diag(p) @ q.T``.
 
-    Computed from the singular value decomposition ``c = u s v^H``: symmetry
-    makes ``t = u^H c conj(u)`` block diagonal with symmetric unitary blocks
-    (scaled by the singular values), and the principal square root of each
-    block is the phase correction turning ``u`` into a Takagi basis. Distinct
-    singular values reduce the block to a single square-rooted phase; groups
-    of equal singular values are corrected together; zero singular values
-    keep the identity correction.
+    Computed from the singular value decomposition ``c = u s v^H`` as
+    ``q = u z^(1/2)``, the principal square root of the whole unitary phase
+    matrix ``z = v^H conj(u)``. Symmetry of ``c`` makes ``z`` block diagonal
+    over equal singular values, with a symmetric unitary block for each
+    nonzero value (Horn & Johnson, *Matrix Analysis*, Cor. 4.4.4), so one
+    root corrects every block at once and the singular values need no
+    grouping: values that are close but unequal leave ``O(eps / gap)``
+    entries off the blocks, which cost ``gap * O(eps / gap) = O(eps)`` in the
+    reconstruction. Columns for zero singular values are constrained only by
+    the unitarity of ``q``.
 
     Parameters
     ----------
@@ -263,6 +244,9 @@ def takagi(c: np.ndarray) -> TakagiResult:
     ------
     NotSymmetricError
         If ``c`` is not complex symmetric.
+    NumericalConsistencyError
+        If the phase matrix has no invertible eigenbasis or the factors fail
+        to reconstruct ``c``.
     """
     c = _as_square_matrix(c, "c")
     _check_symmetric(c, "c")
@@ -272,21 +256,18 @@ def takagi(c: np.ndarray) -> TakagiResult:
     if c_norm == 0.0:
         return TakagiResult(np.eye(n, dtype=complex), np.zeros(n))
 
-    u, s, _ = np.linalg.svd(c)
-    t = u.conj().T @ c @ u.conj()
-    d = np.zeros((n, n), dtype=complex)
-    for group in _group_close(s, 1e-8):
-        sg = s[group[0]]
-        if sg <= 1e-13 * s[0]:
-            d[np.ix_(group, group)] = np.eye(len(group))
-        elif len(group) == 1:
-            d[group[0], group[0]] = np.sqrt(t[group[0], group[0]] / sg)
-        else:
-            d[np.ix_(group, group)] = _principal_root(t[np.ix_(group, group)] / sg)
-    q = u @ d
+    u, s, vh = np.linalg.svd(c)
+    try:
+        vals, vecs = np.linalg.eig(vh @ u.conj())
+        q = u @ ((vecs * np.sqrt(vals)) @ np.linalg.inv(vecs))
+    except np.linalg.LinAlgError:
+        raise NumericalConsistencyError(
+            "Takagi phase matrix has no invertible eigenbasis"
+        ) from None
 
-    # Guard against a mis-grouped degenerate cluster; reconstruction failure
-    # here means the result would silently violate the factorization contract.
+    # Reconstruction failure here means the result would silently violate
+    # the factorization contract (an ill-conditioned eigenbasis of the phase
+    # matrix, say).
     residual = np.linalg.norm(q @ np.diag(s) @ q.T - c)
     if residual > 1e-8 * c_norm:
         raise NumericalConsistencyError(

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import wlmf
 from wlmf import analytic_covariances, cli, demo_model, linalg, normalized_snr_bias
 from wlmf.experiments import (
     _STREAM_GAIN_BIAS,
@@ -59,6 +60,8 @@ def test_spec_validation():
         ExperimentSpec.with_defaults("gain-bias", rho_u=())
     with pytest.raises(ValueError):
         ExperimentSpec.with_defaults("gain-bias", rho_u=(0.2, 1.0))
+    with pytest.raises(ValueError, match="rho_u"):
+        ExperimentSpec.with_defaults("gain-bias", rho_u=(0.2, float("nan")))
     with pytest.raises(ValueError):
         ExperimentSpec.with_defaults("gain-bias", filter_len=(0,))
     with pytest.raises(ValueError):
@@ -300,6 +303,31 @@ def test_cli_error_reporting(tmp_path, capsys):
     payload = json.loads(err)
     assert payload["error"] == "ValueError"
     assert "trials" in payload["message"]
+
+
+def test_cli_rejects_nan_rho_u(tmp_path, capsys):
+    # every comparison with NaN is False, so a range check written as two
+    # rejections would pass it through to a manifest that is not valid JSON
+    code = cli.main(["--experiment", "mf-demo", "--rho-u", "nan", "--out-dir", str(tmp_path)])
+    assert code == 1
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert payload["error"] == "ValueError"
+    assert "rho_u" in payload["message"]
+    assert not any(tmp_path.iterdir())
+
+
+def test_cli_edge_cell_ends_in_typed_error(tmp_path, capsys):
+    """Near circularity one at L = 64 the AUT quotients pass one; the run must
+    stop on a typed library error, not a raw LinAlgError or a NaN row."""
+    code = cli.main(
+        [
+            "--experiment", "gain-bias", "--rho-u", "0.999", "--filter-len", "64",
+            "--signal-len", "640", "--trials", "1", "--out-dir", str(tmp_path),
+        ]
+    )
+    assert code == 1
+    payload = json.loads(capsys.readouterr().err.strip())
+    assert issubclass(getattr(wlmf, payload["error"]), wlmf.WlmfError)
 
 
 def test_cli_rejects_unknown_config_key(tmp_path, capsys):

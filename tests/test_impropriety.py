@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from decimal import Decimal, localcontext
 
@@ -11,17 +12,23 @@ from wlmf import (
     InvalidImproprietyError,
     NotPositiveDefiniteError,
     SingularAtOneError,
+    WlmfError,
     analytic_covariances,
     approx_snr_gain,
     aut_decompose,
     demo_model,
     design_matched_sequence,
+    empirical_covariances,
     g_of_rho,
     impropriety_profile,
     lower_bound_rho,
+    ma_filter,
     normalized_snr_bias,
     rotated_input,
+    sample_improper_white,
     snr_gain,
+    snr_wlmf,
+    wlmf_solve,
 )
 
 from helpers import jointly_diagonalizable_pair, random_improper_pair
@@ -127,6 +134,14 @@ def test_g_validation():
         g_of_rho(0.5, 1.5)
     with pytest.raises(InvalidImproprietyError):
         g_of_rho(-0.2, 0.5)
+    # every comparison with NaN is False, so non-finite input is named explicitly
+    for rho, eps in ((np.nan, 0.0), (0.5, np.nan), (np.inf, 0.0), (0.5, -np.inf)):
+        with pytest.raises(InvalidImproprietyError):
+            g_of_rho(rho, eps)
+    with pytest.raises(InvalidImproprietyError):
+        g_of_rho(np.array([0.2, np.nan]), 0.5)
+    with pytest.raises(InvalidImproprietyError):
+        g_of_rho(0.5, np.array([0.1, np.nan]))
 
 
 def test_g_value_at_minimizer():
@@ -340,3 +355,37 @@ def test_rho_clamp_and_singularity():
     far_over = CovariancePair(r=np.eye(dim), c=(1 + 2e-5) * np.eye(dim))
     with pytest.raises(SingularAtOneError):
         impropriety_profile(aut_decompose(far_over), np.ones(dim, dtype=complex))
+
+
+def _finite_or_typed_error(compute):
+    """Run ``compute``: it returns a finite value (a dataclass of finite
+    fields counts) or raises a WlmfError. A raw LinAlgError, another
+    exception type, or a NaN or inf in the result fails the caller."""
+    try:
+        result = compute()
+    except WlmfError:
+        return None
+    parts = dataclasses.astuple(result) if dataclasses.is_dataclass(result) else (result,)
+    for part in parts:
+        assert np.all(np.isfinite(part))
+    return result
+
+
+@pytest.mark.parametrize("rho_u", [0.99, 0.999, 1 - 1e-6])
+def test_edge_sweep_ends_in_values_or_typed_errors(rho_u):
+    """Near-circularity-one noise on the analytic pair and on an empirical
+    pair estimated from the 10 L minimum of samples, through every entry
+    point that factors or rotates the pair."""
+    model = demo_model(rho_u)
+    for length in (1, 2, 3, 8, 16, 32, 64):
+        rng = np.random.default_rng(length)
+        x = rng.standard_normal(length) + 1j * rng.standard_normal(length)
+        v = ma_filter(sample_improper_white(10 * length, rho_u, rng=rng), model.taps)
+        for cov in (analytic_covariances(model, length), empirical_covariances(v, length)):
+            _finite_or_typed_error(lambda: snr_gain(x, cov))
+            _finite_or_typed_error(lambda: snr_wlmf(x, cov))
+            _finite_or_typed_error(lambda: wlmf_solve(x, cov))
+            _finite_or_typed_error(lambda: normalized_snr_bias(v, cov))
+            aut = _finite_or_typed_error(lambda: aut_decompose(cov))
+            if aut is not None:
+                _finite_or_typed_error(lambda: design_matched_sequence(aut, rng=1))

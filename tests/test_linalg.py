@@ -115,13 +115,30 @@ def test_takagi_property_suite():
 
 
 def test_takagi_degenerate_singular_values():
-    # repeated singular values force the block square-root path
+    # repeated singular values leave a symmetric unitary block, not a scalar
+    # phase, in the SVD phase matrix
     rng = np.random.default_rng(16)
     q = random_unitary(rng, 4)
     c = q @ np.diag([0.7, 0.7, 0.3, 0.3]) @ q.T
     c = 0.5 * (c + c.T)
     result = takagi(c)
     assert np.linalg.norm(result.q @ np.diag(result.p) @ result.q.T - c) <= 1e-8
+
+
+@pytest.mark.parametrize("gap", [2e-8, 5e-8])
+def test_takagi_near_equal_singular_values(gap):
+    """Singular values closer than any fixed grouping tolerance can resolve
+    still factor: a root of the whole phase matrix needs no grouping."""
+    rng = np.random.default_rng(5)
+    values = np.array([1.0, 1.0 - gap, 0.5, 0.2])
+    for _ in range(200):
+        q = random_unitary(rng, 4)
+        c = q @ np.diag(values) @ q.T
+        c = 0.5 * (c + c.T)
+        result = takagi(c)
+        recon = result.q @ np.diag(result.p) @ result.q.T
+        assert np.linalg.norm(recon - c) <= 1e-8 * np.linalg.norm(c)
+        assert np.linalg.norm(result.q @ result.q.conj().T - np.eye(4)) <= 1e-10
 
 
 def test_hermitian_eig_trivial():

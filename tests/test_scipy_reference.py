@@ -1,13 +1,13 @@
 """scipy as the reference for the package's numpy-only kernels: the Takagi
 basis (SVD phase-corrected by ``scipy.linalg.sqrtm`` per group of equal
-singular values) and the Toeplitz covariance construction."""
+singular values, an independent construction from the package's single root
+of the whole phase matrix) and the Toeplitz covariance construction."""
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
 from wlmf import CovariancePair, NoiseModel, analytic_covariances, demo_model, takagi
-from wlmf.linalg import _group_close
 from wlmf.noise import _lagged_products
 from helpers import random_unitary
 
@@ -15,6 +15,18 @@ from helpers import random_unitary
 def sqrtm_takagi_basis(c):
     """Takagi basis from the SVD ``c = u s v^H`` with each equal-value block
     of ``u^H c conj(u)`` corrected by its principal root from ``sqrtm``."""
+
+    def _group_close(values: np.ndarray, rtol: float) -> list[list[int]]:
+        """Partition indices of a descending vector into runs of near-equal values."""
+        scale = max(float(values[0]), 1e-300) if len(values) else 1.0
+        groups: list[list[int]] = []
+        start = 0
+        for i in range(1, len(values) + 1):
+            if i == len(values) or abs(values[start] - values[i]) > rtol * scale:
+                groups.append(list(range(start, i)))
+                start = i
+        return groups
+
     n = c.shape[0]
     u, s, _ = np.linalg.svd(c)
     t = u.conj().T @ c @ u.conj()
