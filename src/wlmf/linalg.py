@@ -233,7 +233,12 @@ def takagi(c: np.ndarray) -> TakagiResult:
     grouping: values that are close but unequal leave ``O(eps / gap)``
     entries off the blocks, which cost ``gap * O(eps / gap) = O(eps)`` in the
     reconstruction. Columns for zero singular values are constrained only by
-    the unitarity of ``q``.
+    the unitarity of ``q``. Eigenvalues of ``z`` within 1e-6 of -1, on the
+    branch cut of the root, would take roots near ``+i`` or ``-i`` by the
+    sign of their roundoff; when they lie on both sides of the cut, all of
+    them are rooted from above, since a root that jumps inside such a
+    cluster mixes blocks of unequal singular values (a real symmetric ``c``
+    with several negative eigenvalues has ``z = -I`` up to roundoff).
 
     Parameters
     ----------
@@ -245,8 +250,8 @@ def takagi(c: np.ndarray) -> TakagiResult:
     NotSymmetricError
         If ``c`` is not complex symmetric.
     NumericalConsistencyError
-        If the phase matrix has no invertible eigenbasis or the factors fail
-        to reconstruct ``c``.
+        If the phase matrix has no invertible eigenbasis, the factors fail
+        to reconstruct ``c`` or ``q`` is not unitary.
     """
     c = _as_square_matrix(c, "c")
     _check_symmetric(c, "c")
@@ -259,18 +264,29 @@ def takagi(c: np.ndarray) -> TakagiResult:
     u, s, vh = np.linalg.svd(c)
     try:
         vals, vecs = np.linalg.eig(vh @ u.conj())
-        q = u @ ((vecs * np.sqrt(vals)) @ np.linalg.inv(vecs))
+        roots = np.sqrt(vals)
+        # roundoff splits a cluster at -1 by about eps / gap, under 1e-7
+        # whenever the singular-value gap is wide enough for a mix to show
+        cut = (vals.real < 0) & (np.abs(vals.imag) <= 1e-6)
+        below = cut & np.signbit(vals.imag)
+        if below.any() and (cut & ~below).any():
+            roots[cut] = 1j * np.sqrt(-vals[cut])
+        q = u @ ((vecs * roots) @ np.linalg.inv(vecs))
     except np.linalg.LinAlgError:
         raise NumericalConsistencyError(
             "Takagi phase matrix has no invertible eigenbasis"
         ) from None
 
-    # Reconstruction failure here means the result would silently violate
-    # the factorization contract (an ill-conditioned eigenbasis of the phase
-    # matrix, say).
+    # Failure here means the result would silently violate the factorization
+    # contract (an ill-conditioned eigenbasis of the phase matrix, say).
     residual = np.linalg.norm(q @ np.diag(s) @ q.T - c)
     if residual > 1e-8 * c_norm:
         raise NumericalConsistencyError(
             f"Takagi reconstruction residual {residual:.3e} exceeds 1e-8 * ||c||"
+        )
+    departure = np.linalg.norm(q.conj().T @ q - np.eye(n))
+    if departure > 1e-8:
+        raise NumericalConsistencyError(
+            f"Takagi basis departs from unitary by {departure:.3e}, above 1e-8"
         )
     return TakagiResult(q, s)

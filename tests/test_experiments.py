@@ -295,25 +295,19 @@ def test_cli_env_var_out_dir(tmp_path, monkeypatch, capsys):
 
 
 def test_cli_error_reporting(tmp_path, capsys):
-    code = cli.main(
-        ["--experiment", "gain-bias", "--trials", "0", "--out-dir", str(tmp_path)]
-    )
-    assert code == 1
-    err = capsys.readouterr().err.strip()
-    payload = json.loads(err)
-    assert payload["error"] == "ValueError"
-    assert "trials" in payload["message"]
-
-
-def test_cli_rejects_nan_rho_u(tmp_path, capsys):
-    # every comparison with NaN is False, so a range check written as two
-    # rejections would pass it through to a manifest that is not valid JSON
-    code = cli.main(["--experiment", "mf-demo", "--rho-u", "nan", "--out-dir", str(tmp_path)])
-    assert code == 1
-    payload = json.loads(capsys.readouterr().err.strip())
-    assert payload["error"] == "ValueError"
-    assert "rho_u" in payload["message"]
-    assert not any(tmp_path.iterdir())
+    # NaN fails every comparison, so a range check written as two rejections
+    # would pass it through to a manifest that is not valid JSON
+    for args, field in (
+        (["--experiment", "gain-bias", "--trials", "0"], "trials"),
+        (["--experiment", "mf-demo", "--rho-u", "nan"], "rho_u"),
+    ):
+        code = cli.main(args + ["--out-dir", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err.strip()
+        payload = json.loads(err)
+        assert payload["error"] == "ValueError"
+        assert field in payload["message"]
+        assert not any(tmp_path.iterdir())
 
 
 def test_cli_edge_cell_ends_in_typed_error(tmp_path, capsys):

@@ -10,6 +10,7 @@ from wlmf import (
     DegenerateWindowError,
     DimensionMismatchError,
     InvalidImproprietyError,
+    NoiseModel,
     NotPositiveDefiniteError,
     SingularAtOneError,
     WlmfError,
@@ -83,6 +84,18 @@ def test_aut_jointly_diagonalizable_is_exact():
         cov = jointly_diagonalizable_pair(rng, int(rng.integers(2, 7)))
         aut = aut_decompose(cov)
         assert aut.offdiag_residual < 1e-8
+
+
+def test_aut_imaginary_tap_noise():
+    """Purely imaginary taps make C = -rho_u times a real positive definite
+    Toeplitz matrix, whose Takagi values all sit on the branch cut of the
+    basis's phase root."""
+    for length in range(2, 17):
+        cov = analytic_covariances(NoiseModel(taps=(1j, 0.5j), rho_u=0.5), length)
+        aut = aut_decompose(cov)
+        recon = aut.q @ np.diag(aut.lambda_c) @ aut.q.T
+        assert np.linalg.norm(recon - cov.c) <= 1e-8 * np.linalg.norm(cov.c), length
+        assert np.linalg.norm(aut.q.conj().T @ aut.q - np.eye(length)) <= 1e-10, length
 
 
 def test_aut_rejects_indefinite_covariance():

@@ -141,6 +141,23 @@ def test_takagi_near_equal_singular_values(gap):
         assert np.linalg.norm(result.q @ result.q.conj().T - np.eye(4)) <= 1e-10
 
 
+@pytest.mark.parametrize("values", [(1.0, 0.5, 0.2), (1.0, 1.0 - 2e-8, 0.5, 0.2)])
+def test_takagi_real_symmetric_negative_definite(values):
+    """A real symmetric c = -Q D Q^T has the SVD phase matrix -I up to
+    roundoff, with eigenvalues on both sides of the root's branch cut; a
+    root that took +i for some and -i for others would mix the columns of
+    unequal singular values."""
+    rng = np.random.default_rng(17)
+    dim = len(values)
+    for _ in range(50):
+        q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+        c = -(q @ np.diag(values) @ q.T)
+        result = takagi(c)
+        recon = result.q @ np.diag(result.p) @ result.q.T
+        assert np.linalg.norm(recon - c) <= 1e-8 * np.linalg.norm(c)
+        assert np.linalg.norm(result.q.conj().T @ result.q - np.eye(dim)) <= 1e-10
+
+
 def test_hermitian_eig_trivial():
     vals, _ = hermitian_eig(np.eye(3))
     assert np.allclose(vals, 1.0)
