@@ -85,6 +85,13 @@ def _squared_norms(w: np.ndarray, was_vector: bool):
     return float(values[0]) if was_vector else values
 
 
+def _real_map_squared_norms(real_map: np.ndarray, cols: np.ndarray, was_vector: bool):
+    """Squared column norms of ``real_map @ [Re x; Im x]`` for complex columns ``x``."""
+    mapped = real_map @ np.vstack([cols.real, cols.imag])
+    values = np.einsum("ij,ij->j", mapped, mapped)
+    return float(values[0]) if was_vector else values
+
+
 def slmf_solve(x: np.ndarray, cov: CovariancePair, alpha: float = 1.0) -> SlmfWeights:
     """Strictly linear matched filter ``f = alpha R^{-1} x``, solved through the
     pair's cached inverse Cholesky factor of ``R`` with one refinement step."""
@@ -179,11 +186,13 @@ def snr_gain(x: np.ndarray, cov: CovariancePair):
 
     in the Schur complement ``S = R^* - C^* R^{-1} C``. With the pair's
     cached whitening map ``(A, W)``, ``A = C^* R^{-1}`` and ``W = L_S^{-1}``
-    for the Cholesky factor ``S = L_S L_S^H``, it is evaluated as the squared
-    norm ``||W (x^* - A x)||^2``, so repeated calls on one pair factor
-    nothing. The difference ``x^* - A x`` is formed before whitening:
-    whitening the two terms apart cancels catastrophically when ``S`` is
-    nearly singular.
+    for the Cholesky factor ``S = L_S L_S^H``, it is the squared norm
+    ``||W (x^* - A x)||^2``. That map is real-linear: on ``[Re x; Im x]`` it
+    is the ``2L x 2L`` matrix ``[[W_r, -W_i], [W_i, W_r]] @ [[I - A_r, A_i],
+    [-A_i, -(I + A_r)]]``, cached on the pair, so a batch is one real matrix
+    product and repeated calls factor nothing. ``I - A`` is formed before
+    whitening: whitening the two terms apart cancels catastrophically when
+    ``S`` is nearly singular.
 
     The value is positive for every nonzero ``x`` whenever the augmented
     covariance is positive definite, and equals ``snr_wlmf - snr_slmf``.
@@ -194,8 +203,7 @@ def snr_gain(x: np.ndarray, cov: CovariancePair):
         If ``R`` or ``S`` is not positive definite.
     """
     cols, was_vector = _as_columns(x, cov.dim)
-    a, white = cov.whitening
-    return _squared_norms(white @ (np.conj(cols) - a @ cols), was_vector)
+    return _real_map_squared_norms(cov._gain_map, cols, was_vector)
 
 
 def apply_filter_sequence(sequence: np.ndarray, weights: SlmfWeights | WlmfWeights) -> np.ndarray:

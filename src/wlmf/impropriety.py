@@ -11,6 +11,11 @@ widely linear matched filter decomposes into per-component contributions
 where ``xt = Q^H x``, ``rho_i = p_i / lambda_i`` is the component circularity
 quotient, ``eps_i = Re(xt_i^2) / |xt_i|^2`` measures the input's phase
 alignment, and ``g(rho; eps) = (1 + rho^2 - 2 eps rho) / (1 - rho^2)``.
+In the parts of ``xt_i`` a term is ``[(1 - rho_i)/(1 + rho_i) Re(xt_i)^2 +
+(1 + rho_i)/(1 - rho_i) Im(xt_i)^2] / lambda_i``: the rotated noise
+component has uncorrelated real and imaginary parts of variances ``lambda_i
+(1 +- rho_i) / 2``, and the term is the SNR of matching each part against
+its own variance minus the strictly linear SNR ``|xt_i|^2 / lambda_i``.
 
 ``g`` is minimized over ``rho`` at 0 for ``eps <= 0`` and otherwise at
 ``(1 - sqrt(1 - eps^2)) / eps``, where it equals ``sqrt(1 - eps^2)``; a
@@ -31,7 +36,7 @@ from .errors import (
     InvalidImproprietyError,
     SingularAtOneError,
 )
-from .filters import _as_columns, snr_gain
+from .filters import _as_columns, _real_map_squared_norms, snr_gain
 from .linalg import hermitian_eig, takagi
 from .noise import CovariancePair, sliding_windows
 from .seeding import as_generator
@@ -148,14 +153,6 @@ def _clamped_rho(aut: AutDecomposition) -> np.ndarray:
     return np.maximum(rho, 0.0)
 
 
-def _epsilon_columns(rotated: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-component ``Re(xt^2)/|xt|^2`` with a mask of zero components."""
-    power = np.abs(rotated) ** 2
-    zero = power == 0.0
-    eps = np.real(rotated * rotated) / np.where(zero, 1.0, power)
-    return np.where(zero, 0.0, eps), zero
-
-
 def impropriety_profile(aut: AutDecomposition, rotated: np.ndarray) -> ImproprietyProfile:
     """Circularity measures of one already-rotated input (see rotated_input).
 
@@ -167,8 +164,11 @@ def impropriety_profile(aut: AutDecomposition, rotated: np.ndarray) -> Improprie
     cols, was_vector = _as_columns(rotated, aut.dim)
     if not was_vector:
         raise DimensionMismatchError("impropriety_profile expects a single window")
-    eps, zero = _epsilon_columns(cols)
-    return ImproprietyProfile(epsilon=eps[:, 0], rho=_clamped_rho(aut), zero_mask=zero[:, 0])
+    xt = cols[:, 0]
+    power = np.abs(xt) ** 2
+    zero = power == 0.0
+    eps = np.where(zero, 0.0, np.real(xt * xt) / np.where(zero, 1.0, power))
+    return ImproprietyProfile(epsilon=eps, rho=_clamped_rho(aut), zero_mask=zero)
 
 
 def _validate_rho_eps(rho, epsilon):
@@ -185,20 +185,18 @@ def _validate_rho_eps(rho, epsilon):
     return rho, epsilon
 
 
-def _gain_factor(rho, epsilon):
-    # (1 - rho)(1 + rho) keeps full relative accuracy as rho nears 1, where
-    # 1 - rho^2 loses every digit that rho^2 rounds away.
-    return (1.0 + rho**2 - 2.0 * epsilon * rho) / ((1.0 - rho) * (1.0 + rho))
-
-
 def g_of_rho(rho, epsilon):
     """Component gain factor ``(1 + rho^2 - 2 eps rho) / (1 - rho^2)``.
 
     Scalar or elementwise on arrays. Requires ``0 <= rho < 1`` and
     ``|eps| <= 1``.
+
+    Evaluated as ``((1 - rho)^2 + 2 rho (1 - eps)) / ((1 - rho)(1 + rho))``,
+    whose terms are all nonnegative: no digit is lost as ``(rho, eps) -> (1, 1)``.
     """
     scalar = np.isscalar(rho) and np.isscalar(epsilon)
-    value = _gain_factor(*_validate_rho_eps(rho, epsilon))
+    rho, epsilon = _validate_rho_eps(rho, epsilon)
+    value = ((1.0 - rho) ** 2 + 2.0 * rho * (1.0 - epsilon)) / ((1.0 - rho) * (1.0 + rho))
     return float(value) if scalar else value
 
 
@@ -222,16 +220,24 @@ def lower_bound_rho(epsilon: float) -> float:
 def approx_snr_gain(x: np.ndarray, aut: AutDecomposition):
     """Component-wise approximation of the widely linear SNR surplus.
 
-    Sums ``|xt_i|^2 / lambda_i * g(rho_i; eps_i)`` over components; exact
+    Sums ``|xt_i|^2 / lambda_i * g(rho_i; eps_i)`` over components in the
+    closed form ``sum_i [(1 - rho_i)/(1 + rho_i) Re(xt_i)^2 +
+    (1 + rho_i)/(1 - rho_i) Im(xt_i)^2] / lambda_i``: the SNR of matching the
+    real and imaginary parts of each rotated component against their noise
+    variances ``lambda_i (1 +- rho_i) / 2``, minus the strictly linear
+    ``|xt_i|^2 / lambda_i``. On ``[Re x; Im x]``, ``xt`` is the real map ``[[Q_r^T, Q_i^T],
+    [-Q_i^T, Q_r^T]]``; scaling its rows by the square roots of the weights
+    makes the sum one squared norm, with no cancellation and no ``eps``. Exact
     whenever the basis truly diagonalizes both covariances (in particular for
     zero complementary covariance). Accepts a window or a column batch.
     """
     cols, was_vector = _as_columns(x, aut.dim)
-    rotated = aut.q.conj().T @ cols
-    eps, _ = _epsilon_columns(rotated)
-    factor = _gain_factor(_clamped_rho(aut)[:, None], eps)
-    values = np.sum(np.abs(rotated) ** 2 / aut.lambda_r[:, None] * factor, axis=0)
-    return float(values[0]) if was_vector else values
+    rho = _clamped_rho(aut)
+    qr, qi = aut.q.real.T, aut.q.imag.T
+    weights = np.concatenate([(1.0 - rho) / (1.0 + rho), (1.0 + rho) / (1.0 - rho)])
+    scale = np.sqrt(weights / np.tile(aut.lambda_r, 2))
+    real_map = scale[:, None] * np.block([[qr, qi], [-qi, qr]])
+    return _real_map_squared_norms(real_map, cols, was_vector)
 
 
 def normalized_snr_bias(signal: np.ndarray, cov: CovariancePair) -> float:
@@ -254,9 +260,6 @@ def normalized_snr_bias(signal: np.ndarray, cov: CovariancePair) -> float:
 def _windows_snr_bias(windows: np.ndarray, cov: CovariancePair, aut: AutDecomposition) -> float:
     """normalized_snr_bias over a window batch, with the pair's AUT given, so a
     caller averaging many signals under one pair decomposes it once."""
-    # sliding_windows gives a negative-stride view, which numpy cannot hand to
-    # BLAS; one copy makes both batch products BLAS calls.
-    windows = np.ascontiguousarray(windows)
     exact = snr_gain(windows, cov)
     if np.any(exact < 1e-14):
         raise DegenerateWindowError("a window has numerically zero exact SNR surplus")

@@ -161,6 +161,15 @@ class CovariancePair:
         schur = np.conj(self.r) - a @ self.c
         return a, _lower_inverse(_pd_cholesky((schur + schur.conj().T) / 2.0))
 
+    @cached_property
+    def _gain_map(self) -> np.ndarray:
+        """Real ``2L x 2L`` form of ``x -> W (conj(x) - A x)`` on ``[Re x; Im
+        x]``, built from :attr:`whitening` on first access and cached."""
+        a, white = self.whitening
+        eye = np.eye(self.dim)
+        difference = np.block([[eye - a.real, a.imag], [-a.imag, -(eye + a.real)]])
+        return np.block([[white.real, -white.imag], [white.imag, white.real]]) @ difference
+
 
 def demo_model(rho_u: float, sigma2_u: float = 1.0) -> NoiseModel:
     """The two-tap moving average ``v(n) = 0.9 u(n) - 0.1j u(n-1)`` used by the demos."""

@@ -23,7 +23,7 @@ from wlmf import (
     wlmf_solve,
 )
 
-from helpers import random_improper_pair
+from helpers import random_improper_pair, random_unitary
 
 
 def white_pair(dim, power=1.0):
@@ -234,6 +234,48 @@ def test_snr_gain_matches_two_solve_reference():
         reference = two_solve_snr_gain(windows, cov)
         rel = np.abs(snr_gain(windows, cov) - reference) / reference
         assert np.max(rel) <= 1e-12, (cov.dim, float(np.max(rel)))
+
+
+def complex_whitened_gain(cols, cov):
+    """``||W (conj(x) - A x)||^2`` in complex arithmetic from the cached
+    ``(A, W)``, the reference for the real form :func:`snr_gain` evaluates."""
+    a, white = cov.whitening
+    u = white @ (np.conj(cols) - a @ cols)
+    return np.sum(u.real**2 + u.imag**2, axis=0)
+
+
+def near_singular_rotated_pairs(rng, delta):
+    """``R = I`` and ``C = (1 - delta) V V^T`` for random real orthogonal and
+    random unitary ``V``, n = 1..8: ``V V^T`` is then the identity up to
+    roundoff, or a complex symmetric unitary matrix, and the Schur complement
+    ``(1 - (1 - delta)^2) I`` nearly vanishes."""
+    for dim in range(1, 9):
+        orthogonal, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+        for v in (orthogonal, random_unitary(rng, dim)):
+            c = (1.0 - delta) * (v @ v.T)
+            yield CovariancePair(r=np.eye(dim), c=(c + c.T) / 2.0)
+
+
+@pytest.mark.parametrize("delta", [1e-6, 1e-10, 1e-13])
+def test_snr_gain_real_form_near_singular_rotated(delta):
+    rng = np.random.default_rng(53)
+    for cov in near_singular_rotated_pairs(rng, delta):
+        windows = rng.standard_normal((cov.dim, 32)) + 1j * rng.standard_normal((cov.dim, 32))
+        reference = complex_whitened_gain(windows, cov)
+        rel = np.abs(snr_gain(windows, cov) - reference) / reference
+        assert np.max(rel) <= 1e-12, (cov.dim, float(np.max(rel)))
+
+
+@pytest.mark.parametrize("rho_u", [0.04, 0.5, 0.999, 1.0 - 1e-6])
+def test_snr_gain_real_form_demo_pairs(rho_u):
+    rng = np.random.default_rng(54)
+    for length in (1, 4, 8, 16, 32):
+        cov = analytic_covariances(demo_model(rho_u), length)
+        windows = rng.standard_normal((length, 64)) + 1j * rng.standard_normal((length, 64))
+        reference = complex_whitened_gain(windows, cov)
+        rel = np.abs(snr_gain(windows, cov) - reference) / reference
+        assert np.max(rel) <= 1e-12, (length, float(np.max(rel)))
+        assert snr_gain(windows[:, 0], cov) == pytest.approx(reference[0], rel=1e-12)
 
 
 def test_snr_gain_reuses_cached_whitening(monkeypatch):

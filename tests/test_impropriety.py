@@ -31,6 +31,7 @@ from wlmf import (
     snr_wlmf,
     wlmf_solve,
 )
+from wlmf.impropriety import AutDecomposition
 
 from helpers import jointly_diagonalizable_pair, random_improper_pair
 
@@ -188,16 +189,39 @@ def test_lower_bound_rho_matches_decimal_oracle():
 
 
 def test_g_of_rho_matches_decimal_oracle_near_one():
-    """The denominator ``1 - rho^2`` cancels as ``rho`` nears 1; the factor
-    must keep full relative accuracy there."""
+    """The denominator ``1 - rho^2`` cancels as ``rho`` nears 1, and the
+    numerator ``1 + rho^2 - 2 eps rho`` as ``(rho, eps)`` nears ``(1, 1)``; the
+    factor must keep full relative accuracy there."""
     for rho in (0.999, 1.0 - 1e-6, 1.0 - 1e-9):
-        for eps in (-0.9, 0.0, 0.3):
+        for eps in (-0.9, 0.0, 0.3, 0.9, 0.999, 1.0 - 1e-6, 1.0 - 1e-9, 1.0):
             with localcontext() as ctx:
                 ctx.prec = 60
                 r, e = Decimal(rho), Decimal(eps)
                 exact = (1 + r * r - 2 * e * r) / (1 - r * r)
             error = abs(Decimal(g_of_rho(rho, eps)) - exact) / exact
             assert error <= Decimal("1e-14"), (rho, eps, float(error))
+
+
+def test_approx_gain_matches_decimal_oracle_near_one():
+    """One component with ``lambda_r = 1`` and quotient ``rho``: the surplus of
+    ``x = 1 + i t`` is ``(1 - rho)/(1 + rho) + t^2 (1 + rho)/(1 - rho)``, which
+    the ``eps`` form ``|x|^2 g(rho; eps)`` loses as ``(rho, eps)`` nears
+    ``(1, 1)``."""
+    for rho in (0.999, 1.0 - 1e-6, 1.0 - 1e-9):
+        aut = AutDecomposition(
+            q=np.eye(1, dtype=complex),
+            lambda_c=np.array([rho]),
+            lambda_r=np.array([1.0]),
+            offdiag_residual=0.0,
+        )
+        for t in (1e-4, 1e-6, 1e-8):
+            with localcontext() as ctx:
+                ctx.prec = 60
+                r, im = Decimal(rho), Decimal(t)
+                exact = (1 - r) / (1 + r) + im * im * (1 + r) / (1 - r)
+            value = approx_snr_gain(np.array([complex(1.0, t)]), aut)
+            error = abs(Decimal(value) - exact) / exact
+            assert error <= Decimal("1e-14"), (rho, t, float(error))
 
 
 def test_g_stays_above_lower_bound_on_grid():
