@@ -8,7 +8,8 @@ iteration at which each stays above 0.9 for good. Run with
 
 import numpy as np
 
-from wlmf import CnnConfig, PATTERN_ONE, PATTERN_TWO, train
+from wlmf import CnnConfig, train
+from wlmf.cnn import PATTERN_ONE, PATTERN_TWO
 
 
 def main():

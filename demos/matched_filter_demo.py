@@ -9,12 +9,12 @@ import numpy as np
 
 from wlmf import (
     CovariancePair,
-    DEMO_TEMPLATE,
     apply_filter_sequence,
     slmf_solve,
     template_to_feature,
     wlmf_solve,
 )
+from wlmf.experiments import DEMO_TEMPLATE
 
 
 def main():

@@ -37,7 +37,6 @@ from .linalg import (
 )
 from .noise import (
     CovariancePair,
-    NoiseModel,
     analytic_covariances,
     demo_model,
     empirical_covariances,
@@ -46,8 +45,6 @@ from .noise import (
     sliding_windows,
 )
 from .filters import (
-    SlmfWeights,
-    WlmfWeights,
     apply_filter_sequence,
     slmf_solve,
     snr_gain,
@@ -66,19 +63,8 @@ from .impropriety import (
     normalized_snr_bias,
     rotated_input,
 )
-from .cnn import (
-    PATTERN_ONE,
-    PATTERN_TWO,
-    CnnConfig,
-    CnnParams,
-    backward,
-    forward,
-    init_params,
-    make_dataset,
-    predict_proba,
-    train,
-)
-from .experiments import DEMO_TEMPLATE, ExperimentSpec, run_experiment
+from .cnn import CnnConfig, predict_proba, train
+from .experiments import ExperimentSpec, run_experiment
 from .seeding import derive_rng
 
 __version__ = "0.1.0"
@@ -101,7 +87,6 @@ __all__ = [
     "takagi",
     "hermitian_eig",
     "hermitian_solve",
-    "NoiseModel",
     "CovariancePair",
     "demo_model",
     "sample_improper_white",
@@ -109,8 +94,6 @@ __all__ = [
     "analytic_covariances",
     "empirical_covariances",
     "sliding_windows",
-    "SlmfWeights",
-    "WlmfWeights",
     "slmf_solve",
     "wlmf_solve",
     "snr_slmf",
@@ -127,16 +110,8 @@ __all__ = [
     "normalized_snr_bias",
     "design_matched_sequence",
     "CnnConfig",
-    "CnnParams",
-    "make_dataset",
-    "init_params",
-    "PATTERN_ONE",
-    "PATTERN_TWO",
-    "forward",
     "predict_proba",
-    "backward",
     "train",
-    "DEMO_TEMPLATE",
     "ExperimentSpec",
     "run_experiment",
     "derive_rng",

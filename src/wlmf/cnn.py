@@ -81,11 +81,6 @@ class CnnParams:
     head_w: np.ndarray
     head_b: np.ndarray
 
-    @property
-    def widely_linear(self) -> bool:
-        return self.conv2 is not None
-
-
 
 @dataclass(frozen=True)
 class LabeledSignal:
@@ -113,7 +108,6 @@ class TrainResult:
     trace: list[tuple[int, int, float]]
     evals: list[tuple[int, float, float]]
     first_sustained: int | None
-    mode: str
 
 
 def make_dataset(
@@ -359,5 +353,4 @@ def train(config: CnnConfig, seed: int) -> TrainResult:
         trace=trace,
         evals=evals,
         first_sustained=_first_sustained(evals),
-        mode=config.mode,
     )

@@ -48,19 +48,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SlmfWeights:
-    """Strictly linear matched filter ``f`` with its gain factor ``alpha``."""
+    """Strictly linear matched filter ``f``."""
 
     f: np.ndarray
-    alpha: float = 1.0
 
 
 @dataclass(frozen=True)
 class WlmfWeights:
-    """Widely linear matched filter pair ``(f1, f2)`` with its gain factor ``beta``."""
+    """Widely linear matched filter pair ``(f1, f2)``."""
 
     f1: np.ndarray
     f2: np.ndarray
-    beta: float = 1.0
 
 
 def _as_columns(x, dim: int, name: str = "x") -> tuple[np.ndarray, bool]:
@@ -92,28 +90,26 @@ def _real_map_squared_norms(real_map: np.ndarray, cols: np.ndarray, was_vector: 
     return float(values[0]) if was_vector else values
 
 
-def slmf_solve(x: np.ndarray, cov: CovariancePair, alpha: float = 1.0) -> SlmfWeights:
-    """Strictly linear matched filter ``f = alpha R^{-1} x``, solved through the
-    pair's cached inverse Cholesky factor of ``R`` with one refinement step."""
-    if not alpha > 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+def slmf_solve(x: np.ndarray, cov: CovariancePair) -> SlmfWeights:
+    """Strictly linear matched filter ``f = R^{-1} x`` (the paper's ``f = alpha
+    R^{-1} x`` at ``alpha = 1``), solved through the pair's cached inverse
+    Cholesky factor of ``R`` with one refinement step."""
     cols, _ = _as_columns(x, cov.dim)
     if cols.shape[1] != 1:
         raise DimensionMismatchError("slmf_solve expects a single window")
-    f = alpha * _refined_solve(cov.r, cov.inverse_cholesky, cols[:, 0])
-    return SlmfWeights(f=f, alpha=alpha)
+    return SlmfWeights(f=_refined_solve(cov.r, cov.inverse_cholesky, cols[:, 0]))
 
 
-def wlmf_solve(x: np.ndarray, cov: CovariancePair, beta: float = 1.0) -> WlmfWeights:
+def wlmf_solve(x: np.ndarray, cov: CovariancePair) -> WlmfWeights:
     """Widely linear matched filter, the solution ``w = (f1, f2)`` of
-    ``R_q w = beta z`` for the augmented covariance ``R_q`` and ``z = (x,
-    x^*)``.
+    ``R_q w = z`` for the augmented covariance ``R_q`` and ``z = (x, x^*)``
+    (the paper's ``w = beta R_q^{-1} z`` at ``beta = 1``).
 
     The optimal branches are conjugate pairs, ``f1 = f2^*``, so block
     elimination leaves one equation in the Schur complement ``S = R^* - C^*
     R^{-1} C``,
 
-        f2 = beta S^{-1} (x^* - C^* R^{-1} x),
+        f2 = S^{-1} (x^* - C^* R^{-1} x),
 
     applied through the pair's cached whitening map ``(A, W)``, ``S^{-1} =
     W^H W``, with one step of iterative refinement through the same map.
@@ -124,12 +120,10 @@ def wlmf_solve(x: np.ndarray, cov: CovariancePair, beta: float = 1.0) -> WlmfWei
     NotPositiveDefiniteError
         If ``R`` or ``S`` is not positive definite.
     NumericalConsistencyError
-        If the normwise backward error ``||R_q w - beta z|| / (||R_q|| ||w|| +
-        ||beta z||)`` exceeds 1e-12, which for positive definite inputs
-        indicates severe ill-conditioning.
+        If the normwise backward error ``||R_q w - z|| / (||R_q|| ||w|| +
+        ||z||)`` exceeds 1e-12, which for positive definite inputs indicates
+        severe ill-conditioning.
     """
-    if not beta > 0:
-        raise ValueError(f"beta must be positive, got {beta}")
     cols, _ = _as_columns(x, cov.dim)
     if cols.shape[1] != 1:
         raise DimensionMismatchError("wlmf_solve expects a single window")
@@ -141,19 +135,19 @@ def wlmf_solve(x: np.ndarray, cov: CovariancePair, beta: float = 1.0) -> WlmfWei
         return white.conj().T @ (white @ (np.conj(rhs) - a @ rhs))
 
     f2 = conjugate_branch(xv)
-    f2 = beta * (f2 + conjugate_branch(xv - (cov.r @ np.conj(f2) + cov.c @ f2)))
+    f2 = f2 + conjugate_branch(xv - (cov.r @ np.conj(f2) + cov.c @ f2))
     f1 = np.conj(f2)
 
     norm = np.linalg.norm
     w = np.concatenate([f1, f2])
-    z = beta * np.concatenate([xv, np.conj(xv)])
+    z = np.concatenate([xv, np.conj(xv)])
     residual = norm(cov.augmented @ w - z)
     scale = norm(cov.augmented) * norm(w) + norm(z)
     if residual > 1e-12 * scale:
         raise NumericalConsistencyError(
             f"widely linear filter has backward error {residual / scale:.3e} (above 1e-12)"
         )
-    return WlmfWeights(f1=f1, f2=f2, beta=beta)
+    return WlmfWeights(f1=f1, f2=f2)
 
 
 def snr_slmf(x: np.ndarray, cov: CovariancePair):

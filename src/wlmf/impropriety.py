@@ -2,9 +2,12 @@
 
 A covariance pair ``(R, C)`` is approximately uncorrelated by the unitary
 basis ``Q`` from the Takagi factorization ``C = Q diag(p) Q^T``; in that
-basis ``R`` is treated through its eigenvalue spectrum ``lambda`` (sorted
-descending and paired with the descending ``p``), and the surplus SNR of the
-widely linear matched filter decomposes into per-component contributions
+basis ``R`` is treated through its eigenvalue spectrum ``lambda``. The
+model's assumption is the rank pairing: the i-th largest Takagi value
+``p_i`` goes with the i-th largest eigenvalue ``lambda_i``, although the
+eigenvectors of ``R`` need not be the columns of ``Q``. Under it the surplus
+SNR of the widely linear matched filter decomposes into per-component
+contributions
 
     gain ~= sum_i |xt_i|^2 / lambda_i * g(rho_i; eps_i),
 
@@ -12,10 +15,17 @@ where ``xt = Q^H x``, ``rho_i = p_i / lambda_i`` is the component circularity
 quotient, ``eps_i = Re(xt_i^2) / |xt_i|^2`` measures the input's phase
 alignment, and ``g(rho; eps) = (1 + rho^2 - 2 eps rho) / (1 - rho^2)``.
 In the parts of ``xt_i`` a term is ``[(1 - rho_i)/(1 + rho_i) Re(xt_i)^2 +
-(1 + rho_i)/(1 - rho_i) Im(xt_i)^2] / lambda_i``: the rotated noise
-component has uncorrelated real and imaginary parts of variances ``lambda_i
-(1 +- rho_i) / 2``, and the term is the SNR of matching each part against
-its own variance minus the strictly linear SNR ``|xt_i|^2 / lambda_i``.
+(1 + rho_i)/(1 - rho_i) Im(xt_i)^2] / lambda_i``: the SNR of matching the
+real and imaginary parts of the rotated noise component against variances
+``lambda_i (1 +- rho_i) / 2`` minus the strictly linear SNR ``|xt_i|^2 /
+lambda_i``. Those are the component's true variances only when
+``offdiag_residual`` is 0; when in addition the pairing matches, so that
+``lambda_i = (Q^H R Q)_ii``, the expansion is exact. Otherwise the rotated
+components are correlated, and a rank-paired ``rho_i`` can exceed 1 on a
+valid pair (the demo model at ``rho_u >= 0.9``, ``L >= 4``), where the
+expansion raises :class:`SingularAtOneError` while the noise-power quotient
+``p_i / (Q^H R Q)_ii`` stays below 1 and the exact surplus
+:func:`wlmf.filters.snr_gain` stays defined.
 
 ``g`` is minimized over ``rho`` at 0 for ``eps <= 0`` and otherwise at
 ``(1 - sqrt(1 - eps^2)) / eps``, where it equals ``sqrt(1 - eps^2)``; a
@@ -75,10 +85,12 @@ class AutDecomposition:
         Takagi values of ``C`` (descending, nonnegative).
     lambda_r : ndarray
         Eigenvalues of ``R`` (descending, real positive), paired index-wise
-        with ``lambda_c``.
+        with ``lambda_c`` by rank. This pairing is the model's assumption;
+        ``lambda_r[i]`` is the noise power along ``q[:, i]`` only when
+        ``offdiag_residual`` is 0.
     offdiag_residual : float
         ``||offdiag(Q^H R Q)||_F / ||R||_F``; zero iff the basis in fact
-        diagonalizes ``R`` and the approximation is exact.
+        diagonalizes ``R``, which the approximation needs to be exact.
     """
 
     q: np.ndarray
@@ -138,10 +150,15 @@ def rotated_input(aut: AutDecomposition, x: np.ndarray) -> np.ndarray:
 def _clamped_rho(aut: AutDecomposition) -> np.ndarray:
     """Circularity quotients ``p_i / lambda_i`` kept strictly below one."""
     rho = aut.lambda_c / aut.lambda_r
-    worst = float(np.max(rho)) if rho.size else 0.0
+    index = int(np.argmax(rho)) if rho.size else 0
+    worst = float(rho[index]) if rho.size else 0.0
     if worst >= 1.0 + _RHO_SLACK:
         raise SingularAtOneError(
-            f"circularity quotient {worst:.6f} >= 1; the gain expansion is singular"
+            f"component {index}: rank-paired circularity quotient {worst:.6f} >= 1 "
+            "(the Takagi value of C over the eigenvalue of R of equal rank) makes "
+            "the AUT gain expansion singular; the AUT basis leaves off-diagonal "
+            f"residual {aut.offdiag_residual:.3f} in Q^H R Q, so this pairing is "
+            "inexact, and the exact surplus snr_gain is still defined for the pair"
         )
     if worst > _RHO_CEILING:
         logger.warning(
@@ -223,13 +240,22 @@ def approx_snr_gain(x: np.ndarray, aut: AutDecomposition):
     Sums ``|xt_i|^2 / lambda_i * g(rho_i; eps_i)`` over components in the
     closed form ``sum_i [(1 - rho_i)/(1 + rho_i) Re(xt_i)^2 +
     (1 + rho_i)/(1 - rho_i) Im(xt_i)^2] / lambda_i``: the SNR of matching the
-    real and imaginary parts of each rotated component against their noise
-    variances ``lambda_i (1 +- rho_i) / 2``, minus the strictly linear
-    ``|xt_i|^2 / lambda_i``. On ``[Re x; Im x]``, ``xt`` is the real map ``[[Q_r^T, Q_i^T],
+    real and imaginary parts of each rotated component against variances
+    ``lambda_i (1 +- rho_i) / 2``, minus the strictly linear
+    ``|xt_i|^2 / lambda_i``, with ``lambda_i`` the rank-paired eigenvalue of
+    ``R``. On ``[Re x; Im x]``, ``xt`` is the real map ``[[Q_r^T, Q_i^T],
     [-Q_i^T, Q_r^T]]``; scaling its rows by the square roots of the weights
-    makes the sum one squared norm, with no cancellation and no ``eps``. Exact
-    whenever the basis truly diagonalizes both covariances (in particular for
-    zero complementary covariance). Accepts a window or a column batch.
+    makes the sum one squared norm, with no cancellation and no ``eps``. The
+    variances, and so the sum, are exact only when ``aut.offdiag_residual``
+    is 0, i.e. the basis truly diagonalizes both covariances (in particular
+    for zero complementary covariance). Accepts a window or a column batch.
+
+    Raises
+    ------
+    SingularAtOneError
+        If a rank-paired quotient ``rho_i`` reaches 1 beyond the clamp's
+        slack; the message names the component, its quotient and the
+        off-diagonal residual.
     """
     cols, was_vector = _as_columns(x, aut.dim)
     rho = _clamped_rho(aut)

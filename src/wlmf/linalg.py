@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import os
 from contextlib import contextmanager
+from typing import NamedTuple
 
 import numpy as np
 
@@ -123,15 +124,14 @@ def _check_symmetric(a: np.ndarray, name: str) -> None:
         raise NotSymmetricError(f"{name} is not complex symmetric")
 
 
-def _pd_cholesky(a: np.ndarray, tol: float | None = None) -> np.ndarray:
-    """Lower Cholesky factor of a finite Hermitian ``a`` whose pivots all exceed
-    ``tol``, by default ``1e-12 * max(diag(a))``."""
+def _pd_cholesky(a: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of a finite Hermitian ``a`` whose squared pivots
+    all exceed ``1e-12 * max(diag(a))``."""
     try:
         chol = np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
         raise NotPositiveDefiniteError("matrix is not positive definite") from None
-    if tol is None:
-        tol = 1e-12 * max(float(np.max(np.real(np.diag(a)))), 0.0)
+    tol = 1e-12 * max(float(np.max(np.real(np.diag(a)))), 0.0)
     if not np.all(np.real(np.diag(chol)) ** 2 > tol):
         raise NotPositiveDefiniteError("matrix has a pivot below tolerance")
     return chol
@@ -147,7 +147,7 @@ def _lower_inverse(chol: np.ndarray) -> np.ndarray:
     return inv
 
 
-def hermitian_solve(a: np.ndarray, b: np.ndarray, tol: float | None = None) -> np.ndarray:
+def hermitian_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve ``a @ y = b`` for Hermitian positive definite ``a``.
 
     Parameters
@@ -156,9 +156,6 @@ def hermitian_solve(a: np.ndarray, b: np.ndarray, tol: float | None = None) -> n
         Hermitian positive definite matrix, shape (n, n).
     b : ndarray
         Right-hand side, shape (n,) or (n, k) for multiple columns.
-    tol : float, optional
-        Pivot threshold below which ``a`` is rejected as not positive
-        definite. Defaults to ``1e-12 * max(diag(a))``.
 
     Returns
     -------
@@ -170,7 +167,8 @@ def hermitian_solve(a: np.ndarray, b: np.ndarray, tol: float | None = None) -> n
     Raises
     ------
     NotPositiveDefiniteError
-        If the Cholesky factorization fails or a pivot falls below ``tol``.
+        If the Cholesky factorization fails or a squared pivot falls below
+        ``1e-12 * max(diag(a))``.
     """
     a = _as_square_matrix(a, "a")
     _check_hermitian(a, "a")
@@ -179,7 +177,7 @@ def hermitian_solve(a: np.ndarray, b: np.ndarray, tol: float | None = None) -> n
         raise DimensionMismatchError(
             f"b has shape {b.shape}, expected ({a.shape[0]},) or ({a.shape[0]}, k)"
         )
-    return _refined_solve(a, _lower_inverse(_pd_cholesky(a, tol)), b)
+    return _refined_solve(a, _lower_inverse(_pd_cholesky(a)), b)
 
 
 def _refined_solve(a: np.ndarray, inv_chol: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -202,7 +200,7 @@ def hermitian_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vals[::-1], vecs[:, ::-1]
 
 
-class TakagiResult:
+class TakagiResult(NamedTuple):
     """Takagi factorization ``c = q @ diag(p) @ q.T``.
 
     Attributes
@@ -214,11 +212,8 @@ class TakagiResult:
         sorted descending.
     """
 
-    __slots__ = ("q", "p")
-
-    def __init__(self, q: np.ndarray, p: np.ndarray):
-        self.q = q
-        self.p = p
+    q: np.ndarray
+    p: np.ndarray
 
 
 def takagi(c: np.ndarray) -> TakagiResult:

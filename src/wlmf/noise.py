@@ -13,7 +13,7 @@ Windows are read newest-first throughout the package: the window at position
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -82,9 +82,9 @@ class NoiseModel:
 @dataclass(frozen=True)
 class CovariancePair:
     """Covariance ``r = E[w w^H]`` and complementary covariance ``c = E[w w^T]``
-    of a length-L noise window, plus the augmented block matrix built from them
-    and, on first use, the inverse Cholesky factor of ``r`` and the whitening
-    map of the widely linear SNR surplus.
+    of a length-L noise window, plus, each built on first use and cached, the
+    augmented block matrix, the inverse Cholesky factor of ``r`` and the
+    whitening map of the widely linear SNR surplus.
 
     Raises
     ------
@@ -98,7 +98,6 @@ class CovariancePair:
 
     r: np.ndarray
     c: np.ndarray
-    augmented: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         r = _as_square_matrix(self.r, "covariance r")
@@ -111,16 +110,24 @@ class CovariancePair:
         _check_symmetric(c, "complementary covariance c")
         r = (r + r.conj().T) / 2.0
         c = (c + c.T) / 2.0
-        augmented = np.vstack([np.hstack([r, c]), np.hstack([c.conj(), r.conj()])])
         # Read-only, so nothing derived from them (the augmented matrix, the
         # cached factors) can go stale.
-        for name, value in (("r", r), ("c", c), ("augmented", augmented)):
+        for name, value in (("r", r), ("c", c)):
             value.flags.writeable = False
             object.__setattr__(self, name, value)
 
     @property
     def dim(self) -> int:
         return self.r.shape[0]
+
+    @cached_property
+    def augmented(self) -> np.ndarray:
+        """Read-only augmented covariance ``[[R, C], [C^*, R^*]]`` of ``(w,
+        conj(w))``, built on first access and cached."""
+        r, c = self.r, self.c
+        augmented = np.vstack([np.hstack([r, c]), np.hstack([c.conj(), r.conj()])])
+        augmented.flags.writeable = False
+        return augmented
 
     @cached_property
     def inverse_cholesky(self) -> np.ndarray:
@@ -131,8 +138,8 @@ class CovariancePair:
         Raises
         ------
         NotPositiveDefiniteError
-            If ``R`` is not positive definite or a pivot falls below the
-            default tolerance ``1e-12 * max(diag(R))``.
+            If ``R`` is not positive definite or a squared pivot falls below
+            ``1e-12 * max(diag(R))``.
         """
         inv_chol = _lower_inverse(_pd_cholesky(self.r))
         inv_chol.flags.writeable = False
@@ -171,9 +178,10 @@ class CovariancePair:
         return np.block([[white.real, -white.imag], [white.imag, white.real]]) @ difference
 
 
-def demo_model(rho_u: float, sigma2_u: float = 1.0) -> NoiseModel:
-    """The two-tap moving average ``v(n) = 0.9 u(n) - 0.1j u(n-1)`` used by the demos."""
-    return NoiseModel(taps=(0.9, -0.1j), rho_u=rho_u, sigma2_u=sigma2_u)
+def demo_model(rho_u: float) -> NoiseModel:
+    """The two-tap moving average ``v(n) = 0.9 u(n) - 0.1j u(n-1)``, driven at
+    unit power, used by the demos."""
+    return NoiseModel(taps=(0.9, -0.1j), rho_u=rho_u)
 
 
 def sample_improper_white(

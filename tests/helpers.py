@@ -4,7 +4,8 @@ import copy
 
 import numpy as np
 
-from wlmf import CnnConfig, CnnParams, CovariancePair, backward, forward, make_dataset
+from wlmf import CnnConfig, CovariancePair, takagi
+from wlmf.cnn import CnnParams, backward, forward, make_dataset
 
 
 def random_hermitian_pd(rng, dim, ridge=0.5):
@@ -44,6 +45,29 @@ def jointly_diagonalizable_pair(rng, dim):
     r = q @ np.diag(lam) @ q.conj().T
     c = q @ np.diag(p) @ q.T
     return CovariancePair(r=0.5 * (r + r.conj().T), c=0.5 * (c + c.T))
+
+
+def sut_snr_gain(cols, cov):
+    """Widely linear SNR surplus through the strong uncorrelating transform
+    (SUT), independent of the Schur-complement map behind ``snr_gain``.
+
+    Whitening by the Hermitian ``R^{-1/2}`` leaves complementary covariance
+    ``K = R^{-1/2} C R^{-T/2}``; its Takagi factorization ``K = U diag(k)
+    U^T`` gives circularity coefficients ``k_i`` in [0, 1) and coordinates
+    ``y = U^H R^{-1/2} x`` whose noise is uncorrelated across components,
+    with real and imaginary variances ``(1 +- k_i) / 2``. The surplus is then
+    exactly ``sum_i (1 - k_i)/(1 + k_i) Re(y_i)^2 + (1 + k_i)/(1 - k_i)
+    Im(y_i)^2``. Returns the surpluses of the columns of ``cols`` and the
+    largest coefficient ``k_max``.
+    """
+    lam, vecs = np.linalg.eigh(cov.r)
+    r_inv_half = (vecs / np.sqrt(lam)) @ vecs.conj().T
+    k_mat = r_inv_half @ cov.c @ r_inv_half.T
+    factor = takagi((k_mat + k_mat.T) / 2.0)
+    y = factor.q.conj().T @ (r_inv_half @ cols)
+    k = factor.p[:, None]
+    surplus = np.sum((1.0 - k) / (1.0 + k) * y.real**2 + (1.0 + k) / (1.0 - k) * y.imag**2, axis=0)
+    return surplus, float(factor.p[0])
 
 
 def random_cnn_params(rng, config):

@@ -1,0 +1,39 @@
+"""The package root exports exactly what README documents."""
+
+import re
+from pathlib import Path
+
+import wlmf
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_code_names():
+    """Last component of the dotted name that opens each inline code span of
+    README (fenced blocks aside), so `wlmf.cnn.train` and `train(config,
+    seed)` both document ``train``."""
+    text = re.sub(r"^```.*?^```", "", README.read_text(encoding="utf-8"), flags=re.M | re.S)
+    names = set()
+    for span in re.findall(r"`([^`]+)`", text):
+        match = re.match(r"[A-Za-z_][\w.]*", span)
+        if match:
+            names.add(match.group().rsplit(".", 1)[-1])
+    return names
+
+
+def test_all_names_resolve():
+    missing = [name for name in wlmf.__all__ if not hasattr(wlmf, name)]
+    assert missing == []
+    assert len(set(wlmf.__all__)) == len(wlmf.__all__)
+
+
+def test_star_import_yields_exactly_all():
+    namespace = {}
+    exec("from wlmf import *", namespace)
+    namespace.pop("__builtins__")
+    assert sorted(namespace) == sorted(wlmf.__all__)
+
+
+def test_readme_documents_every_root_name():
+    undocumented = sorted(set(wlmf.__all__) - readme_code_names())
+    assert undocumented == []

@@ -7,17 +7,22 @@ from wlmf import (
     CnnConfig,
     DivergenceDetectedError,
     EmptyInputError,
-    PATTERN_ONE,
-    PATTERN_TWO,
-    backward,
     derive_rng,
-    forward,
-    init_params,
-    make_dataset,
     predict_proba,
     train,
 )
-from wlmf.cnn import _first_sustained, head_forward, max_modulus_pool, split_relu
+from wlmf.cnn import (
+    PATTERN_ONE,
+    PATTERN_TWO,
+    _first_sustained,
+    backward,
+    forward,
+    head_forward,
+    init_params,
+    make_dataset,
+    max_modulus_pool,
+    split_relu,
+)
 
 from helpers import gradient_check, kink_free_case, random_cnn_params
 
@@ -200,7 +205,6 @@ def test_train_zero_learning_rate_is_inert():
 def test_train_records_have_expected_shape():
     config = CnnConfig(mode="wl", epochs=2, realizations_per_epoch=30, holdout_size=20)
     result = train(config, seed=5)
-    assert result.mode == "wl"
     assert len(result.trace) == 60
     assert [row[0] for row in result.trace] == list(range(1, 61))
     assert all(0.0 < row[2] < 1.0 for row in result.trace)
@@ -229,8 +233,3 @@ def test_config_validation():
         CnnConfig(mode="other")
     with pytest.raises(Exception):
         CnnConfig(input_len=2, filter_len=3)
-
-
-def test_params_widely_linear_flag():
-    assert init_params(CnnConfig(mode="wl"), 2).widely_linear is True
-    assert init_params(CnnConfig(mode="sl"), 2).widely_linear is False

@@ -10,7 +10,6 @@ from wlmf import (
     DegenerateWindowError,
     DimensionMismatchError,
     InvalidImproprietyError,
-    NoiseModel,
     NotPositiveDefiniteError,
     SingularAtOneError,
     WlmfError,
@@ -32,6 +31,7 @@ from wlmf import (
     wlmf_solve,
 )
 from wlmf.impropriety import AutDecomposition
+from wlmf.noise import NoiseModel
 
 from helpers import jointly_diagonalizable_pair, random_improper_pair
 
@@ -379,6 +379,54 @@ def test_frozen_design_matches_targets_up_to_basis_rotation():
         dev0 = np.abs(np.real(rotated0**2) / np.abs(rotated0) ** 2 - target[block[0]])
         dev1 = np.abs(np.real(rotated1**2) / np.abs(rotated1) ** 2 - target[block[1]])
         assert float(np.min(np.maximum(dev0, dev1))) <= 0.05
+
+
+def noise_power_quotients(aut, cov):
+    """``lambda_c,i / (Q^H R Q)_ii``: each Takagi value over the noise power
+    along its own basis vector."""
+    return aut.lambda_c / np.real(np.diag(aut.q.conj().T @ cov.r @ aut.q))
+
+
+def test_noise_power_quotient_below_one():
+    """In the Takagi basis the augmented covariance has the 2 x 2 principal
+    block ``[[d_i, p_i], [p_i, d_i]]`` per component, ``d_i = (Q^H R Q)_ii``,
+    so a positive definite pair has ``p_i < d_i``, whatever the rank-paired
+    quotients ``p_i / lambda_i`` do."""
+    rng = np.random.default_rng(64)
+    pairs = [random_improper_pair(rng, int(rng.integers(1, 9))) for _ in range(200)]
+    pairs += [
+        analytic_covariances(demo_model(rho_u), length)
+        for rho_u in (0.04, 0.5, 0.8, 0.9, 0.99, 0.999, 1.0 - 1e-6)
+        for length in (1, 2, 4, 8, 16)
+    ]
+    for cov in pairs:
+        quotients = noise_power_quotients(aut_decompose(cov), cov)
+        assert np.all(quotients < 1.0), (cov.dim, float(np.max(quotients)))
+
+
+def demo_pair_past_one():
+    """The demo pair at (rho_u 0.9, L 4), whose largest rank-paired quotient
+    exceeds one although the noise is valid."""
+    return analytic_covariances(demo_model(0.9), 4)
+
+
+def test_rank_paired_quotient_exceeds_one_where_noise_power_quotient_does_not():
+    cov = demo_pair_past_one()
+    aut = aut_decompose(cov)
+    assert np.max(aut.lambda_c / aut.lambda_r) == pytest.approx(1.0702297, rel=1e-6)
+    assert np.max(noise_power_quotients(aut, cov)) == pytest.approx(0.8954838, rel=1e-6)
+
+
+def test_singular_at_one_message_says_why():
+    cov = demo_pair_past_one()
+    x = random_window(np.random.default_rng(65), 4)
+    with pytest.raises(
+        SingularAtOneError,
+        match=r"component 3: rank-paired circularity quotient 1\.070230 >= 1 .*"
+        r"off-diagonal residual 0\.133 .*exact surplus snr_gain is still defined",
+    ):
+        approx_snr_gain(x, aut_decompose(cov))
+    assert snr_gain(x, cov) > 0.0
 
 
 def test_rho_clamp_and_singularity():

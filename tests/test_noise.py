@@ -12,7 +12,6 @@ from wlmf import (
     EmptyInputError,
     InsufficientSamplesError,
     InvalidImproprietyError,
-    NoiseModel,
     NonFiniteInputError,
     NotHermitianError,
     NotSymmetricError,
@@ -24,6 +23,7 @@ from wlmf import (
     sliding_windows,
     snr_wlmf,
 )
+from wlmf.noise import NoiseModel
 
 
 def test_model_validation():

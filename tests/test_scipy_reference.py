@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from wlmf import CovariancePair, NoiseModel, analytic_covariances, demo_model, takagi
-from wlmf.noise import _lagged_products
+from wlmf import CovariancePair, analytic_covariances, demo_model, takagi
+from wlmf.noise import NoiseModel, _lagged_products
 from helpers import random_unitary
 
 
