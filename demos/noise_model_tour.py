@@ -30,7 +30,8 @@ def main():
     print(np.array2string(cov.r[0], precision=4))
     print("analytic complementary C, first row:")
     print(np.array2string(cov.c[0], precision=4))
-    smallest = hermitian_eig(cov.augmented)[0][-1]
+    augmented = np.block([[cov.r, cov.c], [np.conj(cov.c), np.conj(cov.r)]])
+    smallest = hermitian_eig(augmented)[0][-1]
     print("smallest eigenvalue of the augmented covariance: %.4f (positive definite)" % smallest)
 
     u = sample_improper_white(200_000, rho_u=model.rho_u, rng=rng)

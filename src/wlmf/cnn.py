@@ -5,11 +5,13 @@ Architecture: a complex convolution layer (strictly linear, one tap vector
 per channel, or widely linear with an extra conjugate-branch vector), a
 split rectifier ``relu(Re + b_re) + 1j relu(Im + b_im)`` with per-channel
 real biases, max-modulus pooling down to one complex value per channel, and
-a real affine head with softmax over two classes. The convolution contracts
-every channel's taps against one newest-first window tensor, built by the
-same ``sliding_windows`` that feeds the matched filters, so both share one
-ordering convention. The forward pass takes one signal or a batch of them;
-a batch is filtered in one contraction over that tensor.
+a real affine head with softmax over two classes. The convolution is
+:func:`wlmf.filters.apply_filter_sequence` run with the channel taps as a
+filter bank (``SlmfWeights(conv1)`` or ``WlmfWeights(conv1, conv2)``), so
+each channel is a matched filter on the same newest-first windows.
+The forward pass takes one signal or a batch of them; a batch is filtered in
+one contraction and agrees bit for bit with its signals filtered one at a
+time.
 
 Gradients are taken with respect to the real and imaginary parts of every
 complex parameter; the complex carrier ``d(Re) + 1j d(Im)`` that the
@@ -24,6 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, DivergenceDetectedError, EmptyInputError
+from .filters import SlmfWeights, WlmfWeights, apply_filter_sequence
 from .noise import sliding_windows
 from .seeding import as_generator, derive_rng
 
@@ -169,21 +172,6 @@ def init_params(config: CnnConfig, rng: np.random.Generator | int | None = None)
     )
 
 
-def _windows(x: np.ndarray, params: CnnParams) -> np.ndarray:
-    """Newest-first windows, (L, K) for one signal or (B, L, K) for a batch."""
-    return sliding_windows(np.asarray(x, dtype=complex), params.conv1.shape[1])
-
-
-def _filter_bank(windows: np.ndarray, params: CnnParams) -> np.ndarray:
-    # einsum sums over the taps in one order whatever the batch shape, so a
-    # batch agrees bit for bit with its signals filtered one at a time; a
-    # (C, L) @ (L, K) matmul rounds differently.
-    y = np.einsum("cl,...lk->...ck", np.conj(params.conv1), windows)
-    if params.conv2 is not None:
-        y = y + np.einsum("cl,...lk->...ck", np.conj(params.conv2), np.conj(windows))
-    return y
-
-
 def split_relu(y: np.ndarray, bias_re: np.ndarray, bias_im: np.ndarray) -> np.ndarray:
     """Rectify real and imaginary parts separately after adding real biases."""
     re = np.maximum(y.real + bias_re[:, None], 0.0)
@@ -226,14 +214,17 @@ def forward(x: np.ndarray, params: CnnParams) -> tuple[np.ndarray, dict]:
     """Full forward pass; returns class probabilities and the layer cache.
 
     ``x`` is one signal (N,), giving probabilities (2,), or a batch (B, N),
-    giving (B, 2). The windows are built once and kept in the cache.
+    giving (B, 2).
     """
-    windows = _windows(x, params)
-    y = _filter_bank(windows, params)
+    if params.conv2 is None:
+        weights = SlmfWeights(params.conv1)
+    else:
+        weights = WlmfWeights(params.conv1, params.conv2)
+    y = apply_filter_sequence(x, weights)
     a = split_relu(y, params.bias_re, params.bias_im)
     pooled, idx = max_modulus_pool(a)
     feat, logits, probs = head_forward(pooled, params.head_w, params.head_b)
-    cache = {"windows": windows, "y": y, "a": a, "idx": idx, "feat": feat, "probs": probs}
+    cache = {"y": y, "a": a, "idx": idx, "feat": feat, "probs": probs}
     return probs, cache
 
 
@@ -273,7 +264,7 @@ def backward(x: np.ndarray, t: np.ndarray, params: CnnParams) -> tuple[float, np
     grads["bias_re"] = np.sum(da.real * mask_re, axis=1)
     grads["bias_im"] = np.sum(da.imag * mask_im, axis=1)
 
-    windows = cache["windows"]
+    windows = sliding_windows(np.asarray(x, dtype=complex), params.conv1.shape[1])
     grads["conv1"] = np.conj(s) @ windows.T
     if params.conv2 is not None:
         grads["conv2"] = np.conj(s) @ windows.conj().T

@@ -3,20 +3,17 @@
 A strictly linear filter forms ``y = f^H w`` from the newest-first window
 ``w``; a widely linear filter adds a conjugate branch, ``y = f1^H w + f2^H
 conj(w)``, equivalently one filter on the augmented vector ``z = (w,
-conj(w))``. For a deterministic target ``x`` observed in zero-mean noise with
-covariance pair ``(R, C)``, the output-SNR-optimal solutions and their SNR
-values are closed forms in the (augmented) covariance; the widely linear SNR
-never falls below the strictly linear one, and the surplus is itself a
-quadratic form in the Schur complement of the augmented covariance, which
-:func:`snr_gain` evaluates as a squared norm through the whitening map the
-covariance pair factors once and caches (``CovariancePair.whitening``);
-:func:`wlmf_solve` solves for the widely linear weights through the same map,
-and :func:`slmf_solve` and :func:`snr_slmf` through the pair's cached
-inverse Cholesky factor of ``R`` (``CovariancePair.inverse_cholesky``).
+conj(w))``. For a deterministic target ``x`` in zero-mean noise with
+covariance pair ``(R, C)``, the widely linear output SNR is the strictly
+linear one plus a nonnegative surplus, a quadratic form in the Schur
+complement ``S`` of the augmented covariance. Every solve and SNR here runs
+on the pair's two cached factors, of ``R`` (``CovariancePair.
+inverse_cholesky``) and of ``S`` (``CovariancePair.whitening``); none forms
+the augmented matrix.
 
 All SNR functions accept a single window (shape ``(L,)``) or a batch of
 windows as columns (shape ``(L, K)``), returning a scalar or a length-K
-vector accordingly.
+vector accordingly. A NaN or infinite entry raises ``NonFiniteInputError``.
 """
 
 from __future__ import annotations
@@ -28,9 +25,10 @@ import numpy as np
 from .errors import (
     DimensionMismatchError,
     EmptyInputError,
+    NonFiniteInputError,
     NumericalConsistencyError,
 )
-from .linalg import _lower_inverse, _pd_cholesky, _refined_solve
+from .linalg import _refined_solve
 from .noise import CovariancePair, sliding_windows
 
 __all__ = [
@@ -62,25 +60,17 @@ class WlmfWeights:
 
 
 def _as_columns(x, dim: int, name: str = "x") -> tuple[np.ndarray, bool]:
-    """Coerce to an (L, K) column matrix; report whether input was a vector."""
+    """Coerce to a finite (L, K) column matrix; report whether input was a vector."""
     x = np.asarray(x, dtype=complex)
-    if x.ndim == 1:
-        if x.shape[0] != dim:
-            raise DimensionMismatchError(f"{name} has length {x.shape[0]}, expected {dim}")
-        return x[:, None], True
-    if x.ndim == 2:
-        if x.shape[0] != dim:
-            raise DimensionMismatchError(f"{name} has {x.shape[0]} rows, expected {dim}")
-        if x.shape[1] == 0:
-            raise EmptyInputError(f"{name} has no columns")
-        return x, False
-    raise DimensionMismatchError(f"{name} must be 1- or 2-dimensional, got ndim={x.ndim}")
-
-
-def _squared_norms(w: np.ndarray, was_vector: bool):
-    """Squared column norms of ``w``, a float for a single-window input."""
-    values = np.sum(w.real**2 + w.imag**2, axis=0)
-    return float(values[0]) if was_vector else values
+    if x.ndim not in (1, 2):
+        raise DimensionMismatchError(f"{name} must be 1- or 2-dimensional, got ndim={x.ndim}")
+    if x.shape[0] != dim:
+        raise DimensionMismatchError(f"{name} has length {x.shape[0]}, expected {dim}")
+    if x.ndim == 2 and x.shape[1] == 0:
+        raise EmptyInputError(f"{name} has no columns")
+    if not np.isfinite(x).all():
+        raise NonFiniteInputError(f"{name} contains non-finite entries")
+    return (x[:, None], True) if x.ndim == 1 else (x, False)
 
 
 def _real_map_squared_norms(real_map: np.ndarray, cols: np.ndarray, was_vector: bool):
@@ -138,12 +128,13 @@ def wlmf_solve(x: np.ndarray, cov: CovariancePair) -> WlmfWeights:
     f2 = f2 + conjugate_branch(xv - (cov.r @ np.conj(f2) + cov.c @ f2))
     f1 = np.conj(f2)
 
+    # f1 = conj(f2) makes R_q w - z the stack of e = R f1 + C f2 - x over conj(e); with
+    # ||R_q||_F = sqrt(2) hypot(||R||_F, ||C||_F), ||w|| = sqrt(2) ||f1|| and ||z|| =
+    # sqrt(2) ||x||, this is the augmented ratio with a factor sqrt(2) cancelled.
     norm = np.linalg.norm
-    w = np.concatenate([f1, f2])
-    z = np.concatenate([xv, np.conj(xv)])
-    residual = norm(cov.augmented @ w - z)
-    scale = norm(cov.augmented) * norm(w) + norm(z)
-    if residual > 1e-12 * scale:
+    residual = norm(cov.r @ f1 + cov.c @ f2 - xv)
+    scale = np.sqrt(2.0) * np.hypot(norm(cov.r), norm(cov.c)) * norm(f1) + norm(xv)
+    if not residual <= 1e-12 * scale:
         raise NumericalConsistencyError(
             f"widely linear filter has backward error {residual / scale:.3e} (above 1e-12)"
         )
@@ -155,20 +146,22 @@ def snr_slmf(x: np.ndarray, cov: CovariancePair):
     evaluated as ``||L^{-1} x||^2`` with the pair's cached inverse Cholesky
     factor, ``R = L L^H``."""
     cols, was_vector = _as_columns(x, cov.dim)
-    return _squared_norms(cov.inverse_cholesky @ cols, was_vector)
+    w = cov.inverse_cholesky @ cols
+    values = np.sum(w.real**2 + w.imag**2, axis=0)
+    return float(values[0]) if was_vector else values
 
 
 def snr_wlmf(x: np.ndarray, cov: CovariancePair):
     """Output SNR of the widely linear matched filter, ``z^H R_q^{-1} z`` for
-    ``z = (x, x^*)``, evaluated as ``||L_q^{-1} z||^2`` with a Cholesky factor
-    ``R_q = L_q L_q^H`` of the augmented covariance taken on each call.
+    ``z = (x, x^*)``, evaluated by block elimination of ``R_q`` as
+    ``snr_slmf(x, cov) + snr_gain(x, cov)`` on the pair's cached factors.
 
-    The augmented factor is independent of the Schur-complement map that
-    :func:`snr_gain` uses, so the two cross-check each other.
+    Raises
+    ------
+    NotPositiveDefiniteError
+        If ``R`` or ``S`` is not positive definite.
     """
-    cols, was_vector = _as_columns(x, cov.dim)
-    z = np.vstack([cols, np.conj(cols)])
-    return _squared_norms(_lower_inverse(_pd_cholesky(cov.augmented)) @ z, was_vector)
+    return snr_slmf(x, cov) + snr_gain(x, cov)
 
 
 def snr_gain(x: np.ndarray, cov: CovariancePair):
@@ -189,7 +182,8 @@ def snr_gain(x: np.ndarray, cov: CovariancePair):
     ``S`` is nearly singular.
 
     The value is positive for every nonzero ``x`` whenever the augmented
-    covariance is positive definite, and equals ``snr_wlmf - snr_slmf``.
+    covariance is positive definite; :func:`snr_wlmf` adds it to
+    :func:`snr_slmf`.
 
     Raises
     ------
@@ -205,18 +199,25 @@ def apply_filter_sequence(sequence: np.ndarray, weights: SlmfWeights | WlmfWeigh
 
     Output ``k`` (0-based) is the response to the newest-first window ending
     at sample ``k + L - 1``, so a sequence of N samples yields N - L + 1
-    outputs covering window positions L..N.
+    outputs covering window positions L..N. Taps of shape ``(C, L)`` are a
+    bank of C filters, and sequences of shape ``(..., N)`` a stack; the
+    output is ``(..., C, K)``, or ``(..., K)`` for one filter. The taps are
+    summed in one order whatever the shapes, so a bank on a stack agrees bit
+    for bit with each filter on each sequence alone.
     """
     if isinstance(weights, SlmfWeights):
-        filter_len = weights.f.shape[0]
+        taps = (weights.f,)
     elif isinstance(weights, WlmfWeights):
-        filter_len = weights.f1.shape[0]
+        taps = (weights.f1, weights.f2)
     else:
         raise TypeError(f"unsupported weights type {type(weights).__name__}")
-    windows = sliding_windows(np.asarray(sequence, dtype=complex), filter_len)
-    if isinstance(weights, SlmfWeights):
-        return np.conj(weights.f) @ windows
-    return np.conj(weights.f1) @ windows + np.conj(weights.f2) @ np.conj(windows)
+    windows = sliding_windows(np.asarray(sequence, dtype=complex), taps[0].shape[-1])
+    # einsum, unlike a (C, L) @ (L, K) matmul, rounds a bank like its rows.
+    subscripts = "l,...lk->...k" if taps[0].ndim == 1 else "cl,...lk->...ck"
+    y = np.einsum(subscripts, np.conj(taps[0]), windows)
+    if len(taps) == 2:
+        y = y + np.einsum(subscripts, np.conj(taps[1]), np.conj(windows))
+    return y
 
 
 def template_to_feature(template: np.ndarray) -> np.ndarray:

@@ -24,8 +24,9 @@ lambda_i``. Those are the component's true variances only when
 components are correlated, and a rank-paired ``rho_i`` can exceed 1 on a
 valid pair (the demo model at ``rho_u >= 0.9``, ``L >= 4``), where the
 expansion raises :class:`SingularAtOneError` while the noise-power quotient
-``p_i / (Q^H R Q)_ii`` stays below 1 and the exact surplus
-:func:`wlmf.filters.snr_gain` stays defined.
+``p_i / (Q^H R Q)_ii`` (``AutDecomposition.noise_power`` holds the
+denominators) stays below 1 and the exact surplus
+:func:`wlmf.filters.snr_gain` stays defined; the error names both quotients.
 
 ``g`` is minimized over ``rho`` at 0 for ``eps <= 0`` and otherwise at
 ``(1 - sqrt(1 - eps^2)) / eps``, where it equals ``sqrt(1 - eps^2)``; a
@@ -44,6 +45,7 @@ from .errors import (
     DegenerateWindowError,
     DimensionMismatchError,
     InvalidImproprietyError,
+    NonFiniteInputError,
     SingularAtOneError,
 )
 from .filters import _as_columns, _real_map_squared_norms, snr_gain
@@ -88,6 +90,9 @@ class AutDecomposition:
         with ``lambda_c`` by rank. This pairing is the model's assumption;
         ``lambda_r[i]`` is the noise power along ``q[:, i]`` only when
         ``offdiag_residual`` is 0.
+    noise_power : ndarray
+        ``diag(Q^H R Q)``, the noise power along each basis vector; the
+        quotients ``lambda_c / noise_power`` are below 1 on a valid pair.
     offdiag_residual : float
         ``||offdiag(Q^H R Q)||_F / ||R||_F``; zero iff the basis in fact
         diagonalizes ``R``, which the approximation needs to be exact.
@@ -96,6 +101,7 @@ class AutDecomposition:
     q: np.ndarray
     lambda_c: np.ndarray
     lambda_r: np.ndarray
+    noise_power: np.ndarray
     offdiag_residual: float
 
     @property
@@ -135,9 +141,10 @@ def aut_decompose(cov: CovariancePair) -> AutDecomposition:
     # carries no information; R's eigenbasis makes the decomposition exact.
     q = factor.q if np.any(factor.p) else eigvecs
     rotated = q.conj().T @ cov.r @ q
-    off = rotated - np.diag(np.diag(rotated))
+    diagonal = np.diag(rotated)
+    off = rotated - np.diag(diagonal)
     residual = float(np.linalg.norm(off) / max(np.linalg.norm(cov.r), 1e-300))
-    return AutDecomposition(q=q, lambda_c=factor.p, lambda_r=lambda_r, offdiag_residual=residual)
+    return AutDecomposition(q, factor.p, lambda_r, diagonal.real, residual)
 
 
 def rotated_input(aut: AutDecomposition, x: np.ndarray) -> np.ndarray:
@@ -158,7 +165,9 @@ def _clamped_rho(aut: AutDecomposition) -> np.ndarray:
             "(the Takagi value of C over the eigenvalue of R of equal rank) makes "
             "the AUT gain expansion singular; the AUT basis leaves off-diagonal "
             f"residual {aut.offdiag_residual:.3f} in Q^H R Q, so this pairing is "
-            "inexact, and the exact surplus snr_gain is still defined for the pair"
+            "inexact; the largest noise-power quotient p_i / (Q^H R Q)_ii is "
+            f"{np.max(aut.lambda_c / aut.noise_power):.6f}, and the exact surplus "
+            "snr_gain is still defined for the pair"
         )
     if worst > _RHO_CEILING:
         logger.warning(
@@ -254,8 +263,8 @@ def approx_snr_gain(x: np.ndarray, aut: AutDecomposition):
     ------
     SingularAtOneError
         If a rank-paired quotient ``rho_i`` reaches 1 beyond the clamp's
-        slack; the message names the component, its quotient and the
-        off-diagonal residual.
+        slack; the message names the component, its quotient, the
+        off-diagonal residual and the largest noise-power quotient.
     """
     cols, was_vector = _as_columns(x, aut.dim)
     rho = _clamped_rho(aut)
@@ -317,6 +326,8 @@ def design_matched_sequence(
             raise DimensionMismatchError(
                 f"magnitudes must have shape ({aut.dim},), got {magnitudes.shape}"
             )
+        if not np.isfinite(magnitudes).all():
+            raise NonFiniteInputError("magnitudes contain non-finite entries")
         if not np.all(magnitudes > 0):
             raise ValueError("magnitudes must be strictly positive")
     theta = 0.5 * np.arccos(eps_target)

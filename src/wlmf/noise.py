@@ -7,6 +7,10 @@ complex Gaussian with ``E[|u|^2] = sigma2_u`` and a real second-moment
 whose covariance and complementary covariance are both Toeplitz and available
 in closed form.
 
+A :class:`CovariancePair` factors ``R`` and the Schur complement ``S`` of
+the augmented covariance once each, on first use, for every filter and SNR
+on the pair; the ``2L x 2L`` augmented matrix itself is never formed.
+
 Windows are read newest-first throughout the package: the window at position
 ``n`` is ``[v(n), v(n-1), ..., v(n-L+1)]``.
 """
@@ -23,6 +27,7 @@ from .errors import (
     EmptyInputError,
     InsufficientSamplesError,
     InvalidImproprietyError,
+    NonFiniteInputError,
 )
 from .linalg import (
     _as_square_matrix,
@@ -69,7 +74,7 @@ class NoiseModel:
         if len(taps) == 0:
             raise EmptyInputError("taps must be nonempty")
         if not all(np.isfinite(t.real) and np.isfinite(t.imag) for t in taps):
-            raise ValueError("taps contain non-finite entries")
+            raise NonFiniteInputError("taps contain non-finite entries")
         if all(t == 0 for t in taps):
             raise ValueError("at least one tap must be nonzero")
         object.__setattr__(self, "taps", taps)
@@ -83,8 +88,8 @@ class NoiseModel:
 class CovariancePair:
     """Covariance ``r = E[w w^H]`` and complementary covariance ``c = E[w w^T]``
     of a length-L noise window, plus, each built on first use and cached, the
-    augmented block matrix, the inverse Cholesky factor of ``r`` and the
-    whitening map of the widely linear SNR surplus.
+    inverse Cholesky factor of ``r`` and the whitening map of the Schur
+    complement of the augmented covariance ``[[R, C], [C^*, R^*]]``.
 
     Raises
     ------
@@ -110,8 +115,7 @@ class CovariancePair:
         _check_symmetric(c, "complementary covariance c")
         r = (r + r.conj().T) / 2.0
         c = (c + c.T) / 2.0
-        # Read-only, so nothing derived from them (the augmented matrix, the
-        # cached factors) can go stale.
+        # Read-only, so the cached factors derived from them cannot go stale.
         for name, value in (("r", r), ("c", c)):
             value.flags.writeable = False
             object.__setattr__(self, name, value)
@@ -119,15 +123,6 @@ class CovariancePair:
     @property
     def dim(self) -> int:
         return self.r.shape[0]
-
-    @cached_property
-    def augmented(self) -> np.ndarray:
-        """Read-only augmented covariance ``[[R, C], [C^*, R^*]]`` of ``(w,
-        conj(w))``, built on first access and cached."""
-        r, c = self.r, self.c
-        augmented = np.vstack([np.hstack([r, c]), np.hstack([c.conj(), r.conj()])])
-        augmented.flags.writeable = False
-        return augmented
 
     @cached_property
     def inverse_cholesky(self) -> np.ndarray:

@@ -27,6 +27,12 @@ def random_improper_pair(rng, dim, scale=0.6, ridge=0.05):
     return CovariancePair(r=0.5 * (r + r.conj().T), c=0.5 * (c + c.T))
 
 
+def augmented(cov):
+    """The augmented covariance ``[[R, C], [C^*, R^*]]`` of ``(w, conj(w))``,
+    which the package never forms: the test oracle for its block formulas."""
+    return np.block([[cov.r, cov.c], [np.conj(cov.c), np.conj(cov.r)]])
+
+
 def random_unitary(rng, dim):
     a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     q, upper = np.linalg.qr(a)

@@ -30,7 +30,7 @@ from wlmf import (
 from wlmf import cli
 from wlmf.experiments import ExperimentSpec, run_experiment
 
-from helpers import gradient_check, kink_free_case, random_improper_pair
+from helpers import augmented, gradient_check, kink_free_case, random_improper_pair
 
 
 def _report(num, ok, text):
@@ -92,7 +92,7 @@ def test_criterion_3_dual_path_equality():
         x = _random_window(rng, dim)
         weights = wlmf_solve(x, cov)
         # Oracle: the direct solve of the augmented system R_q w = z.
-        direct = hermitian_solve(cov.augmented, np.concatenate([x, np.conj(x)]))
+        direct = hermitian_solve(augmented(cov), np.concatenate([x, np.conj(x)]))
         path = np.linalg.norm(np.concatenate([weights.f1, weights.f2]) - direct)
         worst_path = max(worst_path, path / np.linalg.norm(direct))
         pair_res = np.linalg.norm(weights.f1 - np.conj(weights.f2))

@@ -23,6 +23,7 @@ from wlmf.cnn import (
     max_modulus_pool,
     split_relu,
 )
+from wlmf.filters import SlmfWeights, WlmfWeights, apply_filter_sequence
 
 from helpers import gradient_check, kink_free_case, random_cnn_params
 
@@ -71,6 +72,35 @@ def test_conv_single_tap_reproduces_input():
     params.conv1[:] = 1.0
     x = np.arange(8, dtype=complex) * (0.5 - 0.25j)
     assert np.allclose(forward(x, params)[1]["y"][0], x, atol=1e-15)
+
+
+@pytest.mark.parametrize("mode", ["sl", "wl"])
+def test_conv_channels_are_matched_filters(mode):
+    """Each channel's pre-activation is, bit for bit, ``apply_filter_sequence``
+    run with that channel's taps alone, on one signal or a batch; and a bank
+    on a stack of sequences equals each filter on each sequence."""
+    rng = np.random.default_rng(80)
+    params = random_cnn_params(rng, CnnConfig(mode=mode))
+    batch = np.stack([sample.x for sample in make_dataset(20, rng)])
+    y_batch = forward(batch, params)[1]["y"]
+    for b, x in enumerate(batch):
+        y = forward(x, params)[1]["y"]
+        assert np.array_equal(y, y_batch[b])
+        for c in range(params.conv1.shape[0]):
+            if params.conv2 is None:
+                weights = SlmfWeights(params.conv1[c])
+            else:
+                weights = WlmfWeights(params.conv1[c], params.conv2[c])
+            assert np.array_equal(y[c], apply_filter_sequence(x, weights))
+
+    bank = WlmfWeights(random_cnn_params(rng, CnnConfig(mode="wl")).conv1, params.conv1)
+    stack = (rng.standard_normal((2, 3, 11)) + 1j * rng.standard_normal((2, 3, 11)))[..., ::2]
+    out = apply_filter_sequence(stack, bank)
+    assert out.shape == (2, 3, bank.f1.shape[0], 4)
+    for index in np.ndindex(stack.shape[:-1]):
+        for c in range(bank.f1.shape[0]):
+            single = apply_filter_sequence(stack[index], WlmfWeights(bank.f1[c], bank.f2[c]))
+            assert np.array_equal(out[index][c], single)
 
 
 def test_split_relu_examples():

@@ -1,5 +1,7 @@
+import csv
 import hashlib
 import json
+import math
 import os
 import re
 import shlex
@@ -23,6 +25,13 @@ from wlmf.experiments import (
 from wlmf.seeding import derive_rng
 
 FLOAT_CELL = re.compile(r"-?\d\.\d{12}e[+-]\d{2,3}")
+
+# The outputs the benchmark checks every run against, written for the default
+# spec at seed 1234, and its tolerance: numbers to a relative 1e-7 (absolute
+# 1e-12 near zero), integers and strings exactly.
+BENCHMARK_REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference"
+REFERENCE_REL_TOL = 1e-7
+REFERENCE_ABS_TOL = 1e-12
 
 
 def read_rows(path):
@@ -420,3 +429,57 @@ def test_gain_surface_empirical_parallel_determinism(tmp_path, capsys):
     assert (serial_dir / "gain-surface.csv").read_bytes() == (
         parallel_dir / "gain-surface.csv"
     ).read_bytes()
+
+
+def _close(got, want) -> bool:
+    return math.isclose(got, want, rel_tol=REFERENCE_REL_TOL, abs_tol=REFERENCE_ABS_TOL)
+
+
+def _csv_cell_matches(got: str, want: str) -> bool:
+    if got == want:
+        return True
+    try:
+        value, reference = float(got), float(want)
+    except ValueError:
+        return False
+    is_integer = "." not in want and "e" not in want.lower()
+    return not is_integer and _close(value, reference)
+
+
+def _json_matches(got, want) -> bool:
+    if isinstance(want, dict):
+        return isinstance(got, dict) and got.keys() == want.keys() and all(
+            _json_matches(got[key], want[key]) for key in want
+        )
+    if isinstance(want, list):
+        return isinstance(got, list) and len(got) == len(want) and all(
+            _json_matches(g, w) for g, w in zip(got, want)
+        )
+    if isinstance(want, float) and isinstance(got, (int, float)) and not isinstance(got, bool):
+        return math.isfinite(got) and _close(got, want)
+    return got == want and type(got) is type(want)
+
+
+@pytest.mark.parametrize("experiment", ["gain-bias", "cnn-train"])
+def test_default_outputs_match_benchmark_reference(experiment, tmp_path):
+    """The default run at seed 1234 reproduces the benchmark's reference
+    outputs within the benchmark's tolerance."""
+    references = sorted((BENCHMARK_REFERENCE / "seed-1234").glob(f"{experiment}*"))
+    assert references
+    run_experiment(ExperimentSpec.with_defaults(experiment, seed=1234, out_dir=str(tmp_path)))
+    for reference in references:
+        got_text = (tmp_path / reference.name).read_text()
+        want_text = reference.read_text()
+        if reference.suffix == ".json":
+            assert _json_matches(json.loads(got_text), json.loads(want_text)), reference.name
+            continue
+        got_rows = list(csv.reader(got_text.splitlines()))
+        want_rows = list(csv.reader(want_text.splitlines()))
+        assert len(got_rows) == len(want_rows), reference.name
+        mismatches = [
+            (line, got_row, want_row)
+            for line, (got_row, want_row) in enumerate(zip(got_rows, want_rows), start=1)
+            if len(got_row) != len(want_row)
+            or not all(map(_csv_cell_matches, got_row, want_row))
+        ]
+        assert not mismatches, (reference.name, mismatches[:3])

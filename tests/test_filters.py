@@ -22,7 +22,7 @@ from wlmf import (
 )
 from wlmf.filters import SlmfWeights, WlmfWeights
 
-from helpers import random_improper_pair, random_unitary, sut_snr_gain
+from helpers import augmented, random_improper_pair, random_unitary, sut_snr_gain
 
 # The strong-uncorrelating-transform oracle loses accuracy as its largest
 # circularity coefficient k_max nears 1, like eps / (1 - k_max). The worst
@@ -52,7 +52,7 @@ def two_solve_snr_gain(cols, cov):
 
 def augmented_oracle(x, cov):
     """``(f1, f2)`` stacked, by a direct Hermitian solve of ``R_q w = z``."""
-    return hermitian_solve(cov.augmented, np.concatenate([x, np.conj(x)]))
+    return hermitian_solve(augmented(cov), np.concatenate([x, np.conj(x)]))
 
 
 def block_elimination_weights(x, cov):
@@ -73,8 +73,9 @@ def backward_error(weights, x, cov):
     """Normwise backward error of the weights in ``R_q w = z``."""
     w = np.concatenate([weights.f1, weights.f2])
     z = np.concatenate([x, np.conj(x)])
-    residual = np.linalg.norm(cov.augmented @ w - z)
-    return residual / (np.linalg.norm(cov.augmented) * np.linalg.norm(w) + np.linalg.norm(z))
+    r_q = augmented(cov)
+    residual = np.linalg.norm(r_q @ w - z)
+    return residual / (np.linalg.norm(r_q) * np.linalg.norm(w) + np.linalg.norm(z))
 
 
 def relative_error(value, reference):
@@ -193,14 +194,18 @@ def test_snr_gain_scalar_closed_form():
 
 
 def test_snr_gain_equals_snr_difference():
+    """The surplus equals ``z^H R_q^{-1} z - x^H R^{-1} x``, both forms by
+    direct solves of the augmented matrix and of ``R``."""
     rng = np.random.default_rng(40)
     for _ in range(60):
         dim = int(rng.integers(1, 9))
         cov = random_improper_pair(rng, dim)
         x = random_window(rng, dim)
-        direct = snr_gain(x, cov)
-        diff = snr_wlmf(x, cov) - snr_slmf(x, cov)
-        assert abs(direct - diff) <= 1e-9 * max(abs(diff), 1.0)
+        z = np.concatenate([x, np.conj(x)])
+        widely = np.real(np.vdot(z, hermitian_solve(augmented(cov), z)))
+        strictly = np.real(np.vdot(x, hermitian_solve(cov.r, x)))
+        diff = widely - strictly
+        assert abs(snr_gain(x, cov) - diff) <= 1e-9 * max(abs(diff), 1.0)
 
 
 def test_snr_gain_matches_two_solve_reference():
@@ -315,12 +320,17 @@ def test_snr_gain_reuses_cached_whitening(monkeypatch):
         cov.c[0, 0] = 0.0
     with pytest.raises(ValueError):
         cov.inverse_cholesky[0, 0] = 0.0
+    snr_wlmf(x, cov)
+    snr_wlmf(rng.standard_normal((5, 3)) + 0j, cov)
+    assert len(calls) == 2
     other = random_improper_pair(rng, 5)
     slmf_solve(x, other)
     snr_slmf(x, other)
     aut_decompose(other)
     assert len(calls) == 3
     snr_gain(x, other)
+    assert len(calls) == 4
+    snr_wlmf(x, other)
     assert len(calls) == 4
 
 
@@ -336,7 +346,7 @@ def test_snr_wlmf_ill_conditioned_pairs(ridge):
         cov = random_improper_pair(rng, dim, ridge=ridge)
         x = random_window(rng, dim)
         z = np.concatenate([x, np.conj(x)])
-        reference = np.real(np.vdot(z, hermitian_solve(cov.augmented, z)))
+        reference = np.real(np.vdot(z, hermitian_solve(augmented(cov), z)))
         assert abs(snr_wlmf(x, cov) - reference) <= 1e-8 * reference
 
 
@@ -344,16 +354,20 @@ def test_snr_wlmf_ill_conditioned_pairs(ridge):
 def test_snr_gain_near_singular_schur_complement(delta):
     """``R = I``, ``C = (1 - delta) I``: ``S = delta' (2 - delta') I`` nearly
     vanishes, and the surplus of ``x = ones`` is ``3 delta' / (2 - delta')``
-    with ``delta' = 1 - fl(1 - delta)`` the perturbation actually stored."""
+    with ``delta' = 1 - fl(1 - delta)`` the perturbation actually stored.
+    ``snr_wlmf`` is defined exactly where ``snr_gain`` is, as ``snr_slmf + snr_gain``
+    (at delta 1e-13 a Cholesky factor of the whole augmented matrix fails)."""
     stored = 1.0 - (1.0 - delta)
     cov = CovariancePair(r=np.eye(3), c=(1.0 - delta) * np.eye(3))
+    x = np.ones(3)
     expected = 3.0 * stored / (2.0 - stored)
-    assert abs(snr_gain(np.ones(3), cov) - expected) <= 1e-9 * expected
+    assert abs(snr_gain(x, cov) - expected) <= 1e-9 * expected
+    assert snr_wlmf(x, cov) == snr_slmf(x, cov) + snr_gain(x, cov)
+    assert abs(snr_wlmf(x, cov) - (3.0 + expected)) <= 1e-9 * expected
     singular = CovariancePair(r=np.eye(3), c=np.eye(3))
-    with pytest.raises(NotPositiveDefiniteError):
-        snr_gain(np.ones(3), singular)
-    with pytest.raises(NotPositiveDefiniteError):
-        wlmf_solve(np.ones(3), singular)
+    for func in (snr_gain, snr_wlmf, wlmf_solve):
+        with pytest.raises(NotPositiveDefiniteError):
+            func(x, singular)
 
 
 @pytest.mark.parametrize(
@@ -405,7 +419,7 @@ def test_wlmf_snr_is_the_maximum_over_conjugate_pair_filters():
     cov = random_improper_pair(rng, 4)
     x = random_window(rng, 4)
     z = np.concatenate([x, np.conj(x)])
-    r_q = cov.augmented
+    r_q = augmented(cov)
     best = snr_wlmf(x, cov)
     for _ in range(2000):
         g = random_window(rng, 4)
@@ -423,7 +437,7 @@ def test_augment_structure():
     rng = np.random.default_rng(44)
     cov = random_improper_pair(rng, 3)
     x = random_window(rng, 3)
-    r_q = cov.augmented
+    r_q = augmented(cov)
     assert r_q.shape == (6, 6)
     assert np.array_equal(r_q[:3, :3], cov.r)
     assert np.array_equal(r_q[:3, 3:], cov.c)

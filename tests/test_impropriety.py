@@ -10,6 +10,7 @@ from wlmf import (
     DegenerateWindowError,
     DimensionMismatchError,
     InvalidImproprietyError,
+    NonFiniteInputError,
     NotPositiveDefiniteError,
     SingularAtOneError,
     WlmfError,
@@ -26,7 +27,9 @@ from wlmf import (
     normalized_snr_bias,
     rotated_input,
     sample_improper_white,
+    slmf_solve,
     snr_gain,
+    snr_slmf,
     snr_wlmf,
     wlmf_solve,
 )
@@ -212,6 +215,7 @@ def test_approx_gain_matches_decimal_oracle_near_one():
             q=np.eye(1, dtype=complex),
             lambda_c=np.array([rho]),
             lambda_r=np.array([1.0]),
+            noise_power=np.array([1.0]),
             offdiag_residual=0.0,
         )
         for t in (1e-4, 1e-6, 1e-8):
@@ -415,6 +419,7 @@ def test_rank_paired_quotient_exceeds_one_where_noise_power_quotient_does_not():
     aut = aut_decompose(cov)
     assert np.max(aut.lambda_c / aut.lambda_r) == pytest.approx(1.0702297, rel=1e-6)
     assert np.max(noise_power_quotients(aut, cov)) == pytest.approx(0.8954838, rel=1e-6)
+    assert np.array_equal(aut.lambda_c / aut.noise_power, noise_power_quotients(aut, cov))
 
 
 def test_singular_at_one_message_says_why():
@@ -423,7 +428,8 @@ def test_singular_at_one_message_says_why():
     with pytest.raises(
         SingularAtOneError,
         match=r"component 3: rank-paired circularity quotient 1\.070230 >= 1 .*"
-        r"off-diagonal residual 0\.133 .*exact surplus snr_gain is still defined",
+        r"off-diagonal residual 0\.133 .*noise-power quotient p_i / \(Q\^H R Q\)_ii "
+        r"is 0\.895484, .*exact surplus snr_gain is still defined",
     ):
         approx_snr_gain(x, aut_decompose(cov))
     assert snr_gain(x, cov) > 0.0
@@ -474,3 +480,40 @@ def test_edge_sweep_ends_in_values_or_typed_errors(rho_u):
             aut = _finite_or_typed_error(lambda: aut_decompose(cov))
             if aut is not None:
                 _finite_or_typed_error(lambda: design_matched_sequence(aut, rng=1))
+
+
+def _with_first_entry(values, bad):
+    values = np.array(values, dtype=complex)
+    values.flat[0] = bad
+    return values
+
+
+NON_FINITE_CALLS = {
+    "snr_slmf": lambda cov, aut, bad: snr_slmf(_with_first_entry(np.ones(4), bad), cov),
+    "snr_wlmf": lambda cov, aut, bad: snr_wlmf(_with_first_entry(np.ones((4, 3)), bad), cov),
+    "snr_gain": lambda cov, aut, bad: snr_gain(_with_first_entry(np.ones((4, 3)), bad), cov),
+    "approx_snr_gain": lambda cov, aut, bad: approx_snr_gain(
+        _with_first_entry(np.ones(4), bad), aut
+    ),
+    "slmf_solve": lambda cov, aut, bad: slmf_solve(_with_first_entry(np.ones(4), bad), cov),
+    "wlmf_solve": lambda cov, aut, bad: wlmf_solve(_with_first_entry(np.ones(4), bad), cov),
+    "normalized_snr_bias": lambda cov, aut, bad: normalized_snr_bias(
+        _with_first_entry(np.ones(50), bad), cov
+    ),
+    "NoiseModel": lambda cov, aut, bad: NoiseModel(taps=(bad, 0.5), rho_u=0.5),
+    "design_matched_sequence": lambda cov, aut, bad: design_matched_sequence(
+        aut, magnitudes=np.abs(_with_first_entry(np.ones(4), bad))
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "bad", [np.nan, np.inf, complex(0.0, -np.inf)], ids=["nan", "inf", "imag-inf"]
+)
+@pytest.mark.parametrize("name", sorted(NON_FINITE_CALLS))
+def test_non_finite_input_raises_typed_error(name, bad):
+    """A NaN or infinite entry in a window, a signal, the taps or the design
+    magnitudes ends in NonFiniteInputError, not in a NaN result."""
+    cov = analytic_covariances(demo_model(0.5), 4)
+    with pytest.raises(NonFiniteInputError):
+        NON_FINITE_CALLS[name](cov, aut_decompose(cov), bad)

@@ -169,7 +169,7 @@ def test_augmented_positive_definite_across_models():
         model = NoiseModel(taps=tuple(taps), rho_u=rho)
         cov = analytic_covariances(model, int(rng.integers(1, 8)))
         x = rng.standard_normal(cov.dim) + 1j * rng.standard_normal(cov.dim)
-        assert snr_wlmf(x, cov) > 0.0  # factors the augmented matrix; raises unless definite
+        assert snr_wlmf(x, cov) > 0.0  # factors R and S; raises unless both are definite
 
 
 def test_covariance_pair_validation():
