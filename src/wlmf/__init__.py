@@ -23,6 +23,7 @@ from .errors import (
     InsufficientSamplesError,
     NonFiniteInputError,
     InvalidImproprietyError,
+    InvalidParameterError,
     NotHermitianError,
     NotPositiveDefiniteError,
     NotSymmetricError,
@@ -79,6 +80,7 @@ __all__ = [
     "NotSymmetricError",
     "NotPositiveDefiniteError",
     "InvalidImproprietyError",
+    "InvalidParameterError",
     "InsufficientSamplesError",
     "SingularAtOneError",
     "DegenerateWindowError",

@@ -5,13 +5,13 @@ Architecture: a complex convolution layer (strictly linear, one tap vector
 per channel, or widely linear with an extra conjugate-branch vector), a
 split rectifier ``relu(Re + b_re) + 1j relu(Im + b_im)`` with per-channel
 real biases, max-modulus pooling down to one complex value per channel, and
-a real affine head with softmax over two classes. The convolution is
-:func:`wlmf.filters.apply_filter_sequence` run with the channel taps as a
-filter bank (``SlmfWeights(conv1)`` or ``WlmfWeights(conv1, conv2)``), so
-each channel is a matched filter on the same newest-first windows.
-The forward pass takes one signal or a batch of them; a batch is filtered in
-one contraction and agrees bit for bit with its signals filtered one at a
-time.
+a real affine head with softmax over two classes. The channel taps run as a
+filter bank through the core of :func:`wlmf.filters.apply_filter_sequence`,
+so each channel is a matched filter on the same newest-first windows; a
+batch of signals is filtered in one contraction and agrees bit for bit with
+its signals filtered one at a time. :func:`train` builds one window stack
+for its whole training stream, and each backward pass reuses the windows of
+its own forward pass for the tap gradients.
 
 Gradients are taken with respect to the real and imaginary parts of every
 complex parameter; the complex carrier ``d(Re) + 1j d(Im)`` that the
@@ -21,12 +21,14 @@ parameter.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatchError, DivergenceDetectedError, EmptyInputError
-from .filters import SlmfWeights, WlmfWeights, apply_filter_sequence
+from .errors import InvalidParameterError
+from .filters import _filter_windows
 from .noise import sliding_windows
 from .seeding import as_generator, derive_rng
 
@@ -68,7 +70,16 @@ class CnnConfig:
 
     def __post_init__(self):
         if self.mode not in ("sl", "wl"):
-            raise ValueError(f"mode must be 'sl' or 'wl', got {self.mode!r}")
+            raise InvalidParameterError(f"mode must be 'sl' or 'wl', got {self.mode!r}")
+        for name in ("epochs", "realizations_per_epoch", "channels", "filter_len"):
+            if getattr(self, name) < 1:
+                raise InvalidParameterError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not 1 <= self.eval_every <= self.epochs * self.realizations_per_epoch:
+            raise InvalidParameterError(f"eval_every must be in [1, steps], got {self.eval_every}")
+        if self.holdout_size < 0:
+            raise InvalidParameterError(f"holdout_size must be >= 0, got {self.holdout_size}")
+        if not 0 <= self.learning_rate < math.inf:
+            raise InvalidParameterError(f"learning_rate {self.learning_rate} is outside [0, inf)")
         if self.input_len < self.filter_len:
             raise DimensionMismatchError("input_len must be at least filter_len")
 
@@ -186,8 +197,8 @@ def max_modulus_pool(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     if a.size == 0:
         raise EmptyInputError("max_modulus_pool needs a nonempty sequence")
-    idx = np.argmax(np.abs(a), axis=-1)
-    pooled = np.take_along_axis(a, idx[..., None], axis=-1)[..., 0]
+    idx = np.abs(a).argmax(axis=-1)
+    pooled = a.reshape(-1, a.shape[-1])[np.arange(idx.size), idx.ravel()].reshape(idx.shape)
     return pooled, idx
 
 
@@ -204,34 +215,63 @@ def head_forward(
     # One matrix-vector product per feature vector, batched or not, so a
     # batch rounds exactly as its rows would alone.
     logits = (head_w @ feat[..., None])[..., 0] + head_b
-    shifted = logits - np.max(logits, axis=-1, keepdims=True)
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     exp = np.exp(shifted)
-    probs = exp / np.sum(exp, axis=-1, keepdims=True)
+    probs = exp / exp.sum(axis=-1, keepdims=True)
     return feat, logits, probs
 
 
-def forward(x: np.ndarray, params: CnnParams) -> tuple[np.ndarray, dict]:
-    """Full forward pass; returns class probabilities and the layer cache.
+def _windows(x, params: CnnParams) -> np.ndarray:
+    """Newest-first windows of one signal (L, K) or of a batch (B, L, K)."""
+    return sliding_windows(np.asarray(x, dtype=complex), params.conv1.shape[1])
 
-    ``x`` is one signal (N,), giving probabilities (2,), or a batch (B, N),
-    giving (B, 2).
-    """
-    if params.conv2 is None:
-        weights = SlmfWeights(params.conv1)
-    else:
-        weights = WlmfWeights(params.conv1, params.conv2)
-    y = apply_filter_sequence(x, weights)
+
+def _forward(windows: np.ndarray, params: CnnParams) -> tuple[np.ndarray, dict]:
+    """Forward pass on the windows of one signal or a batch of signals."""
+    y = _filter_windows(windows, params.conv1, params.conv2)
     a = split_relu(y, params.bias_re, params.bias_im)
     pooled, idx = max_modulus_pool(a)
     feat, logits, probs = head_forward(pooled, params.head_w, params.head_b)
-    cache = {"y": y, "a": a, "idx": idx, "feat": feat, "probs": probs}
-    return probs, cache
+    return probs, {"y": y, "a": a, "idx": idx, "feat": feat, "probs": probs}
+
+
+def forward(x: np.ndarray, params: CnnParams) -> tuple[np.ndarray, dict]:
+    """Full forward pass on one signal (N,) or a batch (B, N); returns class
+    probabilities, (2,) or (B, 2), and the layer cache."""
+    return _forward(_windows(x, params), params)
 
 
 def predict_proba(x: np.ndarray, params: CnnParams) -> np.ndarray:
     """Class probabilities of one signal (N,) -> (2,), or of a batch (B, N) -> (B, 2)."""
-    probs, _ = forward(x, params)
-    return probs
+    return _forward(_windows(x, params), params)[0]
+
+
+def _backward(windows: np.ndarray, t: np.ndarray, params: CnnParams) -> tuple:
+    """Backward pass on one signal's windows (L, K), which its forward pass reuses."""
+    probs, cache = _forward(windows, params)
+    with np.errstate(divide="ignore"):
+        loss = float(-np.log(probs[int(t.argmax())]))
+
+    dlogits = probs - t
+    grads = {"head_w": dlogits[:, None] * cache["feat"], "head_b": dlogits}
+    dfeat = params.head_w.T @ dlogits
+    dpool = dfeat[0::2] + 1j * dfeat[1::2]
+
+    a = cache["a"]
+    da = np.zeros(a.shape, dtype=complex)
+    da[np.arange(len(a)), cache["idx"]] = dpool
+
+    # The rectifier passes a part exactly where its output part is positive.
+    s_re = da.real * (a.real > 0)
+    s_im = da.imag * (a.imag > 0)
+    s = s_re + 1j * s_im
+    grads["bias_re"] = s_re.sum(axis=1)
+    grads["bias_im"] = s_im.sum(axis=1)
+
+    grads["conv1"] = np.conj(s) @ windows.T
+    if params.conv2 is not None:
+        grads["conv2"] = np.conj(s) @ windows.conj().T
+    return loss, probs, grads
 
 
 def backward(x: np.ndarray, t: np.ndarray, params: CnnParams) -> tuple[float, np.ndarray, dict]:
@@ -240,45 +280,20 @@ def backward(x: np.ndarray, t: np.ndarray, params: CnnParams) -> tuple[float, np
     Complex parameter gradients are carriers ``dL/dRe + 1j dL/dIm``; the
     pooling layer routes the head gradient to the selected window only, and
     the split rectifier gates real and imaginary flows independently.
+
+    A batch ``x`` (ndim != 1) or a ``t`` not of shape (2,) raises
+    ``DimensionMismatchError``.
     """
-    probs, cache = forward(x, params)
-    label = int(np.argmax(t))
-    with np.errstate(divide="ignore"):
-        loss = float(-np.log(probs[label]))
-
-    dlogits = probs - t
-    grads = {
-        "head_w": np.outer(dlogits, cache["feat"]),
-        "head_b": dlogits.copy(),
-    }
-    dfeat = params.head_w.T @ dlogits
-    dpool = dfeat[0::2] + 1j * dfeat[1::2]
-
-    channels, k = cache["a"].shape
-    da = np.zeros((channels, k), dtype=complex)
-    da[np.arange(channels), cache["idx"]] = dpool
-
-    mask_re = (cache["y"].real + params.bias_re[:, None]) > 0
-    mask_im = (cache["y"].imag + params.bias_im[:, None]) > 0
-    s = da.real * mask_re + 1j * (da.imag * mask_im)
-    grads["bias_re"] = np.sum(da.real * mask_re, axis=1)
-    grads["bias_im"] = np.sum(da.imag * mask_im, axis=1)
-
-    windows = sliding_windows(np.asarray(x, dtype=complex), params.conv1.shape[1])
-    grads["conv1"] = np.conj(s) @ windows.T
-    if params.conv2 is not None:
-        grads["conv2"] = np.conj(s) @ windows.conj().T
-    return loss, probs, grads
+    x, t = np.asarray(x, dtype=complex), np.asarray(t)
+    if x.ndim != 1 or t.shape != (2,):
+        raise DimensionMismatchError(f"backward takes x (N,) and t (2,), got {x.shape}, {t.shape}")
+    return _backward(_windows(x, params), t, params)
 
 
 def _sgd_step(params: CnnParams, grads: dict, lr: float) -> None:
-    params.conv1 -= lr * grads["conv1"]
-    if params.conv2 is not None:
-        params.conv2 -= lr * grads["conv2"]
-    params.bias_re -= lr * grads["bias_re"]
-    params.bias_im -= lr * grads["bias_im"]
-    params.head_w -= lr * grads["head_w"]
-    params.head_b -= lr * grads["head_b"]
+    for name, grad in grads.items():
+        value = getattr(params, name)
+        value -= lr * grad
 
 
 def _holdout_means(x: np.ndarray, t: np.ndarray, params: CnnParams) -> tuple[float, float]:
@@ -291,19 +306,17 @@ def _holdout_means(x: np.ndarray, t: np.ndarray, params: CnnParams) -> tuple[flo
         return 1.0, 1.0
     labels = np.argmax(t, axis=1)
     true_class = predict_proba(x, params)[np.arange(len(labels)), labels]
-    mean_p1, mean_p2 = (
+    return tuple(
         float(np.mean(true_class[labels == c])) if np.any(labels == c) else 1.0 for c in (0, 1)
     )
-    return mean_p1, mean_p2
 
 
 def _first_sustained(evals: list[tuple[int, float, float]], threshold: float = 0.9) -> int | None:
     first = None
     for iteration, mean_p1, mean_p2 in reversed(evals):
-        if mean_p1 > threshold and mean_p2 > threshold:
-            first = iteration
-        else:
+        if not (mean_p1 > threshold and mean_p2 > threshold):
             break
+        first = iteration
     return first
 
 
@@ -326,22 +339,16 @@ def train(config: CnnConfig, seed: int) -> TrainResult:
     holdout_x = np.array([sample.x for sample in holdout])
     holdout_t = np.array([sample.t for sample in holdout])
     params = init_params(config, derive_rng(seed, 1))
+    windows = _windows(np.array([sample.x for sample in stream]), params)
 
     trace: list[tuple[int, int, float]] = []
     evals: list[tuple[int, float, float]] = []
-    for step, sample in enumerate(stream, start=1):
-        loss, probs, grads = backward(sample.x, sample.t, params)
-        if not np.isfinite(loss):
+    for step, (sample, sample_windows) in enumerate(zip(stream, windows), start=1):
+        loss, probs, grads = _backward(sample_windows, sample.t, params)
+        if not math.isfinite(loss):
             raise DivergenceDetectedError(f"non-finite loss at iteration {step}")
-        trace.append((step, sample.pattern, float(probs[int(np.argmax(sample.t))])))
+        trace.append((step, sample.pattern, float(probs[sample.pattern - 1])))
         _sgd_step(params, grads, config.learning_rate)
         if step % config.eval_every == 0:
-            mean_p1, mean_p2 = _holdout_means(holdout_x, holdout_t, params)
-            evals.append((step, mean_p1, mean_p2))
-
-    return TrainResult(
-        params=params,
-        trace=trace,
-        evals=evals,
-        first_sustained=_first_sustained(evals),
-    )
+            evals.append((step, *_holdout_means(holdout_x, holdout_t, params)))
+    return TrainResult(params, trace, evals, first_sustained=_first_sustained(evals))

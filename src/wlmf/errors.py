@@ -33,6 +33,10 @@ class InvalidImproprietyError(WlmfError, ValueError):
     """A correlation coefficient left the admissible range."""
 
 
+class InvalidParameterError(WlmfError, ValueError):
+    """A configuration value left its admissible range."""
+
+
 class InsufficientSamplesError(WlmfError, ValueError):
     """Too few samples for the requested estimate or window length."""
 

@@ -388,13 +388,11 @@ def run_cnn_train(spec: ExperimentSpec) -> dict:
     rows = []
     summary = {"seed": spec.seed, "modes": {}}
     for mode in ("sl", "wl"):
-        config = CnnConfig(
-            mode=mode, input_len=spec.signal_len, filter_len=spec.filter_len[0]
-        )
+        config = CnnConfig(mode=mode, input_len=spec.signal_len, filter_len=spec.filter_len[0])
         result = train(config, spec.seed)
         for iteration, pattern, probability in result.trace:
             rows.append((iteration, mode, pattern, probability))
-        final = result.evals[-1] if result.evals else (0, float("nan"), float("nan"))
+        final = result.evals[-1]
         summary["modes"][mode] = {
             "first_sustained_iteration": result.first_sustained,
             "final_holdout_mean_p1": final[1],

@@ -206,17 +206,23 @@ def apply_filter_sequence(sequence: np.ndarray, weights: SlmfWeights | WlmfWeigh
     for bit with each filter on each sequence alone.
     """
     if isinstance(weights, SlmfWeights):
-        taps = (weights.f,)
+        taps = (weights.f, None)
     elif isinstance(weights, WlmfWeights):
         taps = (weights.f1, weights.f2)
     else:
         raise TypeError(f"unsupported weights type {type(weights).__name__}")
     windows = sliding_windows(np.asarray(sequence, dtype=complex), taps[0].shape[-1])
+    return _filter_windows(windows, *taps)
+
+
+def _filter_windows(windows: np.ndarray, f: np.ndarray, f_conj: np.ndarray | None) -> np.ndarray:
+    """Responses of taps ``f`` (L,) or a bank (C, L), plus a conjugate branch
+    ``f_conj`` unless None, to windows (..., L, K): (..., K) or (..., C, K)."""
     # einsum, unlike a (C, L) @ (L, K) matmul, rounds a bank like its rows.
-    subscripts = "l,...lk->...k" if taps[0].ndim == 1 else "cl,...lk->...ck"
-    y = np.einsum(subscripts, np.conj(taps[0]), windows)
-    if len(taps) == 2:
-        y = y + np.einsum(subscripts, np.conj(taps[1]), np.conj(windows))
+    subscripts = "l,...lk->...k" if f.ndim == 1 else "cl,...lk->...ck"
+    y = np.einsum(subscripts, np.conj(f), windows)
+    if f_conj is not None:
+        y = y + np.einsum(subscripts, np.conj(f_conj), np.conj(windows))
     return y
 
 

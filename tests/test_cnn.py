@@ -5,8 +5,11 @@ import pytest
 
 from wlmf import (
     CnnConfig,
+    DimensionMismatchError,
     DivergenceDetectedError,
     EmptyInputError,
+    InvalidParameterError,
+    WlmfError,
     derive_rng,
     predict_proba,
     train,
@@ -15,6 +18,7 @@ from wlmf.cnn import (
     PATTERN_ONE,
     PATTERN_TWO,
     _first_sustained,
+    _sgd_step,
     backward,
     forward,
     head_forward,
@@ -124,6 +128,28 @@ def test_max_modulus_pool_examples():
     assert np.array_equal(idx_scaled, idx_ext[:1])
     with pytest.raises(EmptyInputError):
         max_modulus_pool(np.empty((1, 0), dtype=complex))
+
+
+def test_max_modulus_pool_on_a_stack():
+    """A (B, C, K) stack pools like np.argmax and take_along_axis row by row:
+    the first index on ties, the same shapes and dtypes."""
+    rng = np.random.default_rng(81)
+    a = rng.standard_normal((4, 3, 6)) + 1j * rng.standard_normal((4, 3, 6))
+    a[0, 1] = 2.0 - 1.0j
+    a[1, 0, [1, 4]] = 5.0
+    a[2, 2, [2, 5]] = [3.0j, -3.0]
+    a[3, 0] = 0.0
+    for stack in (a, a.transpose(1, 0, 2), a[..., ::-1], a[1, 2]):
+        pooled, idx = max_modulus_pool(stack)
+        rows = stack.reshape(-1, stack.shape[-1])
+        want_idx = np.array([np.argmax(np.abs(row)) for row in rows]).reshape(stack.shape[:-1])
+        want = np.take_along_axis(stack, want_idx[..., None], axis=-1)[..., 0]
+        assert idx.shape == want_idx.shape and idx.dtype == want_idx.dtype
+        assert pooled.shape == want.shape and pooled.dtype == want.dtype
+        assert np.array_equal(idx, want_idx)
+        assert np.array_equal(pooled, want)
+    _, idx = max_modulus_pool(a)
+    assert idx[0, 1] == 0 and idx[1, 0] == 1 and idx[2, 2] == 2 and idx[3, 0] == 0
 
 
 def test_head_forward_examples():
@@ -243,6 +269,37 @@ def test_train_records_have_expected_shape():
         assert result.first_sustained % config.eval_every == 0
 
 
+@pytest.mark.parametrize("mode", ["sl", "wl"])
+def test_train_is_the_public_per_sample_path(mode):
+    """``train`` gives, bit for bit, the trace, evaluations and parameters of
+    a loop over public ``backward`` and ``predict_proba`` on the same streams."""
+    config = CnnConfig(mode=mode, epochs=1, realizations_per_epoch=40, holdout_size=10)
+    seed = 21
+    result = train(config, seed)
+
+    stream = make_dataset(40, derive_rng(seed, 0), input_len=config.input_len)
+    holdout = make_dataset(10, derive_rng(seed, 2), input_len=config.input_len)
+    holdout_x = np.array([sample.x for sample in holdout])
+    labels = np.array([sample.pattern - 1 for sample in holdout])
+    params = init_params(config, derive_rng(seed, 1))
+    trace, evals = [], []
+    for step, sample in enumerate(stream, start=1):
+        _, probs, grads = backward(sample.x, sample.t, params)
+        trace.append((step, sample.pattern, float(probs[sample.pattern - 1])))
+        _sgd_step(params, grads, config.learning_rate)
+        if step % config.eval_every == 0:
+            true_class = predict_proba(holdout_x, params)[np.arange(10), labels]
+            means = [float(np.mean(true_class[labels == c])) if np.any(labels == c) else 1.0
+                     for c in (0, 1)]
+            evals.append((step, *means))
+
+    assert result.trace == trace
+    assert result.evals == evals and len(evals) == 4
+    for name in ("conv1", "conv2", "bias_re", "bias_im", "head_w", "head_b"):
+        got, want = getattr(result.params, name), getattr(params, name)
+        assert got is want is None or np.array_equal(got, want), name
+
+
 def test_train_divergence_raises():
     config = CnnConfig(mode="sl", learning_rate=1e15, epochs=1,
                        realizations_per_epoch=50, holdout_size=10)
@@ -263,3 +320,43 @@ def test_config_validation():
         CnnConfig(mode="other")
     with pytest.raises(Exception):
         CnnConfig(input_len=2, filter_len=3)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("mode", "other"),
+        ("epochs", 0),
+        ("realizations_per_epoch", 0),
+        ("eval_every", 0),
+        ("eval_every", 2001),
+        ("channels", 0),
+        ("filter_len", 0),
+        ("holdout_size", -1),
+        ("learning_rate", -0.05),
+        ("learning_rate", float("nan")),
+        ("learning_rate", float("inf")),
+    ],
+)
+def test_config_rejects_out_of_range_values(field, value):
+    with pytest.raises(InvalidParameterError, match=field) as info:
+        CnnConfig(**{field: value})
+    assert isinstance(info.value, WlmfError) and isinstance(info.value, ValueError)
+
+
+def test_config_boundary_values_train():
+    config = CnnConfig(learning_rate=0.0, epochs=1, realizations_per_epoch=5, eval_every=5,
+                       holdout_size=0)
+    result = train(config, seed=4)
+    assert result.evals == [(5, 1.0, 1.0)]
+    assert len(result.trace) == 5
+
+
+def test_backward_rejects_bad_shapes():
+    params = init_params(CnnConfig(), 0)
+    batch = np.stack([sample.x for sample in make_dataset(3, np.random.default_rng(82))])
+    t = np.array([1.0, 0.0])
+    for x, target in ((batch, t), (batch[0], np.array([1.0, 0.0, 0.0])),
+                      (batch[0], t[None, :]), (batch[0, 0], t)):
+        with pytest.raises(DimensionMismatchError):
+            backward(x, target, params)
