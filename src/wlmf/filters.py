@@ -59,8 +59,11 @@ class WlmfWeights:
     f2: np.ndarray
 
 
-def _as_columns(x, dim: int, name: str = "x") -> tuple[np.ndarray, bool]:
-    """Coerce to a finite (L, K) column matrix; report whether input was a vector."""
+def _as_columns(
+    x, dim: int, name: str = "x", check_finite: bool = True
+) -> tuple[np.ndarray, bool]:
+    """Coerce to an (L, K) column matrix, finite unless ``check_finite`` is
+    False; report whether input was a vector."""
     x = np.asarray(x, dtype=complex)
     if x.ndim not in (1, 2):
         raise DimensionMismatchError(f"{name} must be 1- or 2-dimensional, got ndim={x.ndim}")
@@ -68,15 +71,52 @@ def _as_columns(x, dim: int, name: str = "x") -> tuple[np.ndarray, bool]:
         raise DimensionMismatchError(f"{name} has length {x.shape[0]}, expected {dim}")
     if x.ndim == 2 and x.shape[1] == 0:
         raise EmptyInputError(f"{name} has no columns")
-    if not np.isfinite(x).all():
+    if check_finite and not np.isfinite(x).all():
         raise NonFiniteInputError(f"{name} contains non-finite entries")
     return (x[:, None], True) if x.ndim == 1 else (x, False)
 
 
+# Columns per block of _real_map_squared_norms: its two (2L, width) float
+# buffers stay cache-sized (256 KB at L = 8) and are reused across blocks.
+_BLOCK_WIDTH = 2048
+
+
 def _real_map_squared_norms(real_map: np.ndarray, cols: np.ndarray, was_vector: bool):
-    """Squared column norms of ``real_map @ [Re x; Im x]`` for complex columns ``x``."""
-    mapped = real_map @ np.vstack([cols.real, cols.imag])
-    values = np.einsum("ij,ij->j", mapped, mapped)
+    """Squared column norms of ``real_map @ [Re x; Im x]`` for complex columns ``x``.
+
+    The batch is walked in blocks of ``_BLOCK_WIDTH`` columns through two
+    buffers allocated once per call, so the temporaries do not grow with the
+    batch. Every column before the last block gets the whole-batch product's
+    value bit for bit. The last, shorter block is a product of its own, and
+    BLAS rounds a product's last few columns by its width, so there a value
+    can move by an ulp or two, as it does between any two batch widths.
+
+    ``cols`` comes from ``_as_columns(..., check_finite=False)``: a NaN or
+    infinite entry makes its column's value NaN or infinite (``0 * inf`` is
+    NaN), so the input is scanned for one only when a value is not finite. A
+    finite input that overflows returns ``inf``.
+    """
+    rows, count = cols.shape
+    size = 2 * rows
+    width = min(count, _BLOCK_WIDTH)
+    # Flat, so the last block views a contiguous (2L, n) front of each buffer
+    # and every block is the product a batch of its own columns would be.
+    stack_buffer = np.empty(size * width)
+    mapped_buffer = np.empty(size * width)
+    values = np.empty(count)
+    # A non-finite input raises below, not as a warning from the product.
+    with np.errstate(invalid="ignore"):
+        for start in range(0, count, width):
+            block = cols[:, start : start + width]
+            n = block.shape[1]
+            stack = stack_buffer[: size * n].reshape(size, n)
+            mapped = mapped_buffer[: size * n].reshape(size, n)
+            stack[:rows] = block.real
+            stack[rows:] = block.imag
+            np.matmul(real_map, stack, out=mapped)
+            np.einsum("ij,ij->j", mapped, mapped, out=values[start : start + n])
+    if not np.isfinite(values).all() and not np.isfinite(cols).all():
+        raise NonFiniteInputError("x contains non-finite entries")
     return float(values[0]) if was_vector else values
 
 
@@ -176,8 +216,9 @@ def snr_gain(x: np.ndarray, cov: CovariancePair):
     for the Cholesky factor ``S = L_S L_S^H``, it is the squared norm
     ``||W (x^* - A x)||^2``. That map is real-linear: on ``[Re x; Im x]`` it
     is the ``2L x 2L`` matrix ``[[W_r, -W_i], [W_i, W_r]] @ [[I - A_r, A_i],
-    [-A_i, -(I + A_r)]]``, cached on the pair, so a batch is one real matrix
-    product and repeated calls factor nothing. ``I - A`` is formed before
+    [-A_i, -(I + A_r)]]``, cached on the pair, so a batch is a real matrix
+    product, evaluated in cache-sized column blocks through reused buffers,
+    and repeated calls factor nothing. ``I - A`` is formed before
     whitening: whitening the two terms apart cancels catastrophically when
     ``S`` is nearly singular.
 
@@ -190,7 +231,7 @@ def snr_gain(x: np.ndarray, cov: CovariancePair):
     NotPositiveDefiniteError
         If ``R`` or ``S`` is not positive definite.
     """
-    cols, was_vector = _as_columns(x, cov.dim)
+    cols, was_vector = _as_columns(x, cov.dim, check_finite=False)
     return _real_map_squared_norms(cov._gain_map, cols, was_vector)
 
 

@@ -45,6 +45,7 @@ from .errors import (
     DegenerateWindowError,
     DimensionMismatchError,
     InvalidImproprietyError,
+    InvalidParameterError,
     NonFiniteInputError,
     SingularAtOneError,
 )
@@ -266,12 +267,20 @@ def approx_snr_gain(x: np.ndarray, aut: AutDecomposition):
         slack; the message names the component, its quotient, the
         off-diagonal residual and the largest noise-power quotient.
     """
-    cols, was_vector = _as_columns(x, aut.dim)
+    cols, was_vector = _as_columns(x, aut.dim, check_finite=False)
     rho = _clamped_rho(aut)
     qr, qi = aut.q.real.T, aut.q.imag.T
     weights = np.concatenate([(1.0 - rho) / (1.0 + rho), (1.0 + rho) / (1.0 - rho)])
     scale = np.sqrt(weights / np.tile(aut.lambda_r, 2))
-    real_map = scale[:, None] * np.block([[qr, qi], [-qi, qr]])
+    # Fortran order, the layout of the transposed Q parts: a one-window
+    # product is a matrix-vector product, whose rounding follows the layout.
+    n = aut.dim
+    real_map = np.empty((2 * n, 2 * n), order="F")
+    real_map[:n, :n] = qr
+    real_map[:n, n:] = qi
+    real_map[n:, :n] = -qi
+    real_map[n:, n:] = qr
+    real_map *= scale[:, None]
     return _real_map_squared_norms(real_map, cols, was_vector)
 
 
@@ -329,7 +338,7 @@ def design_matched_sequence(
         if not np.isfinite(magnitudes).all():
             raise NonFiniteInputError("magnitudes contain non-finite entries")
         if not np.all(magnitudes > 0):
-            raise ValueError("magnitudes must be strictly positive")
+            raise InvalidParameterError("magnitudes must be strictly positive")
     theta = 0.5 * np.arccos(eps_target)
     rotated = magnitudes * np.exp(1j * theta)
     return aut.q @ rotated

@@ -27,6 +27,7 @@ from .errors import (
     EmptyInputError,
     InsufficientSamplesError,
     InvalidImproprietyError,
+    InvalidParameterError,
     NonFiniteInputError,
 )
 from .linalg import (
@@ -76,12 +77,12 @@ class NoiseModel:
         if not all(np.isfinite(t.real) and np.isfinite(t.imag) for t in taps):
             raise NonFiniteInputError("taps contain non-finite entries")
         if all(t == 0 for t in taps):
-            raise ValueError("at least one tap must be nonzero")
+            raise InvalidParameterError("at least one tap must be nonzero")
         object.__setattr__(self, "taps", taps)
         if not 0.0 <= self.rho_u <= 1.0:
             raise InvalidImproprietyError(f"rho_u must lie in [0, 1], got {self.rho_u}")
         if not self.sigma2_u > 0:
-            raise ValueError(f"sigma2_u must be positive, got {self.sigma2_u}")
+            raise InvalidParameterError(f"sigma2_u must be positive, got {self.sigma2_u}")
 
 
 @dataclass(frozen=True)
@@ -168,9 +169,18 @@ class CovariancePair:
         """Real ``2L x 2L`` form of ``x -> W (conj(x) - A x)`` on ``[Re x; Im
         x]``, built from :attr:`whitening` on first access and cached."""
         a, white = self.whitening
-        eye = np.eye(self.dim)
-        difference = np.block([[eye - a.real, a.imag], [-a.imag, -(eye + a.real)]])
-        return np.block([[white.real, -white.imag], [white.imag, white.real]]) @ difference
+        n = self.dim
+        eye = np.eye(n)
+        difference = np.empty((2 * n, 2 * n))
+        difference[:n, :n] = eye - a.real
+        difference[:n, n:] = a.imag
+        difference[n:, :n] = -a.imag
+        difference[n:, n:] = -(eye + a.real)
+        whitener = np.empty((2 * n, 2 * n))
+        whitener[:n, :n] = whitener[n:, n:] = white.real
+        whitener[:n, n:] = -white.imag
+        whitener[n:, :n] = white.imag
+        return whitener @ difference
 
 
 def demo_model(rho_u: float) -> NoiseModel:
@@ -197,7 +207,7 @@ def sample_improper_white(
     if not 0.0 <= rho_u <= 1.0:
         raise InvalidImproprietyError(f"rho_u must lie in [0, 1], got {rho_u}")
     if not sigma2_u > 0:
-        raise ValueError(f"sigma2_u must be positive, got {sigma2_u}")
+        raise InvalidParameterError(f"sigma2_u must be positive, got {sigma2_u}")
     gen = as_generator(rng)
     std_re = np.sqrt(sigma2_u * (1.0 + rho_u) / 2.0)
     std_im = np.sqrt(sigma2_u * (1.0 - rho_u) / 2.0)

@@ -10,6 +10,7 @@ from wlmf import (
     DegenerateWindowError,
     DimensionMismatchError,
     InvalidImproprietyError,
+    InvalidParameterError,
     NonFiniteInputError,
     NotPositiveDefiniteError,
     SingularAtOneError,
@@ -360,6 +361,8 @@ def test_designed_sequence_magnitude_validation():
         design_matched_sequence(aut, magnitudes=np.ones(4))
     with pytest.raises(ValueError):
         design_matched_sequence(aut, magnitudes=np.zeros(6))
+    with pytest.raises(InvalidParameterError, match="strictly positive"):
+        design_matched_sequence(aut, magnitudes=-np.ones(6))
     first = design_matched_sequence(aut, rng=7)
     second = design_matched_sequence(aut, rng=7)
     assert np.array_equal(first, second)

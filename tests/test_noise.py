@@ -12,6 +12,7 @@ from wlmf import (
     EmptyInputError,
     InsufficientSamplesError,
     InvalidImproprietyError,
+    InvalidParameterError,
     NonFiniteInputError,
     NotHermitianError,
     NotSymmetricError,
@@ -35,6 +36,10 @@ def test_model_validation():
         NoiseModel(taps=(1.0,), rho_u=0.5, sigma2_u=0.0)
     with pytest.raises(ValueError):
         NoiseModel(taps=(0.0, 0.0), rho_u=0.5)
+    with pytest.raises(InvalidParameterError, match="sigma2_u"):
+        NoiseModel(taps=(1.0,), rho_u=0.5, sigma2_u=-1.0)
+    with pytest.raises(InvalidParameterError, match="nonzero"):
+        NoiseModel(taps=(0.0,), rho_u=0.5)
 
 
 def test_demo_model_taps():
@@ -63,6 +68,11 @@ def test_sample_improper_white_moments():
 def test_sample_improper_white_rejects_bad_rho():
     with pytest.raises(InvalidImproprietyError):
         sample_improper_white(10, 1.2)
+
+
+def test_sample_improper_white_rejects_bad_power():
+    with pytest.raises(InvalidParameterError, match="sigma2_u"):
+        sample_improper_white(10, 0.5, sigma2_u=0.0)
 
 
 def test_ma_filter_identity():
