@@ -124,6 +124,51 @@ class TrainResult:
     first_sustained: int | None
 
 
+def _draw_signals(
+    count: int,
+    gen: np.random.Generator,
+    input_len: int,
+    uniform_high: float = 0.3,
+    gaussian_std: float = 0.05,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The signals of :func:`make_dataset` as arrays: ``x`` (count, input_len),
+    class labels (count,) in {0, 1} and pattern starts (count,).
+
+    Each sample makes six generator calls, in this order: label, start, real
+    and imaginary uniform noise, real and imaginary Gaussian noise. The
+    pattern add, the noise add and the scaling then run once on the whole
+    stack, with the values a per-sample loop computes; each row is divided
+    by its own ``np.linalg.norm``.
+    """
+    pattern_len = len(PATTERN_ONE)
+    labels = np.empty(count, dtype=np.intp)
+    starts = np.empty(count, dtype=np.intp)
+    x = np.empty((count, input_len), dtype=complex)
+    normal = np.empty((2, count, input_len))
+    for i in range(count):
+        labels[i] = gen.integers(2)
+        starts[i] = gen.integers(0, input_len - pattern_len + 1)
+        # u_re + 1j * u_im is exactly (u_re, u_im): numpy draws these from a
+        # finite range >= 0 as 0.0 + range * r, never -0, and every other
+        # term of that complex sum is an exact zero.
+        x.real[i] = gen.uniform(0.0, uniform_high, input_len)
+        x.imag[i] = gen.uniform(0.0, uniform_high, input_len)
+        gen.standard_normal(out=normal[0, i])
+        gen.standard_normal(out=normal[1, i])
+    pattern_cols = starts[:, None] + np.arange(pattern_len)
+    x[np.arange(count)[:, None], pattern_cols] += np.where(
+        labels[:, None] == 0, PATTERN_ONE, PATTERN_TWO
+    )
+    # In place, with the per-sample expression's operations: a + b == b + a
+    # and a * b == b * a hold exactly in IEEE arithmetic.
+    noise = 1j * normal[1]
+    noise += normal[0]
+    noise *= gaussian_std
+    x += noise
+    x /= np.array([np.linalg.norm(row) for row in x])[:, None]
+    return x, labels, starts
+
+
 def make_dataset(
     count: int,
     rng: np.random.Generator | int | None = None,
@@ -140,24 +185,14 @@ def make_dataset(
     Gaussian noise (std per real component ``gaussian_std``) is added to the
     whole signal; the result is normalized to unit energy.
     """
-    gen = as_generator(rng)
-    pattern_len = len(PATTERN_ONE)
-    signals = []
-    for _ in range(count):
-        pattern_id = int(gen.integers(2))
-        pattern = PATTERN_ONE if pattern_id == 0 else PATTERN_TWO
-        start = int(gen.integers(0, input_len - pattern_len + 1))
-        x = gen.uniform(0.0, uniform_high, input_len) + 1j * gen.uniform(
-            0.0, uniform_high, input_len
-        )
-        x[start : start + pattern_len] += pattern
-        x += gaussian_std * (
-            gen.standard_normal(input_len) + 1j * gen.standard_normal(input_len)
-        )
-        x /= np.linalg.norm(x)
-        t = np.array([1.0, 0.0]) if pattern_id == 0 else np.array([0.0, 1.0])
-        signals.append(LabeledSignal(x=x, t=t, pattern=pattern_id + 1, start=start))
-    return signals
+    x, labels, starts = _draw_signals(
+        count, as_generator(rng), input_len, uniform_high, gaussian_std
+    )
+    targets = np.eye(2)[labels]
+    return [
+        LabeledSignal(x=row, t=t, pattern=label + 1, start=start)
+        for row, t, label, start in zip(x, targets, labels.tolist(), starts.tolist())
+    ]
 
 
 def init_params(config: CnnConfig, rng: np.random.Generator | int | None = None) -> CnnParams:
@@ -185,9 +220,10 @@ def init_params(config: CnnConfig, rng: np.random.Generator | int | None = None)
 
 def split_relu(y: np.ndarray, bias_re: np.ndarray, bias_im: np.ndarray) -> np.ndarray:
     """Rectify real and imaginary parts separately after adding real biases."""
-    re = np.maximum(y.real + bias_re[:, None], 0.0)
-    im = np.maximum(y.imag + bias_im[:, None], 0.0)
-    return re + 1j * im
+    a = np.empty(y.shape, dtype=complex)
+    np.maximum(y.real + bias_re[:, None], 0.0, out=a.real)
+    np.maximum(y.imag + bias_im[:, None], 0.0, out=a.imag)
+    return a
 
 
 def max_modulus_pool(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -209,9 +245,7 @@ def head_forward(
 
     Works on the last axis, so ``pooled`` may carry leading batch axes.
     """
-    feat = np.empty(pooled.shape[:-1] + (2 * pooled.shape[-1],))
-    feat[..., 0::2] = pooled.real
-    feat[..., 1::2] = pooled.imag
+    feat = np.ascontiguousarray(pooled, dtype=complex).view(float)
     # One matrix-vector product per feature vector, batched or not, so a
     # batch rounds exactly as its rows would alone.
     logits = (head_w @ feat[..., None])[..., 0] + head_b
@@ -247,15 +281,13 @@ def predict_proba(x: np.ndarray, params: CnnParams) -> np.ndarray:
 
 
 def _backward(windows: np.ndarray, t: np.ndarray, params: CnnParams) -> tuple:
-    """Backward pass on one signal's windows (L, K), which its forward pass reuses."""
+    """Probabilities and gradients of one signal's windows (L, K), which its
+    forward pass reuses."""
     probs, cache = _forward(windows, params)
-    with np.errstate(divide="ignore"):
-        loss = float(-np.log(probs[int(t.argmax())]))
-
     dlogits = probs - t
     grads = {"head_w": dlogits[:, None] * cache["feat"], "head_b": dlogits}
     dfeat = params.head_w.T @ dlogits
-    dpool = dfeat[0::2] + 1j * dfeat[1::2]
+    dpool = dfeat.view(complex)
 
     a = cache["a"]
     da = np.zeros(a.shape, dtype=complex)
@@ -271,7 +303,7 @@ def _backward(windows: np.ndarray, t: np.ndarray, params: CnnParams) -> tuple:
     grads["conv1"] = np.conj(s) @ windows.T
     if params.conv2 is not None:
         grads["conv2"] = np.conj(s) @ windows.conj().T
-    return loss, probs, grads
+    return probs, grads
 
 
 def backward(x: np.ndarray, t: np.ndarray, params: CnnParams) -> tuple[float, np.ndarray, dict]:
@@ -287,7 +319,10 @@ def backward(x: np.ndarray, t: np.ndarray, params: CnnParams) -> tuple[float, np
     x, t = np.asarray(x, dtype=complex), np.asarray(t)
     if x.ndim != 1 or t.shape != (2,):
         raise DimensionMismatchError(f"backward takes x (N,) and t (2,), got {x.shape}, {t.shape}")
-    return _backward(_windows(x, params), t, params)
+    probs, grads = _backward(_windows(x, params), t, params)
+    with np.errstate(divide="ignore"):
+        loss = float(-np.log(probs[int(t.argmax())]))
+    return loss, probs, grads
 
 
 def _sgd_step(params: CnnParams, grads: dict, lr: float) -> None:
@@ -296,19 +331,19 @@ def _sgd_step(params: CnnParams, grads: dict, lr: float) -> None:
         value -= lr * grad
 
 
-def _holdout_means(x: np.ndarray, t: np.ndarray, params: CnnParams) -> tuple[float, float]:
+def _holdout_means(
+    x: np.ndarray, true_index: tuple, classes: tuple, params: CnnParams
+) -> tuple[float, float]:
     """Mean true-class probability over a held-out batch, per pattern.
 
-    ``x`` holds the signals (B, N) and ``t`` their one-hot targets (B, 2);
-    a pattern with no held-out sample reads 1.0.
+    ``x`` holds the signals (B, N), ``true_index`` the (rows, labels) index
+    of each signal's true class in the (B, 2) probabilities, and ``classes``
+    the rows of each class; a pattern with no held-out sample reads 1.0.
     """
     if len(x) == 0:
         return 1.0, 1.0
-    labels = np.argmax(t, axis=1)
-    true_class = predict_proba(x, params)[np.arange(len(labels)), labels]
-    return tuple(
-        float(np.mean(true_class[labels == c])) if np.any(labels == c) else 1.0 for c in (0, 1)
-    )
+    true_class = predict_proba(x, params)[true_index]
+    return tuple(float(np.mean(true_class[rows])) if rows.size else 1.0 for rows in classes)
 
 
 def _first_sustained(evals: list[tuple[int, float, float]], threshold: float = 0.9) -> int | None:
@@ -334,21 +369,27 @@ def train(config: CnnConfig, seed: int) -> TrainResult:
         If the loss becomes non-finite.
     """
     total = config.epochs * config.realizations_per_epoch
-    stream = make_dataset(total, derive_rng(seed, 0), input_len=config.input_len)
-    holdout = make_dataset(config.holdout_size, derive_rng(seed, 2), input_len=config.input_len)
-    holdout_x = np.array([sample.x for sample in holdout])
-    holdout_t = np.array([sample.t for sample in holdout])
+    stream_x, stream_labels, _ = _draw_signals(total, derive_rng(seed, 0), config.input_len)
+    holdout_x, holdout_labels, _ = _draw_signals(
+        config.holdout_size, derive_rng(seed, 2), config.input_len
+    )
+    true_index = (np.arange(config.holdout_size), holdout_labels)
+    classes = (np.flatnonzero(holdout_labels == 0), np.flatnonzero(holdout_labels == 1))
     params = init_params(config, derive_rng(seed, 1))
-    windows = _windows(np.array([sample.x for sample in stream]), params)
+    windows = _windows(stream_x, params)
+    targets = np.eye(2)[stream_labels]
 
     trace: list[tuple[int, int, float]] = []
     evals: list[tuple[int, float, float]] = []
-    for step, (sample, sample_windows) in enumerate(zip(stream, windows), start=1):
-        loss, probs, grads = _backward(sample_windows, sample.t, params)
-        if not math.isfinite(loss):
+    samples = zip(windows, targets, stream_labels.tolist())
+    for step, (sample_windows, t, label) in enumerate(samples, start=1):
+        probs, grads = _backward(sample_windows, t, params)
+        p_true = float(probs[label])
+        # Exactly where the loss -log(p_true) is not finite: p_true 0 or NaN.
+        if not p_true > 0:
             raise DivergenceDetectedError(f"non-finite loss at iteration {step}")
-        trace.append((step, sample.pattern, float(probs[sample.pattern - 1])))
+        trace.append((step, label + 1, p_true))
         _sgd_step(params, grads, config.learning_rate)
         if step % config.eval_every == 0:
-            evals.append((step, *_holdout_means(holdout_x, holdout_t, params)))
+            evals.append((step, *_holdout_means(holdout_x, true_index, classes, params)))
     return TrainResult(params, trace, evals, first_sustained=_first_sustained(evals))

@@ -44,7 +44,7 @@ from pathlib import Path
 import numpy as np
 
 from .cnn import CnnConfig, train
-from .errors import DimensionMismatchError, InsufficientSamplesError
+from .errors import DimensionMismatchError, InsufficientSamplesError, InvalidParameterError
 from .filters import (
     apply_filter_sequence,
     slmf_solve,
@@ -142,7 +142,8 @@ _SWEPT = {"gain-bias": ("rho_u", "filter_len"), "gain-surface": ("rho_u",)}
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Fully resolved parameters of one experiment run."""
+    """Fully resolved parameters of one experiment run; a value outside its
+    range raises ``InvalidParameterError``."""
 
     experiment: str
     rho_u: tuple[float, ...] = (0.0,)
@@ -157,23 +158,25 @@ class ExperimentSpec:
 
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
-            raise ValueError(f"unknown experiment {self.experiment!r}")
+            raise InvalidParameterError(f"unknown experiment {self.experiment!r}")
         object.__setattr__(self, "rho_u", tuple(float(r) for r in self.rho_u))
         object.__setattr__(self, "filter_len", tuple(int(v) for v in self.filter_len))
         if not self.rho_u:
-            raise ValueError("rho_u grid is empty")
+            raise InvalidParameterError("rho_u grid is empty")
         if any(not 0 <= r < 1 for r in self.rho_u):
-            raise ValueError("rho_u grid values must lie in [0, 1)")
+            raise InvalidParameterError("rho_u grid values must lie in [0, 1)")
         if not self.filter_len or any(v < 1 for v in self.filter_len):
-            raise ValueError("filter_len values must be positive")
+            raise InvalidParameterError("filter_len values must be positive")
         for key in ("rho_u", "filter_len"):
             count = len(getattr(self, key))
             if count > 1 and key not in _SWEPT.get(self.experiment, ()):
-                raise ValueError(f"{self.experiment} takes one {key} value, got {count}")
+                raise InvalidParameterError(f"{self.experiment} takes one {key} value, got {count}")
         if self.signal_len < 1 or self.trials < 1 or self.workers < 1 or self.est_len < 1:
-            raise ValueError("signal_len, trials, est_len and workers must be positive")
+            raise InvalidParameterError("signal_len, trials, est_len and workers must be positive")
         if self.mode not in ("analytic", "empirical"):
-            raise ValueError(f"mode must be 'analytic' or 'empirical', got {self.mode!r}")
+            raise InvalidParameterError(
+                f"mode must be 'analytic' or 'empirical', got {self.mode!r}"
+            )
 
     @classmethod
     def with_defaults(cls, experiment: str, **overrides) -> "ExperimentSpec":

@@ -263,7 +263,11 @@ def _filter_windows(windows: np.ndarray, f: np.ndarray, f_conj: np.ndarray | Non
     subscripts = "l,...lk->...k" if f.ndim == 1 else "cl,...lk->...ck"
     y = np.einsum(subscripts, np.conj(f), windows)
     if f_conj is not None:
-        y = y + np.einsum(subscripts, np.conj(f_conj), np.conj(windows))
+        # Conjugates the K outputs instead of the L x K windows. conj(f2ᵀ w)
+        # and conj(f2)ᵀ conj(w) differ at most in the sign of an exactly zero
+        # imaginary part, and einsum sums from +0, so adding the strictly
+        # linear part, which is never -0, makes the two sums bit-identical.
+        y = y + np.conj(np.einsum(subscripts, f_conj, windows))
     return y
 
 

@@ -5,7 +5,16 @@ import copy
 import numpy as np
 
 from wlmf import CnnConfig, CovariancePair, takagi
-from wlmf.cnn import CnnParams, backward, forward, make_dataset
+from wlmf.cnn import (
+    PATTERN_ONE,
+    PATTERN_TWO,
+    CnnParams,
+    LabeledSignal,
+    backward,
+    forward,
+    make_dataset,
+)
+from wlmf.seeding import as_generator
 
 
 def random_hermitian_pd(rng, dim, ridge=0.5):
@@ -74,6 +83,28 @@ def sut_snr_gain(cols, cov):
     k = factor.p[:, None]
     surplus = np.sum((1.0 - k) / (1.0 + k) * y.real**2 + (1.0 + k) / (1.0 - k) * y.imag**2, axis=0)
     return surplus, float(factor.p[0])
+
+
+def make_dataset_per_sample(count, rng=None, *, input_len=8, uniform_high=0.3, gaussian_std=0.05):
+    """``make_dataset`` one sample at a time: the reference for its batched
+    arithmetic, with the same six generator calls per sample in one order."""
+    gen = as_generator(rng)
+    signals = []
+    for _ in range(count):
+        pattern_id = int(gen.integers(2))
+        pattern = PATTERN_ONE if pattern_id == 0 else PATTERN_TWO
+        start = int(gen.integers(0, input_len - len(pattern) + 1))
+        x = gen.uniform(0.0, uniform_high, input_len) + 1j * gen.uniform(
+            0.0, uniform_high, input_len
+        )
+        x[start : start + len(pattern)] += pattern
+        x += gaussian_std * (
+            gen.standard_normal(input_len) + 1j * gen.standard_normal(input_len)
+        )
+        x /= np.linalg.norm(x)
+        t = np.array([1.0, 0.0]) if pattern_id == 0 else np.array([0.0, 1.0])
+        signals.append(LabeledSignal(x=x, t=t, pattern=pattern_id + 1, start=start))
+    return signals
 
 
 def random_cnn_params(rng, config):

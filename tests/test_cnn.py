@@ -3,6 +3,7 @@ import copy
 import numpy as np
 import pytest
 
+import wlmf.cnn as cnn
 from wlmf import (
     CnnConfig,
     DimensionMismatchError,
@@ -29,7 +30,7 @@ from wlmf.cnn import (
 )
 from wlmf.filters import SlmfWeights, WlmfWeights, apply_filter_sequence
 
-from helpers import gradient_check, kink_free_case, random_cnn_params
+from helpers import gradient_check, kink_free_case, make_dataset_per_sample, random_cnn_params
 
 
 def test_dataset_unit_energy_and_balance():
@@ -43,6 +44,35 @@ def test_dataset_unit_energy_and_balance():
         assert np.array_equal(sample.t, expected_t)
         ones += sample.pattern == 1
     assert abs(ones - 5000) <= 150
+
+
+def _dataset_bits(samples):
+    """Every field of every sample: the signal and target bytes, and the
+    pattern and start values with their types."""
+    return (
+        np.array([sample.x for sample in samples], dtype=complex).tobytes(),
+        np.array([sample.t for sample in samples], dtype=float).tobytes(),
+        [(sample.x.dtype, sample.x.shape, sample.t.dtype, sample.t.shape) for sample in samples],
+        [(type(sample.pattern), sample.pattern, type(sample.start), sample.start)
+         for sample in samples],
+    )
+
+
+@pytest.mark.parametrize("input_len", [3, 8, 12])
+@pytest.mark.parametrize("count", [0, 1, 7, 2000])
+def test_dataset_matches_per_sample_reference(count, input_len):
+    """The batched arithmetic gives the per-sample loop's signals bit for bit
+    and leaves a passed generator in the same state."""
+    noise = [(0.3, 0.05), (1.7, 0.4), (0.0, 0.05), (0.3, 0.0), (0.0, 0.0)]
+    for seed, (uniform_high, gaussian_std) in enumerate(noise, start=90 + count):
+        kwargs = dict(input_len=input_len, uniform_high=uniform_high, gaussian_std=gaussian_std)
+        gen, reference_gen = np.random.default_rng(seed), np.random.default_rng(seed)
+        for rng, reference_rng in ((seed, seed), (gen, reference_gen)):
+            got = make_dataset(count, rng, **kwargs)
+            want = make_dataset_per_sample(count, reference_rng, **kwargs)
+            assert len(got) == len(want) == count
+            assert _dataset_bits(got) == _dataset_bits(want)
+        assert gen.integers(2**62) == reference_gen.integers(2**62)
 
 
 def test_dataset_noiseless_degeneration():
@@ -305,6 +335,48 @@ def test_train_divergence_raises():
                        realizations_per_epoch=50, holdout_size=10)
     with pytest.raises(DivergenceDetectedError):
         train(config, seed=0)
+
+
+def _train_from_edited_params(monkeypatch, config, seed, edit):
+    """``train`` with ``edit`` applied to its initial parameters."""
+    draw = cnn.init_params
+
+    def init_params_edited(config, rng):
+        params = draw(config, rng)
+        edit(params)
+        return params
+
+    monkeypatch.setattr(cnn, "init_params", init_params_edited)
+    return train(config, seed)
+
+
+def test_train_divergence_on_underflowed_true_class(monkeypatch):
+    """A head bias gap that rounds the true class's probability to exactly 0
+    makes the loss infinite at the first step."""
+    config = CnnConfig(mode="sl", epochs=1, realizations_per_epoch=20, holdout_size=4)
+    first = make_dataset(1, derive_rng(9, 0))[0]
+    label = first.pattern - 1
+
+    def widen_gap(params):
+        params.head_b[label], params.head_b[1 - label] = -1e4, 1e4
+        assert predict_proba(first.x, params)[label] == 0.0
+
+    with pytest.raises(DivergenceDetectedError, match="iteration 1$"):
+        _train_from_edited_params(monkeypatch, config, 9, widen_gap)
+
+
+@pytest.mark.parametrize(
+    "mode, name", [("sl", "conv1"), ("wl", "conv2"), ("sl", "bias_im"), ("wl", "head_w")]
+)
+def test_train_divergence_on_nan_parameter(monkeypatch, mode, name):
+    """A NaN parameter makes the loss NaN at the first step."""
+    config = CnnConfig(mode=mode, epochs=1, realizations_per_epoch=20, holdout_size=4)
+
+    def poison(params):
+        getattr(params, name).flat[0] = np.nan
+
+    with pytest.raises(DivergenceDetectedError, match="iteration 1$"):
+        _train_from_edited_params(monkeypatch, config, 9, poison)
 
 
 def test_first_sustained_scan():

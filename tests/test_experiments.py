@@ -12,7 +12,14 @@ import numpy as np
 import pytest
 
 import wlmf
-from wlmf import analytic_covariances, cli, demo_model, linalg, normalized_snr_bias
+from wlmf import (
+    InvalidParameterError,
+    analytic_covariances,
+    cli,
+    demo_model,
+    linalg,
+    normalized_snr_bias,
+)
 from wlmf.experiments import (
     _STREAM_GAIN_BIAS,
     DEFAULT_RHO_GRID,
@@ -63,19 +70,19 @@ def test_spec_defaults():
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidParameterError):
         ExperimentSpec.with_defaults("uphill-skiing")
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidParameterError):
         ExperimentSpec.with_defaults("gain-bias", rho_u=())
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidParameterError):
         ExperimentSpec.with_defaults("gain-bias", rho_u=(0.2, 1.0))
-    with pytest.raises(ValueError, match="rho_u"):
+    with pytest.raises(InvalidParameterError, match="rho_u"):
         ExperimentSpec.with_defaults("gain-bias", rho_u=(0.2, float("nan")))
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidParameterError):
         ExperimentSpec.with_defaults("gain-bias", filter_len=(0,))
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidParameterError):
         ExperimentSpec.with_defaults("gain-bias", trials=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidParameterError):
         ExperimentSpec.with_defaults("gain-surface", mode="psychic")
 
 
@@ -90,7 +97,7 @@ def test_spec_validation():
     ],
 )
 def test_spec_rejects_grids_the_experiment_does_not_sweep(experiment, key, values):
-    with pytest.raises(ValueError, match=key):
+    with pytest.raises(InvalidParameterError, match=key):
         ExperimentSpec.with_defaults(experiment, **{key: values})
 
 
@@ -314,7 +321,7 @@ def test_cli_error_reporting(tmp_path, capsys):
         assert code == 1
         err = capsys.readouterr().err.strip()
         payload = json.loads(err)
-        assert payload["error"] == "ValueError"
+        assert payload["error"] == "InvalidParameterError"
         assert field in payload["message"]
         assert not any(tmp_path.iterdir())
 

@@ -20,7 +20,7 @@ from wlmf import (
     template_to_feature,
     wlmf_solve,
 )
-from wlmf.filters import SlmfWeights, WlmfWeights
+from wlmf.filters import SlmfWeights, WlmfWeights, _filter_windows
 
 from helpers import augmented, random_improper_pair, random_unitary, sut_snr_gain
 
@@ -477,6 +477,35 @@ def test_apply_filter_peaks_at_embedding_end():
     peak = int(np.argmax(np.abs(y)))
     assert peak == start
     assert np.isclose(y[peak], np.linalg.norm(template) ** 2, rtol=1e-12)
+
+
+def _signed_zero_mix(rng, shape):
+    """Parts drawn from {-1, -0, +0, 1} plus a few Gaussian entries, so that
+    products and sums cancel exactly and zeros of both signs occur."""
+    parts = rng.choice([-1.0, -0.0, 0.0, 1.0], size=shape + (2,))
+    gaussian = rng.uniform(size=parts.shape) < 0.2
+    parts[gaussian] = rng.standard_normal(np.count_nonzero(gaussian))
+    return parts.view(complex)[..., 0]
+
+
+@pytest.mark.parametrize("length", [1, 3])
+@pytest.mark.parametrize("bank", [False, True])
+@pytest.mark.parametrize("stack", [False, True])
+def test_conjugate_branch_matches_conjugated_windows(length, bank, stack):
+    """The conjugate branch, taken as conj(f2ᵀ w), gives the responses of
+    conj(f2)ᵀ conj(w) bit for bit, signs of zeros included."""
+    rng = np.random.default_rng(47)
+    f_shape = (4, length) if bank else (length,)
+    w_shape = (5, length, 9) if stack else (length, 9)
+    subscripts = "cl,...lk->...ck" if bank else "l,...lk->...k"
+    for _ in range(50):
+        f, f2, windows = (_signed_zero_mix(rng, shape) for shape in (f_shape, f_shape, w_shape))
+        want = np.einsum(subscripts, np.conj(f), windows) + np.einsum(
+            subscripts, np.conj(f2), np.conj(windows)
+        )
+        got = _filter_windows(windows, f, f2)
+        assert np.array_equal(got.view(float), want.view(float))
+        assert np.array_equal(np.signbit(got.view(float)), np.signbit(want.view(float)))
 
 
 def test_apply_filter_rejects_short_sequence():
