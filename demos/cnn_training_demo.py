@@ -18,7 +18,8 @@ def main():
     print("  2:", np.array2string(PATTERN_TWO, precision=2))
 
     seed = 0
-    results = {mode: train(CnnConfig(mode=mode), seed) for mode in ("sl", "wl")}
+    modes = ("sl", "wl")
+    results = dict(zip(modes, train(tuple(CnnConfig(mode=mode) for mode in modes), seed)))
 
     print("\nheld-out mean correct-class probability, seed %d:" % seed)
     print("            strictly linear     widely linear")

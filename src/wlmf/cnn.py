@@ -9,9 +9,13 @@ a real affine head with softmax over two classes. The channel taps run as a
 filter bank through the core of :func:`wlmf.filters.apply_filter_sequence`,
 so each channel is a matched filter on the same newest-first windows; a
 batch of signals is filtered in one contraction and agrees bit for bit with
-its signals filtered one at a time. :func:`train` builds one window stack
-for its whole training stream, and each backward pass reuses the windows of
-its own forward pass for the tap gradients.
+its signals filtered one at a time. :func:`train` trains a stack of
+networks that differ only in mode, in one SGD loop: each parameter array
+carries a leading network axis, one forward and backward pass per step
+serves every network, and the stream, holdout and window stack are drawn
+and built once. Each network of a stack computes, bit for bit, what it
+computes alone, and each backward pass reuses the windows of its own
+forward pass for the tap gradients.
 
 Gradients are taken with respect to the real and imaginary parts of every
 complex parameter; the complex carrier ``d(Re) + 1j d(Im)`` that the
@@ -22,7 +26,7 @@ parameter.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -221,8 +225,8 @@ def init_params(config: CnnConfig, rng: np.random.Generator | int | None = None)
 def split_relu(y: np.ndarray, bias_re: np.ndarray, bias_im: np.ndarray) -> np.ndarray:
     """Rectify real and imaginary parts separately after adding real biases."""
     a = np.empty(y.shape, dtype=complex)
-    np.maximum(y.real + bias_re[:, None], 0.0, out=a.real)
-    np.maximum(y.imag + bias_im[:, None], 0.0, out=a.imag)
+    np.maximum(y.real + bias_re[..., None], 0.0, out=a.real)
+    np.maximum(y.imag + bias_im[..., None], 0.0, out=a.imag)
     return a
 
 
@@ -243,7 +247,8 @@ def head_forward(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Affine head over interleaved real/imaginary features, then softmax.
 
-    Works on the last axis, so ``pooled`` may carry leading batch axes.
+    Works on the last axis, so ``pooled`` may carry leading batch axes, or
+    ``pooled`` and the head parameters one leading network axis.
     """
     feat = np.ascontiguousarray(pooled, dtype=complex).view(float)
     # One matrix-vector product per feature vector, batched or not, so a
@@ -257,12 +262,17 @@ def head_forward(
 
 def _windows(x, params: CnnParams) -> np.ndarray:
     """Newest-first windows of one signal (L, K) or of a batch (B, L, K)."""
-    return sliding_windows(np.asarray(x, dtype=complex), params.conv1.shape[1])
+    return sliding_windows(np.asarray(x, dtype=complex), params.conv1.shape[-1])
 
 
-def _forward(windows: np.ndarray, params: CnnParams) -> tuple[np.ndarray, dict]:
-    """Forward pass on the windows of one signal or a batch of signals."""
-    y = _filter_windows(windows, params.conv1, params.conv2)
+def _forward(windows: np.ndarray, params: CnnParams, wl=...) -> tuple[np.ndarray, dict]:
+    """Forward pass on the windows of one signal or a batch of signals, for
+    one network or for a stack of them on one signal's windows.
+
+    A stack's arrays carry a leading network axis, and its ``conv2`` stacks
+    the conjugate branches of the networks ``wl`` (rows of that axis) alone.
+    """
+    y = _filter_windows(windows, params.conv1, params.conv2, wl)
     a = split_relu(y, params.bias_re, params.bias_im)
     pooled, idx = max_modulus_pool(a)
     feat, logits, probs = head_forward(pooled, params.head_w, params.head_b)
@@ -280,29 +290,30 @@ def predict_proba(x: np.ndarray, params: CnnParams) -> np.ndarray:
     return _forward(_windows(x, params), params)[0]
 
 
-def _backward(windows: np.ndarray, t: np.ndarray, params: CnnParams) -> tuple:
+def _backward(windows: np.ndarray, t: np.ndarray, params: CnnParams, wl=...) -> tuple:
     """Probabilities and gradients of one signal's windows (L, K), which its
-    forward pass reuses."""
-    probs, cache = _forward(windows, params)
+    forward pass reuses, for one network or a stack (see :func:`_forward`)."""
+    probs, cache = _forward(windows, params, wl)
     dlogits = probs - t
-    grads = {"head_w": dlogits[:, None] * cache["feat"], "head_b": dlogits}
-    dfeat = params.head_w.T @ dlogits
+    grads = {"head_w": dlogits[..., None] * cache["feat"][..., None, :], "head_b": dlogits}
+    dfeat = (np.swapaxes(params.head_w, -1, -2) @ dlogits[..., None])[..., 0]
     dpool = dfeat.view(complex)
 
     a = cache["a"]
     da = np.zeros(a.shape, dtype=complex)
-    da[np.arange(len(a)), cache["idx"]] = dpool
+    da.reshape(-1, a.shape[-1])[np.arange(dpool.size), cache["idx"].ravel()] = dpool.ravel()
 
     # The rectifier passes a part exactly where its output part is positive.
     s_re = da.real * (a.real > 0)
     s_im = da.imag * (a.imag > 0)
     s = s_re + 1j * s_im
-    grads["bias_re"] = s_re.sum(axis=1)
-    grads["bias_im"] = s_im.sum(axis=1)
+    grads["bias_re"] = s_re.sum(axis=-1)
+    grads["bias_im"] = s_im.sum(axis=-1)
 
-    grads["conv1"] = np.conj(s) @ windows.T
+    s = np.conj(s)
+    grads["conv1"] = s @ windows.T
     if params.conv2 is not None:
-        grads["conv2"] = np.conj(s) @ windows.conj().T
+        grads["conv2"] = s[wl] @ windows.conj().T
     return probs, grads
 
 
@@ -331,6 +342,24 @@ def _sgd_step(params: CnnParams, grads: dict, lr: float) -> None:
         value -= lr * grad
 
 
+def _stack(nets: list[CnnParams]) -> tuple[CnnParams, np.ndarray, list[CnnParams]]:
+    """Stack networks along a leading axis: the stacked parameters, the rows
+    ``wl`` whose networks have a conjugate branch (``conv2`` stacks those
+    alone), and per-network :class:`CnnParams` views of the stack."""
+    wl = np.array([i for i, net in enumerate(nets) if net.conv2 is not None], dtype=np.intp)
+    shared = [f.name for f in fields(CnnParams) if f.name != "conv2"]
+    stack = CnnParams(
+        conv2=np.stack([nets[i].conv2 for i in wl]) if wl.size else None,
+        **{name: np.stack([getattr(net, name) for net in nets]) for name in shared},
+    )
+    conv2_rows = dict(zip(wl.tolist(), stack.conv2 if wl.size else ()))
+    views = [
+        CnnParams(conv2=conv2_rows.get(i), **{name: getattr(stack, name)[i] for name in shared})
+        for i in range(len(nets))
+    ]
+    return stack, wl, views
+
+
 def _holdout_means(
     x: np.ndarray, true_index: tuple, classes: tuple, params: CnnParams
 ) -> tuple[float, float]:
@@ -355,19 +384,41 @@ def _first_sustained(evals: list[tuple[int, float, float]], threshold: float = 0
     return first
 
 
-def train(config: CnnConfig, seed: int) -> TrainResult:
-    """Per-sample SGD training under a seed-shared data stream.
+def train(configs: tuple[CnnConfig, ...], seed: int) -> tuple[TrainResult, ...]:
+    """Per-sample SGD training of a stack of networks under one data stream.
 
-    The training stream (fresh realizations every epoch), the held-out batch,
-    and the initial parameters are all derived from ``seed`` independently of
-    ``config.mode``, so strictly and widely linear runs see identical data
-    and start from the same strictly linear function.
+    The configs must agree in every field except ``mode``. The training
+    stream (fresh realizations every epoch), the held-out batch, and the
+    initial parameters are all derived from ``seed`` independently of the
+    mode, so strictly and widely linear networks see identical data and
+    start from the same strictly linear function. The stream and holdout
+    are drawn once for the whole stack, and each step runs one forward and
+    backward pass and one update for every network; each network's result
+    is, bit for bit, that of training it alone. Returns one
+    :class:`TrainResult` per config, in order; its ``params`` are views of
+    the stack.
 
     Raises
     ------
+    InvalidParameterError
+        If ``configs`` is empty, or two configs differ in a field other than
+        ``mode``.
     DivergenceDetectedError
-        If the loss becomes non-finite.
+        At the first step where some network's loss is not finite; the
+        message names that network's mode.
     """
+    configs = tuple(configs)
+    if not configs:
+        raise InvalidParameterError("train needs at least one config")
+    config = configs[0]
+    for other in configs[1:]:
+        for field in fields(CnnConfig):
+            name = field.name
+            if name != "mode" and getattr(other, name) != getattr(config, name):
+                raise InvalidParameterError(
+                    f"configs of one train call differ in {name}: "
+                    f"{getattr(config, name)!r} and {getattr(other, name)!r}"
+                )
     total = config.epochs * config.realizations_per_epoch
     stream_x, stream_labels, _ = _draw_signals(total, derive_rng(seed, 0), config.input_len)
     holdout_x, holdout_labels, _ = _draw_signals(
@@ -375,21 +426,30 @@ def train(config: CnnConfig, seed: int) -> TrainResult:
     )
     true_index = (np.arange(config.holdout_size), holdout_labels)
     classes = (np.flatnonzero(holdout_labels == 0), np.flatnonzero(holdout_labels == 1))
-    params = init_params(config, derive_rng(seed, 1))
+    params, wl, views = _stack([init_params(c, derive_rng(seed, 1)) for c in configs])
     windows = _windows(stream_x, params)
     targets = np.eye(2)[stream_labels]
 
-    trace: list[tuple[int, int, float]] = []
-    evals: list[tuple[int, float, float]] = []
+    traces: list[list[tuple[int, int, float]]] = [[] for _ in configs]
+    evals: list[list[tuple[int, float, float]]] = [[] for _ in configs]
     samples = zip(windows, targets, stream_labels.tolist())
     for step, (sample_windows, t, label) in enumerate(samples, start=1):
-        probs, grads = _backward(sample_windows, t, params)
-        p_true = float(probs[label])
+        probs, grads = _backward(sample_windows, t, params, wl)
+        p_true = probs[:, label]
         # Exactly where the loss -log(p_true) is not finite: p_true 0 or NaN.
-        if not p_true > 0:
-            raise DivergenceDetectedError(f"non-finite loss at iteration {step}")
-        trace.append((step, label + 1, p_true))
+        finite = p_true > 0
+        if not finite.all():
+            mode = configs[int(finite.argmin())].mode
+            raise DivergenceDetectedError(
+                f"non-finite loss of the {mode!r} network at iteration {step}"
+            )
+        for trace, p in zip(traces, p_true.tolist()):
+            trace.append((step, label + 1, p))
         _sgd_step(params, grads, config.learning_rate)
         if step % config.eval_every == 0:
-            evals.append((step, *_holdout_means(holdout_x, true_index, classes, params)))
-    return TrainResult(params, trace, evals, first_sustained=_first_sustained(evals))
+            for net_evals, view in zip(evals, views):
+                net_evals.append((step, *_holdout_means(holdout_x, true_index, classes, view)))
+    return tuple(
+        TrainResult(view, trace, net_evals, first_sustained=_first_sustained(net_evals))
+        for view, trace, net_evals in zip(views, traces, evals)
+    )

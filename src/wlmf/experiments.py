@@ -393,9 +393,12 @@ def run_mf_demo(spec: ExperimentSpec) -> dict:
 def run_cnn_train(spec: ExperimentSpec) -> dict:
     rows = []
     summary = {"seed": spec.seed, "modes": {}}
-    for mode in ("sl", "wl"):
-        config = CnnConfig(mode=mode, input_len=spec.signal_len, filter_len=spec.filter_len[0])
-        result = train(config, spec.seed)
+    modes = ("sl", "wl")
+    configs = tuple(
+        CnnConfig(mode=mode, input_len=spec.signal_len, filter_len=spec.filter_len[0])
+        for mode in modes
+    )
+    for mode, result in zip(modes, train(configs, spec.seed)):
         for iteration, pattern, probability in result.trace:
             rows.append((iteration, mode, pattern, probability))
         final = result.evals[-1]

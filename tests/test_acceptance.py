@@ -227,8 +227,7 @@ def test_criterion_10_training_speed_ordering():
     strictly_earlier = 0
     both_accurate = 0
     for seed in range(10):
-        sl = train(CnnConfig(mode="sl"), seed)
-        wl = train(CnnConfig(mode="wl"), seed)
+        sl, wl = train((CnnConfig(mode="sl"), CnnConfig(mode="wl")), seed)
         if wl.first_sustained is not None and (
             sl.first_sustained is None or wl.first_sustained < sl.first_sustained
         ):

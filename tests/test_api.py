@@ -10,7 +10,7 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 
 def readme_code_names():
     """Last component of the dotted name that opens each inline code span of
-    README (fenced blocks aside), so `wlmf.cnn.train` and `train(config,
+    README (fenced blocks aside), so `wlmf.cnn.train` and `train(configs,
     seed)` both document ``train``."""
     text = re.sub(r"^```.*?^```", "", README.read_text(encoding="utf-8"), flags=re.M | re.S)
     names = set()

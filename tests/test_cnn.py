@@ -1,4 +1,5 @@
 import copy
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -279,7 +280,7 @@ def test_init_shares_stream_across_modes():
 def test_train_zero_learning_rate_is_inert():
     config = CnnConfig(mode="sl", learning_rate=0.0, epochs=1,
                        realizations_per_epoch=30, holdout_size=10)
-    result = train(config, seed=3)
+    (result,) = train((config,), seed=3)
     reference = init_params(config, derive_rng(3, 1))
     assert np.array_equal(result.params.conv1, reference.conv1)
     assert np.array_equal(result.params.head_w, reference.head_w)
@@ -290,7 +291,7 @@ def test_train_zero_learning_rate_is_inert():
 
 def test_train_records_have_expected_shape():
     config = CnnConfig(mode="wl", epochs=2, realizations_per_epoch=30, holdout_size=20)
-    result = train(config, seed=5)
+    (result,) = train((config,), seed=5)
     assert len(result.trace) == 60
     assert [row[0] for row in result.trace] == list(range(1, 61))
     assert all(0.0 < row[2] < 1.0 for row in result.trace)
@@ -299,55 +300,82 @@ def test_train_records_have_expected_shape():
         assert result.first_sustained % config.eval_every == 0
 
 
-@pytest.mark.parametrize("mode", ["sl", "wl"])
-def test_train_is_the_public_per_sample_path(mode):
-    """``train`` gives, bit for bit, the trace, evaluations and parameters of
-    a loop over public ``backward`` and ``predict_proba`` on the same streams."""
-    config = CnnConfig(mode=mode, epochs=1, realizations_per_epoch=40, holdout_size=10)
-    seed = 21
-    result = train(config, seed)
+def _stack_id(value):
+    return "-".join(value) if isinstance(value, tuple) else None
 
-    stream = make_dataset(40, derive_rng(seed, 0), input_len=config.input_len)
-    holdout = make_dataset(10, derive_rng(seed, 2), input_len=config.input_len)
+
+@pytest.mark.parametrize("modes", [("sl",), ("wl",), ("sl", "wl"), ("wl", "sl")], ids=_stack_id)
+def test_train_is_the_public_per_sample_path(modes):
+    """Each network of a stack gets from ``train``, bit for bit, the trace,
+    evaluations and parameters of a loop over public ``backward`` and
+    ``predict_proba`` on the same streams, for that network alone."""
+    configs = tuple(
+        CnnConfig(mode=mode, epochs=1, realizations_per_epoch=40, holdout_size=10)
+        for mode in modes
+    )
+    seed = 21
+    results = train(configs, seed)
+    assert len(results) == len(configs)
+
+    stream = make_dataset(40, derive_rng(seed, 0))
+    holdout = make_dataset(10, derive_rng(seed, 2))
     holdout_x = np.array([sample.x for sample in holdout])
     labels = np.array([sample.pattern - 1 for sample in holdout])
-    params = init_params(config, derive_rng(seed, 1))
-    trace, evals = [], []
-    for step, sample in enumerate(stream, start=1):
-        _, probs, grads = backward(sample.x, sample.t, params)
-        trace.append((step, sample.pattern, float(probs[sample.pattern - 1])))
-        _sgd_step(params, grads, config.learning_rate)
-        if step % config.eval_every == 0:
-            true_class = predict_proba(holdout_x, params)[np.arange(10), labels]
-            means = [float(np.mean(true_class[labels == c])) if np.any(labels == c) else 1.0
-                     for c in (0, 1)]
-            evals.append((step, *means))
+    for config, result in zip(configs, results):
+        params = init_params(config, derive_rng(seed, 1))
+        trace, evals = [], []
+        for step, sample in enumerate(stream, start=1):
+            _, probs, grads = backward(sample.x, sample.t, params)
+            trace.append((step, sample.pattern, float(probs[sample.pattern - 1])))
+            _sgd_step(params, grads, config.learning_rate)
+            if step % config.eval_every == 0:
+                true_class = predict_proba(holdout_x, params)[np.arange(10), labels]
+                means = [float(np.mean(true_class[labels == c])) if np.any(labels == c) else 1.0
+                         for c in (0, 1)]
+                evals.append((step, *means))
 
-    assert result.trace == trace
-    assert result.evals == evals and len(evals) == 4
-    for name in ("conv1", "conv2", "bias_re", "bias_im", "head_w", "head_b"):
-        got, want = getattr(result.params, name), getattr(params, name)
-        assert got is want is None or np.array_equal(got, want), name
+        assert result.trace == trace
+        assert result.evals == evals and len(evals) == 4
+        for name in ("conv1", "conv2", "bias_re", "bias_im", "head_w", "head_b"):
+            got, want = getattr(result.params, name), getattr(params, name)
+            assert got is want is None or np.array_equal(got, want), (config.mode, name)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [(None, None), ("epochs", 2), ("learning_rate", 0.1), ("holdout_size", 11),
+     ("input_len", 9), ("channels", 2)],
+)
+def test_train_rejects_mismatched_stacks(field, value):
+    """An empty stack, or configs that differ in a field other than mode."""
+    base = CnnConfig(mode="sl", epochs=1, realizations_per_epoch=20, holdout_size=10)
+    if field is None:
+        configs, message = (), "at least one"
+    else:
+        configs, message = (base, replace(base, mode="wl", **{field: value})), field
+    with pytest.raises(InvalidParameterError, match=message):
+        train(configs, seed=0)
 
 
 def test_train_divergence_raises():
     config = CnnConfig(mode="sl", learning_rate=1e15, epochs=1,
                        realizations_per_epoch=50, holdout_size=10)
     with pytest.raises(DivergenceDetectedError):
-        train(config, seed=0)
+        train((config,), seed=0)
 
 
-def _train_from_edited_params(monkeypatch, config, seed, edit):
-    """``train`` with ``edit`` applied to its initial parameters."""
+def _train_from_edited_params(monkeypatch, configs, seed, edit):
+    """``train`` with ``edit(config, params)`` applied to the initial
+    parameters of each network."""
     draw = cnn.init_params
 
     def init_params_edited(config, rng):
         params = draw(config, rng)
-        edit(params)
+        edit(config, params)
         return params
 
     monkeypatch.setattr(cnn, "init_params", init_params_edited)
-    return train(config, seed)
+    return train(configs, seed)
 
 
 def test_train_divergence_on_underflowed_true_class(monkeypatch):
@@ -357,26 +385,40 @@ def test_train_divergence_on_underflowed_true_class(monkeypatch):
     first = make_dataset(1, derive_rng(9, 0))[0]
     label = first.pattern - 1
 
-    def widen_gap(params):
+    def widen_gap(config, params):
         params.head_b[label], params.head_b[1 - label] = -1e4, 1e4
         assert predict_proba(first.x, params)[label] == 0.0
 
     with pytest.raises(DivergenceDetectedError, match="iteration 1$"):
-        _train_from_edited_params(monkeypatch, config, 9, widen_gap)
+        _train_from_edited_params(monkeypatch, (config,), 9, widen_gap)
 
 
 @pytest.mark.parametrize(
-    "mode, name", [("sl", "conv1"), ("wl", "conv2"), ("sl", "bias_im"), ("wl", "head_w")]
+    "modes, name",
+    [
+        (("sl",), "conv1"),
+        (("wl",), "conv2"),
+        (("sl",), "bias_im"),
+        (("wl",), "head_w"),
+        (("sl", "wl"), "conv2"),
+        (("sl", "wl"), "bias_re"),
+    ],
+    ids=_stack_id,
 )
-def test_train_divergence_on_nan_parameter(monkeypatch, mode, name):
-    """A NaN parameter makes the loss NaN at the first step."""
-    config = CnnConfig(mode=mode, epochs=1, realizations_per_epoch=20, holdout_size=4)
+def test_train_divergence_on_nan_parameter(monkeypatch, modes, name):
+    """A NaN parameter of the stack's last network makes its loss NaN at the
+    first step; the error names that network's mode."""
+    configs = tuple(
+        CnnConfig(mode=mode, epochs=1, realizations_per_epoch=20, holdout_size=4)
+        for mode in modes
+    )
 
-    def poison(params):
-        getattr(params, name).flat[0] = np.nan
+    def poison(config, params):
+        if config.mode == modes[-1]:
+            getattr(params, name).flat[0] = np.nan
 
-    with pytest.raises(DivergenceDetectedError, match="iteration 1$"):
-        _train_from_edited_params(monkeypatch, config, 9, poison)
+    with pytest.raises(DivergenceDetectedError, match=f"'{modes[-1]}' network at iteration 1$"):
+        _train_from_edited_params(monkeypatch, configs, 9, poison)
 
 
 def test_first_sustained_scan():
@@ -419,7 +461,7 @@ def test_config_rejects_out_of_range_values(field, value):
 def test_config_boundary_values_train():
     config = CnnConfig(learning_rate=0.0, epochs=1, realizations_per_epoch=5, eval_every=5,
                        holdout_size=0)
-    result = train(config, seed=4)
+    (result,) = train((config,), seed=4)
     assert result.evals == [(5, 1.0, 1.0)]
     assert len(result.trace) == 5
 
