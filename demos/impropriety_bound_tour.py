@@ -58,7 +58,8 @@ def main():
     print("  random window:   exact %.4f approx %.4f" % (snr_gain(x, cov), approx_snr_gain(x, aut)))
     u = sample_improper_white(40_000, rho_u=0.2, rng=rng)
     signal = ma_filter(u, demo_model(0.2).taps)
-    bias = normalized_snr_bias(signal, analytic_covariances(demo_model(0.2), filter_len))
+    low_cov = analytic_covariances(demo_model(0.2), filter_len)
+    bias = normalized_snr_bias(signal, low_cov, aut_decompose(low_cov))
     print("  averaged over 40k windows at rho_u = 0.2: bias %.4f" % bias)
 
 

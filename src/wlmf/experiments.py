@@ -53,10 +53,10 @@ from .filters import (
     wlmf_solve,
 )
 from .impropriety import (
-    _windows_snr_bias,
     aut_decompose,
     design_matched_sequence,
     impropriety_profile,
+    normalized_snr_bias,
     rotated_input,
 )
 from .linalg import _blas_threads, _set_blas_threads
@@ -173,6 +173,8 @@ class ExperimentSpec:
                 raise InvalidParameterError(f"{self.experiment} takes one {key} value, got {count}")
         if self.signal_len < 1 or self.trials < 1 or self.workers < 1 or self.est_len < 1:
             raise InvalidParameterError("signal_len, trials, est_len and workers must be positive")
+        if self.seed < 0:
+            raise InvalidParameterError(f"seed must be nonnegative, got {self.seed}")
         if self.mode not in ("analytic", "empirical"):
             raise InvalidParameterError(
                 f"mode must be 'analytic' or 'empirical', got {self.mode!r}"
@@ -256,7 +258,7 @@ def _gain_bias_cell(task) -> float:
         signal = np.empty(signal_len, dtype=complex)
         signal.real = rng.standard_normal(signal_len)
         signal.imag = rng.standard_normal(signal_len)
-        total += _windows_snr_bias(sliding_windows(signal, filter_len), cov, aut)
+        total += normalized_snr_bias(signal, cov, aut)
     return total / trials
 
 

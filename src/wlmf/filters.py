@@ -28,7 +28,7 @@ from .errors import (
     NonFiniteInputError,
     NumericalConsistencyError,
 )
-from .linalg import _refined_solve
+from .linalg import _real_form, _refined_solve
 from .noise import CovariancePair, sliding_windows
 
 __all__ = [
@@ -59,20 +59,18 @@ class WlmfWeights:
     f2: np.ndarray
 
 
-def _as_columns(
-    x, dim: int, name: str = "x", check_finite: bool = True
-) -> tuple[np.ndarray, bool]:
+def _as_columns(x, dim: int, check_finite: bool = True) -> tuple[np.ndarray, bool]:
     """Coerce to an (L, K) column matrix, finite unless ``check_finite`` is
     False; report whether input was a vector."""
     x = np.asarray(x, dtype=complex)
     if x.ndim not in (1, 2):
-        raise DimensionMismatchError(f"{name} must be 1- or 2-dimensional, got ndim={x.ndim}")
+        raise DimensionMismatchError(f"x must be 1- or 2-dimensional, got ndim={x.ndim}")
     if x.shape[0] != dim:
-        raise DimensionMismatchError(f"{name} has length {x.shape[0]}, expected {dim}")
+        raise DimensionMismatchError(f"x has length {x.shape[0]}, expected {dim}")
     if x.ndim == 2 and x.shape[1] == 0:
-        raise EmptyInputError(f"{name} has no columns")
+        raise EmptyInputError("x has no columns")
     if check_finite and not np.isfinite(x).all():
-        raise NonFiniteInputError(f"{name} contains non-finite entries")
+        raise NonFiniteInputError("x contains non-finite entries")
     return (x[:, None], True) if x.ndim == 1 else (x, False)
 
 
@@ -184,11 +182,10 @@ def wlmf_solve(x: np.ndarray, cov: CovariancePair) -> WlmfWeights:
 def snr_slmf(x: np.ndarray, cov: CovariancePair):
     """Output SNR of the strictly linear matched filter, ``x^H R^{-1} x``,
     evaluated as ``||L^{-1} x||^2`` with the pair's cached inverse Cholesky
-    factor, ``R = L L^H``."""
-    cols, was_vector = _as_columns(x, cov.dim)
-    w = cov.inverse_cholesky @ cols
-    values = np.sum(w.real**2 + w.imag**2, axis=0)
-    return float(values[0]) if was_vector else values
+    factor, ``R = L L^H``: the real form of ``L^{-1}`` on ``[Re x; Im x]``
+    runs through the same column-block kernel as :func:`snr_gain`."""
+    cols, was_vector = _as_columns(x, cov.dim, check_finite=False)
+    return _real_map_squared_norms(_real_form(cov.inverse_cholesky), cols, was_vector)
 
 
 def snr_wlmf(x: np.ndarray, cov: CovariancePair):

@@ -50,7 +50,7 @@ from .errors import (
     SingularAtOneError,
 )
 from .filters import _as_columns, _real_map_squared_norms, snr_gain
-from .linalg import hermitian_eig, takagi
+from .linalg import _real_form, hermitian_eig, takagi
 from .noise import CovariancePair, sliding_windows
 from .seeding import as_generator
 
@@ -253,12 +253,13 @@ def approx_snr_gain(x: np.ndarray, aut: AutDecomposition):
     real and imaginary parts of each rotated component against variances
     ``lambda_i (1 +- rho_i) / 2``, minus the strictly linear
     ``|xt_i|^2 / lambda_i``, with ``lambda_i`` the rank-paired eigenvalue of
-    ``R``. On ``[Re x; Im x]``, ``xt`` is the real map ``[[Q_r^T, Q_i^T],
-    [-Q_i^T, Q_r^T]]``; scaling its rows by the square roots of the weights
-    makes the sum one squared norm, with no cancellation and no ``eps``. The
-    variances, and so the sum, are exact only when ``aut.offdiag_residual``
-    is 0, i.e. the basis truly diagonalizes both covariances (in particular
-    for zero complementary covariance). Accepts a window or a column batch.
+    ``R``. On ``[Re x; Im x]``, ``xt`` is the real form of ``Q^H``,
+    ``[[Q_r^T, Q_i^T], [-Q_i^T, Q_r^T]]``; scaling its rows by the square
+    roots of the weights makes the sum one squared norm, with no
+    cancellation and no ``eps``. The variances, and so the sum, are exact
+    only when ``aut.offdiag_residual`` is 0, i.e. the basis truly
+    diagonalizes both covariances (in particular for zero complementary
+    covariance). Accepts a window or a column batch.
 
     Raises
     ------
@@ -269,27 +270,25 @@ def approx_snr_gain(x: np.ndarray, aut: AutDecomposition):
     """
     cols, was_vector = _as_columns(x, aut.dim, check_finite=False)
     rho = _clamped_rho(aut)
-    qr, qi = aut.q.real.T, aut.q.imag.T
     weights = np.concatenate([(1.0 - rho) / (1.0 + rho), (1.0 + rho) / (1.0 - rho)])
     scale = np.sqrt(weights / np.tile(aut.lambda_r, 2))
     # Fortran order, the layout of the transposed Q parts: a one-window
     # product is a matrix-vector product, whose rounding follows the layout.
-    n = aut.dim
-    real_map = np.empty((2 * n, 2 * n), order="F")
-    real_map[:n, :n] = qr
-    real_map[:n, n:] = qi
-    real_map[n:, :n] = -qi
-    real_map[n:, n:] = qr
+    real_map = np.asfortranarray(_real_form(aut.q.conj().T))
     real_map *= scale[:, None]
     return _real_map_squared_norms(real_map, cols, was_vector)
 
 
-def normalized_snr_bias(signal: np.ndarray, cov: CovariancePair) -> float:
-    """Average relative error of the approximate gain over all signal windows.
+def normalized_snr_bias(signal: np.ndarray, cov: CovariancePair, aut: AutDecomposition) -> float:
+    """Average relative error of the approximate gain ``approx_snr_gain(.,
+    aut)`` against the exact surplus ``snr_gain(., cov)`` over all signal
+    windows.
 
     For each window position ``n = L..N`` computes ``(approx - exact) /
     exact`` and returns the mean. Positive values mean the approximation
-    statistically overestimates the surplus.
+    statistically overestimates the surplus. ``aut`` is the decomposition
+    being scored, normally ``aut_decompose(cov)``; a caller averaging many
+    signals under one pair decomposes it once.
 
     Raises
     ------
@@ -298,12 +297,6 @@ def normalized_snr_bias(signal: np.ndarray, cov: CovariancePair) -> float:
         normalization meaningless.
     """
     windows = sliding_windows(np.asarray(signal, dtype=complex), cov.dim)
-    return _windows_snr_bias(windows, cov, aut_decompose(cov))
-
-
-def _windows_snr_bias(windows: np.ndarray, cov: CovariancePair, aut: AutDecomposition) -> float:
-    """normalized_snr_bias over a window batch, with the pair's AUT given, so a
-    caller averaging many signals under one pair decomposes it once."""
     exact = snr_gain(windows, cov)
     if np.any(exact < 1e-14):
         raise DegenerateWindowError("a window has numerically zero exact SNR surplus")

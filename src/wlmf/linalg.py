@@ -147,6 +147,12 @@ def _lower_inverse(chol: np.ndarray) -> np.ndarray:
     return inv
 
 
+def _real_form(m: np.ndarray) -> np.ndarray:
+    """Real ``2n x 2n`` form ``[[Re m, -Im m], [Im m, Re m]]`` of a complex
+    ``m``: it maps ``[Re x; Im x]`` to ``[Re(m x); Im(m x)]``."""
+    return np.block([[m.real, -m.imag], [m.imag, m.real]])
+
+
 def hermitian_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve ``a @ y = b`` for Hermitian positive definite ``a``.
 

@@ -36,6 +36,7 @@ from .linalg import (
     _check_symmetric,
     _lower_inverse,
     _pd_cholesky,
+    _real_form,
     _refined_solve,
 )
 from .seeding import as_generator
@@ -169,18 +170,9 @@ class CovariancePair:
         """Real ``2L x 2L`` form of ``x -> W (conj(x) - A x)`` on ``[Re x; Im
         x]``, built from :attr:`whitening` on first access and cached."""
         a, white = self.whitening
-        n = self.dim
-        eye = np.eye(n)
-        difference = np.empty((2 * n, 2 * n))
-        difference[:n, :n] = eye - a.real
-        difference[:n, n:] = a.imag
-        difference[n:, :n] = -a.imag
-        difference[n:, n:] = -(eye + a.real)
-        whitener = np.empty((2 * n, 2 * n))
-        whitener[:n, :n] = whitener[n:, n:] = white.real
-        whitener[:n, n:] = -white.imag
-        whitener[n:, :n] = white.imag
-        return whitener @ difference
+        # conj(x) is diag(I, -I) on [Re x; Im x].
+        conjugate = np.diag(np.repeat([1.0, -1.0], self.dim))
+        return _real_form(white) @ (_real_form(-a) + conjugate)
 
 
 def demo_model(rho_u: float) -> NoiseModel:

@@ -1,8 +1,10 @@
-"""The column-block kernel behind both SNR surpluses, ``snr_gain`` and
-``approx_snr_gain``: equal bit for bit to one-shot products, typed
-errors for non-finite windows in any block, and temporaries that do not grow
-with the batch."""
+"""The column-block kernel behind every window SNR, ``snr_slmf`` and both
+surpluses, ``snr_gain`` and ``approx_snr_gain``: equal bit for bit to
+one-shot products, at the default BLAS thread count and at the one thread
+every run holds, typed errors for non-finite windows in any block, and
+temporaries that do not grow with the batch."""
 
+import contextlib
 import tracemalloc
 
 import numpy as np
@@ -17,8 +19,10 @@ from wlmf import (
     normalized_snr_bias,
     sliding_windows,
     snr_gain,
+    snr_slmf,
 )
 from wlmf.filters import _BLOCK_WIDTH
+from wlmf.linalg import _blas_threads
 from wlmf.impropriety import _clamped_rho
 
 WIDTH = _BLOCK_WIDTH
@@ -28,6 +32,11 @@ def whole_batch_squared_norms(real_map, cols):
     """The one-shot form: one product on the whole ``[Re x; Im x]`` stack."""
     mapped = real_map @ np.vstack([cols.real, cols.imag])
     return np.einsum("ij,ij->j", mapped, mapped)
+
+
+def slmf_real_map(cov):
+    inv_chol = cov.inverse_cholesky
+    return np.block([[inv_chol.real, -inv_chol.imag], [inv_chol.imag, inv_chol.real]])
 
 
 def gain_real_map(cov):
@@ -70,17 +79,23 @@ def test_blocks_equal_one_shot_products(length, count):
     cov = analytic_covariances(demo_model(0.5), length)
     aut = aut_decompose(cov)
     windows = demo_windows(length, count)
-    exact = snr_gain(windows, cov)
-    approx = approx_snr_gain(windows, aut)
-    assert exact.shape == approx.shape == (count,)
-    assert_block_equal(exact, gain_real_map(cov), windows)
-    assert_block_equal(approx, approx_real_map(aut), windows)
+    # At the default thread count and at the one thread every run holds.
+    for threads in (contextlib.nullcontext(), _blas_threads(1)):
+        with threads:
+            slmf = snr_slmf(windows, cov)
+            exact = snr_gain(windows, cov)
+            approx = approx_snr_gain(windows, aut)
+            assert slmf.shape == exact.shape == approx.shape == (count,)
+            assert_block_equal(slmf, slmf_real_map(cov), windows)
+            assert_block_equal(exact, gain_real_map(cov), windows)
+            assert_block_equal(approx, approx_real_map(aut), windows)
 
 
 def test_single_window_is_a_one_column_batch():
     cov = analytic_covariances(demo_model(0.5), 8)
     aut = aut_decompose(cov)
     window = demo_windows(8, 1)
+    assert snr_slmf(window[:, 0], cov) == whole_batch_squared_norms(slmf_real_map(cov), window)[0]
     assert snr_gain(window[:, 0], cov) == whole_batch_squared_norms(gain_real_map(cov), window)[0]
     assert approx_snr_gain(window[:, 0], aut) == whole_batch_squared_norms(
         approx_real_map(aut), window
@@ -96,6 +111,8 @@ def test_non_finite_window_in_any_block_raises(bad, column):
     windows = np.array(demo_windows(length, count))
     windows[length - 1, column] = bad
     with pytest.raises(NonFiniteInputError):
+        snr_slmf(windows, cov)
+    with pytest.raises(NonFiniteInputError):
         snr_gain(windows, cov)
     with pytest.raises(NonFiniteInputError):
         approx_snr_gain(windows, aut)
@@ -104,12 +121,13 @@ def test_non_finite_window_in_any_block_raises(bad, column):
     signal = np.random.default_rng(5).standard_normal(count + length - 1).astype(complex)
     signal[column + length - 1 if column >= 0 else -1] = bad
     with pytest.raises(NonFiniteInputError):
-        normalized_snr_bias(signal, cov)
+        normalized_snr_bias(signal, cov, aut)
 
 
 def test_finite_overflow_returns_inf():
     cov = analytic_covariances(demo_model(0.5), 4)
     windows = np.full((4, WIDTH + 3), 1e200 + 1e200j)
+    assert np.all(snr_slmf(windows, cov) == np.inf)
     assert np.all(snr_gain(windows, cov) == np.inf)
     assert np.all(approx_snr_gain(windows, aut_decompose(cov)) == np.inf)
     assert snr_gain(windows[:, 0], cov) == np.inf
@@ -120,11 +138,12 @@ def test_temporaries_do_not_grow_with_the_batch():
     cov = analytic_covariances(demo_model(0.5), 8)
     cov._gain_map  # built and cached outside the measurement
     windows = demo_windows(8, 100_000)
-    tracemalloc.start()
-    try:
-        values = snr_gain(windows, cov)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert values.shape == (100_000,)
-    assert peak < 3e6, f"peak {peak / 1e6:.1f} MB"
+    for snr in (snr_slmf, snr_gain):
+        tracemalloc.start()
+        try:
+            values = snr(windows, cov)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert values.shape == (100_000,)
+        assert peak < 3e6, f"{snr.__name__} peak {peak / 1e6:.1f} MB"

@@ -15,6 +15,7 @@ import wlmf
 from wlmf import (
     InvalidParameterError,
     analytic_covariances,
+    aut_decompose,
     cli,
     demo_model,
     linalg,
@@ -84,6 +85,8 @@ def test_spec_validation():
         ExperimentSpec.with_defaults("gain-bias", trials=0)
     with pytest.raises(InvalidParameterError):
         ExperimentSpec.with_defaults("gain-surface", mode="psychic")
+    with pytest.raises(InvalidParameterError, match="seed"):
+        ExperimentSpec.with_defaults("mf-demo", seed=-1)
 
 
 @pytest.mark.parametrize(
@@ -150,14 +153,16 @@ def test_gain_bias_determinism_across_dirs_and_workers(tmp_path):
 
 def test_gain_bias_cell_shares_one_aut_across_trials():
     """A cell decomposes its pair once; the result must equal, bit for bit,
-    the left-to-right mean of the public per-signal bias on the same streams."""
+    the left-to-right mean of the public per-signal bias under that one
+    decomposition, on the same streams."""
     seed, i_rho, i_len, rho_u, length, signal_len, trials = 5, 1, 2, 0.5, 4, 300, 3
     cov = analytic_covariances(demo_model(rho_u), length)
+    aut = aut_decompose(cov)
     total = 0.0
     for trial in range(trials):
         rng = derive_rng(seed, _STREAM_GAIN_BIAS, i_rho, i_len, trial)
         signal = rng.standard_normal(signal_len) + 1j * rng.standard_normal(signal_len)
-        total += normalized_snr_bias(signal, cov)
+        total += normalized_snr_bias(signal, cov, aut)
     task = (seed, i_rho, i_len, rho_u, length, signal_len, trials)
     assert _gain_bias_cell(task) == total / trials
 

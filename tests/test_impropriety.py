@@ -298,14 +298,14 @@ def test_approx_gain_tracks_exact_for_demo_noise():
         assert 0.5 * exact < approx < 2.0 * exact
     signal = random_window(rng, 4000)
     low_cov = analytic_covariances(demo_model(0.2), 6)
-    assert abs(normalized_snr_bias(signal, low_cov)) < 0.03
+    assert abs(normalized_snr_bias(signal, low_cov, aut_decompose(low_cov))) < 0.03
 
 
 def test_normalized_bias_zero_when_decomposition_exact():
     rng = np.random.default_rng(60)
     cov = jointly_diagonalizable_pair(rng, 4)
     signal = random_window(rng, 200)
-    assert abs(normalized_snr_bias(signal, cov)) <= 1e-8
+    assert abs(normalized_snr_bias(signal, cov, aut_decompose(cov))) <= 1e-8
 
 
 def test_normalized_bias_grows_with_impropriety():
@@ -314,7 +314,7 @@ def test_normalized_bias_grows_with_impropriety():
 
     def bias_at(rho_u):
         cov = analytic_covariances(demo_model(rho_u), 8)
-        return normalized_snr_bias(signal, cov)
+        return normalized_snr_bias(signal, cov, aut_decompose(cov))
 
     low, mid, high = bias_at(0.04), bias_at(0.1), bias_at(0.8)
     assert abs(low) < 0.02
@@ -324,7 +324,7 @@ def test_normalized_bias_grows_with_impropriety():
 def test_normalized_bias_rejects_degenerate_windows():
     cov = analytic_covariances(demo_model(0.5), 6)
     with pytest.raises(DegenerateWindowError):
-        normalized_snr_bias(np.zeros(80, dtype=complex), cov)
+        normalized_snr_bias(np.zeros(80, dtype=complex), cov, aut_decompose(cov))
 
 
 def test_designed_sequence_hits_target_epsilon():
@@ -479,7 +479,7 @@ def test_edge_sweep_ends_in_values_or_typed_errors(rho_u):
             _finite_or_typed_error(lambda: snr_gain(x, cov))
             _finite_or_typed_error(lambda: snr_wlmf(x, cov))
             _finite_or_typed_error(lambda: wlmf_solve(x, cov))
-            _finite_or_typed_error(lambda: normalized_snr_bias(v, cov))
+            _finite_or_typed_error(lambda: normalized_snr_bias(v, cov, aut_decompose(cov)))
             aut = _finite_or_typed_error(lambda: aut_decompose(cov))
             if aut is not None:
                 _finite_or_typed_error(lambda: design_matched_sequence(aut, rng=1))
@@ -501,7 +501,7 @@ NON_FINITE_CALLS = {
     "slmf_solve": lambda cov, aut, bad: slmf_solve(_with_first_entry(np.ones(4), bad), cov),
     "wlmf_solve": lambda cov, aut, bad: wlmf_solve(_with_first_entry(np.ones(4), bad), cov),
     "normalized_snr_bias": lambda cov, aut, bad: normalized_snr_bias(
-        _with_first_entry(np.ones(50), bad), cov
+        _with_first_entry(np.ones(50), bad), cov, aut
     ),
     "NoiseModel": lambda cov, aut, bad: NoiseModel(taps=(bad, 0.5), rho_u=0.5),
     "design_matched_sequence": lambda cov, aut, bad: design_matched_sequence(
