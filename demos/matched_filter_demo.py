@@ -36,10 +36,10 @@ def main():
     pair = CovariancePair(
         r=noise_power * np.eye(length), c=np.zeros((length, length), dtype=complex)
     )
-    sl = slmf_solve(probe_window, pair)
-    wl = wlmf_solve(probe_window, pair)
-    sl_mod = np.abs(apply_filter_sequence(signal, sl))
-    wl_mod = np.abs(apply_filter_sequence(signal, wl))
+    f = slmf_solve(probe_window, pair)
+    f1, f2 = wlmf_solve(probe_window, pair)
+    sl_mod = np.abs(apply_filter_sequence(signal, f))
+    wl_mod = np.abs(apply_filter_sequence(signal, f1, f2))
 
     print("\n   n   |y_SL|     |y_WL|")
     for k in range(len(sl_mod)):

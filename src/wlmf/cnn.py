@@ -31,7 +31,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import DimensionMismatchError, DivergenceDetectedError, EmptyInputError
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, _as_int
 from .filters import _filter_windows
 from .noise import sliding_windows
 from .seeding import as_generator, derive_rng
@@ -75,17 +75,15 @@ class CnnConfig:
     def __post_init__(self):
         if self.mode not in ("sl", "wl"):
             raise InvalidParameterError(f"mode must be 'sl' or 'wl', got {self.mode!r}")
-        for name in ("epochs", "realizations_per_epoch", "channels", "filter_len"):
-            if getattr(self, name) < 1:
-                raise InvalidParameterError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in [field.name for field in fields(self) if field.type == "int"]:
+            value = _as_int(name, getattr(self, name), 0 if name == "holdout_size" else 1)
+            object.__setattr__(self, name, value)
         if not 1 <= self.eval_every <= self.epochs * self.realizations_per_epoch:
             raise InvalidParameterError(f"eval_every must be in [1, steps], got {self.eval_every}")
-        if self.holdout_size < 0:
-            raise InvalidParameterError(f"holdout_size must be >= 0, got {self.holdout_size}")
         if not 0 <= self.learning_rate < math.inf:
             raise InvalidParameterError(f"learning_rate {self.learning_rate} is outside [0, inf)")
-        if self.input_len < self.filter_len:
-            raise DimensionMismatchError("input_len must be at least filter_len")
+        if self.input_len < max(self.filter_len, len(PATTERN_ONE)):
+            raise DimensionMismatchError("input_len must cover filter_len and the 3-sample pattern")
 
 
 @dataclass

@@ -1,4 +1,6 @@
-"""Exception types raised by the library."""
+"""Exception types raised by the library, and the integer check its configs share."""
+
+import operator
 
 
 class WlmfError(Exception):
@@ -55,3 +57,16 @@ class DivergenceDetectedError(WlmfError, ArithmeticError):
 
 class NumericalConsistencyError(WlmfError, ArithmeticError):
     """A numerical self-check failed: a residual or backward error exceeded its bound."""
+
+
+def _as_int(name: str, value, minimum: int) -> int:
+    """``value`` as a plain int (numpy integers included); a bool, a value
+    that is not an integer or one below ``minimum`` raises
+    ``InvalidParameterError``."""
+    try:
+        number = None if isinstance(value, bool) else operator.index(value)
+    except TypeError:
+        number = None
+    if number is None or number < minimum:
+        raise InvalidParameterError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return number

@@ -44,7 +44,7 @@ from pathlib import Path
 import numpy as np
 
 from .cnn import CnnConfig, train
-from .errors import DimensionMismatchError, InsufficientSamplesError, InvalidParameterError
+from .errors import DimensionMismatchError, InsufficientSamplesError, InvalidParameterError, _as_int
 from .filters import (
     apply_filter_sequence,
     slmf_solve,
@@ -160,21 +160,21 @@ class ExperimentSpec:
         if self.experiment not in EXPERIMENTS:
             raise InvalidParameterError(f"unknown experiment {self.experiment!r}")
         object.__setattr__(self, "rho_u", tuple(float(r) for r in self.rho_u))
-        object.__setattr__(self, "filter_len", tuple(int(v) for v in self.filter_len))
+        lengths = tuple(_as_int("filter_len", v, 1) for v in self.filter_len)
+        object.__setattr__(self, "filter_len", lengths)
+        for name in ("signal_len", "trials", "seed", "est_len", "workers"):
+            value = _as_int(name, getattr(self, name), 0 if name == "seed" else 1)
+            object.__setattr__(self, name, value)
         if not self.rho_u:
             raise InvalidParameterError("rho_u grid is empty")
         if any(not 0 <= r < 1 for r in self.rho_u):
             raise InvalidParameterError("rho_u grid values must lie in [0, 1)")
-        if not self.filter_len or any(v < 1 for v in self.filter_len):
-            raise InvalidParameterError("filter_len values must be positive")
+        if not self.filter_len:
+            raise InvalidParameterError("filter_len grid is empty")
         for key in ("rho_u", "filter_len"):
             count = len(getattr(self, key))
             if count > 1 and key not in _SWEPT.get(self.experiment, ()):
                 raise InvalidParameterError(f"{self.experiment} takes one {key} value, got {count}")
-        if self.signal_len < 1 or self.trials < 1 or self.workers < 1 or self.est_len < 1:
-            raise InvalidParameterError("signal_len, trials, est_len and workers must be positive")
-        if self.seed < 0:
-            raise InvalidParameterError(f"seed must be nonnegative, got {self.seed}")
         if self.mode not in ("analytic", "empirical"):
             raise InvalidParameterError(
                 f"mode must be 'analytic' or 'empirical', got {self.mode!r}"
@@ -357,10 +357,8 @@ def run_mf_demo(spec: ExperimentSpec) -> dict:
     pair = CovariancePair(
         r=noise_power * np.eye(length), c=np.zeros((length, length), dtype=complex)
     )
-    sl = slmf_solve(probe_window, pair)
-    wl = wlmf_solve(probe_window, pair)
-    sl_mod = np.abs(apply_filter_sequence(signal, sl))
-    wl_mod = np.abs(apply_filter_sequence(signal, wl))
+    sl_mod = np.abs(apply_filter_sequence(signal, slmf_solve(probe_window, pair)))
+    wl_mod = np.abs(apply_filter_sequence(signal, *wlmf_solve(probe_window, pair)))
 
     rows = []
     for i in range(n):

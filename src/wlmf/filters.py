@@ -18,8 +18,6 @@ vector accordingly. A NaN or infinite entry raises ``NonFiniteInputError``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import (
@@ -32,8 +30,6 @@ from .linalg import _real_form, _refined_solve
 from .noise import CovariancePair, sliding_windows
 
 __all__ = [
-    "SlmfWeights",
-    "WlmfWeights",
     "slmf_solve",
     "wlmf_solve",
     "snr_slmf",
@@ -42,21 +38,6 @@ __all__ = [
     "apply_filter_sequence",
     "template_to_feature",
 ]
-
-
-@dataclass(frozen=True)
-class SlmfWeights:
-    """Strictly linear matched filter ``f``."""
-
-    f: np.ndarray
-
-
-@dataclass(frozen=True)
-class WlmfWeights:
-    """Widely linear matched filter pair ``(f1, f2)``."""
-
-    f1: np.ndarray
-    f2: np.ndarray
 
 
 def _as_columns(x, dim: int, check_finite: bool = True) -> tuple[np.ndarray, bool]:
@@ -118,20 +99,20 @@ def _real_map_squared_norms(real_map: np.ndarray, cols: np.ndarray, was_vector: 
     return float(values[0]) if was_vector else values
 
 
-def slmf_solve(x: np.ndarray, cov: CovariancePair) -> SlmfWeights:
-    """Strictly linear matched filter ``f = R^{-1} x`` (the paper's ``f = alpha
-    R^{-1} x`` at ``alpha = 1``), solved through the pair's cached inverse
-    Cholesky factor of ``R`` with one refinement step."""
+def slmf_solve(x: np.ndarray, cov: CovariancePair) -> np.ndarray:
+    """Taps ``f = R^{-1} x`` of the strictly linear matched filter (the
+    paper's ``f = alpha R^{-1} x`` at ``alpha = 1``), solved through the
+    pair's cached inverse Cholesky factor of ``R`` with one refinement step."""
     cols, _ = _as_columns(x, cov.dim)
     if cols.shape[1] != 1:
         raise DimensionMismatchError("slmf_solve expects a single window")
-    return SlmfWeights(f=_refined_solve(cov.r, cov.inverse_cholesky, cols[:, 0]))
+    return _refined_solve(cov.r, cov.inverse_cholesky, cols[:, 0])
 
 
-def wlmf_solve(x: np.ndarray, cov: CovariancePair) -> WlmfWeights:
-    """Widely linear matched filter, the solution ``w = (f1, f2)`` of
-    ``R_q w = z`` for the augmented covariance ``R_q`` and ``z = (x, x^*)``
-    (the paper's ``w = beta R_q^{-1} z`` at ``beta = 1``).
+def wlmf_solve(x: np.ndarray, cov: CovariancePair) -> tuple[np.ndarray, np.ndarray]:
+    """Taps ``(f1, f2)`` of the widely linear matched filter: the solution ``w =
+    (f1, f2)`` of ``R_q w = z`` for the augmented covariance ``R_q`` and ``z =
+    (x, x^*)`` (the paper's ``w = beta R_q^{-1} z`` at ``beta = 1``).
 
     The optimal branches are conjugate pairs, ``f1 = f2^*``, so block
     elimination leaves one equation in the Schur complement ``S = R^* - C^*
@@ -176,7 +157,7 @@ def wlmf_solve(x: np.ndarray, cov: CovariancePair) -> WlmfWeights:
         raise NumericalConsistencyError(
             f"widely linear filter has backward error {residual / scale:.3e} (above 1e-12)"
         )
-    return WlmfWeights(f1=f1, f2=f2)
+    return f1, f2
 
 
 def snr_slmf(x: np.ndarray, cov: CovariancePair):
@@ -232,8 +213,11 @@ def snr_gain(x: np.ndarray, cov: CovariancePair):
     return _real_map_squared_norms(cov._gain_map, cols, was_vector)
 
 
-def apply_filter_sequence(sequence: np.ndarray, weights: SlmfWeights | WlmfWeights) -> np.ndarray:
-    """Run a filter along a sequence, one output per full window.
+def apply_filter_sequence(
+    sequence: np.ndarray, f: np.ndarray, f_conj: np.ndarray | None = None
+) -> np.ndarray:
+    """Run taps ``f``, and a conjugate branch ``f_conj`` unless None, along a
+    sequence: one output ``f^H w + f_conj^H conj(w)`` per full window ``w``.
 
     Output ``k`` (0-based) is the response to the newest-first window ending
     at sample ``k + L - 1``, so a sequence of N samples yields N - L + 1
@@ -241,20 +225,20 @@ def apply_filter_sequence(sequence: np.ndarray, weights: SlmfWeights | WlmfWeigh
     bank of C filters, and sequences of shape ``(..., N)`` a stack; the
     output is ``(..., C, K)``, or ``(..., K)`` for one filter. The taps are
     summed in one order whatever the shapes, so a bank on a stack agrees bit
-    for bit with each filter on each sequence alone.
+    for bit with each filter on each sequence alone. A NaN or infinite
+    sample or tap raises ``NonFiniteInputError``.
     """
-    if isinstance(weights, SlmfWeights):
-        taps = (weights.f, None)
-    elif isinstance(weights, WlmfWeights):
-        taps = (weights.f1, weights.f2)
-    else:
-        raise TypeError(f"unsupported weights type {type(weights).__name__}")
-    windows = sliding_windows(np.asarray(sequence, dtype=complex), taps[0].shape[-1])
-    return _filter_windows(windows, *taps)
+    sequence = np.asarray(sequence, dtype=complex)
+    taps = [np.asarray(t, dtype=complex) for t in ((f,) if f_conj is None else (f, f_conj))]
+    if taps[-1].shape != taps[0].shape:
+        raise DimensionMismatchError("f_conj and f differ in shape")
+    if not all(np.isfinite(a).all() for a in (sequence, *taps)):
+        raise NonFiniteInputError("sequence or taps contain non-finite entries")
+    return _filter_windows(sliding_windows(sequence, taps[0].shape[-1]), *taps)
 
 
 def _filter_windows(
-    windows: np.ndarray, f: np.ndarray, f_conj: np.ndarray | None, rows=...
+    windows: np.ndarray, f: np.ndarray, f_conj: np.ndarray | None = None, rows=...
 ) -> np.ndarray:
     """Responses of taps ``f`` (L,), a bank (C, L) or a stack of banks
     (S, C, L) to windows (..., L, K): (..., K) or (..., C, K), the leading

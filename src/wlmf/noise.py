@@ -210,7 +210,8 @@ def ma_filter(u: np.ndarray, taps) -> np.ndarray:
     """Apply the moving-average filter with zero initial state.
 
     Returns a sequence of the same length as ``u``; the first ``len(taps)``
-    outputs (where the filter is still filling) are kept.
+    outputs (where the filter is still filling) are kept. A NaN or infinite
+    sample or tap raises ``NonFiniteInputError``.
     """
     u = np.asarray(u, dtype=complex)
     if u.size == 0:
@@ -218,6 +219,8 @@ def ma_filter(u: np.ndarray, taps) -> np.ndarray:
     taps = np.asarray(taps, dtype=complex)
     if taps.size == 0:
         raise EmptyInputError("taps must be nonempty")
+    if not (np.isfinite(u).all() and np.isfinite(taps).all()):
+        raise NonFiniteInputError("input sequence or taps contain non-finite entries")
     return np.convolve(u, taps)[: u.size]
 
 

@@ -90,13 +90,13 @@ def test_criterion_3_dual_path_equality():
         dim = i % 8 + 1
         cov = random_improper_pair(rng, dim)
         x = _random_window(rng, dim)
-        weights = wlmf_solve(x, cov)
+        f1, f2 = wlmf_solve(x, cov)
         # Oracle: the direct solve of the augmented system R_q w = z.
         direct = hermitian_solve(augmented(cov), np.concatenate([x, np.conj(x)]))
-        path = np.linalg.norm(np.concatenate([weights.f1, weights.f2]) - direct)
+        path = np.linalg.norm(np.concatenate([f1, f2]) - direct)
         worst_path = max(worst_path, path / np.linalg.norm(direct))
-        pair_res = np.linalg.norm(weights.f1 - np.conj(weights.f2))
-        worst_pair = max(worst_pair, pair_res / np.linalg.norm(weights.f1))
+        pair_res = np.linalg.norm(f1 - np.conj(f2))
+        worst_pair = max(worst_pair, pair_res / np.linalg.norm(f1))
     _report(
         3,
         worst_path <= 1e-9 and worst_pair <= 1e-10,

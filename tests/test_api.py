@@ -1,5 +1,8 @@
-"""The package root exports exactly what README documents."""
+"""The package root exports exactly what README documents, and every module's
+``__all__`` lists distinct names that resolve."""
 
+import importlib
+import pkgutil
 import re
 from pathlib import Path
 
@@ -21,10 +24,18 @@ def readme_code_names():
     return names
 
 
+def modules_with_all():
+    """The package root and every ``wlmf.*`` module that defines ``__all__``."""
+    names = [info.name for info in pkgutil.iter_modules(wlmf.__path__, "wlmf.")]
+    modules = [wlmf] + [importlib.import_module(name) for name in names if name != "wlmf.__main__"]
+    return [module for module in modules if hasattr(module, "__all__")]
+
+
 def test_all_names_resolve():
-    missing = [name for name in wlmf.__all__ if not hasattr(wlmf, name)]
-    assert missing == []
-    assert len(set(wlmf.__all__)) == len(wlmf.__all__)
+    for module in modules_with_all():
+        missing = [name for name in module.__all__ if not hasattr(module, name)]
+        assert missing == [], module.__name__
+        assert len(set(module.__all__)) == len(module.__all__), module.__name__
 
 
 def test_star_import_yields_exactly_all():

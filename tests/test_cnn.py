@@ -29,7 +29,7 @@ from wlmf.cnn import (
     max_modulus_pool,
     split_relu,
 )
-from wlmf.filters import SlmfWeights, WlmfWeights, apply_filter_sequence
+from wlmf.filters import apply_filter_sequence
 
 from helpers import gradient_check, kink_free_case, make_dataset_per_sample, random_cnn_params
 
@@ -123,18 +123,18 @@ def test_conv_channels_are_matched_filters(mode):
         assert np.array_equal(y, y_batch[b])
         for c in range(params.conv1.shape[0]):
             if params.conv2 is None:
-                weights = SlmfWeights(params.conv1[c])
+                assert np.array_equal(y[c], apply_filter_sequence(x, params.conv1[c]))
             else:
-                weights = WlmfWeights(params.conv1[c], params.conv2[c])
-            assert np.array_equal(y[c], apply_filter_sequence(x, weights))
+                channel = apply_filter_sequence(x, params.conv1[c], params.conv2[c])
+                assert np.array_equal(y[c], channel)
 
-    bank = WlmfWeights(random_cnn_params(rng, CnnConfig(mode="wl")).conv1, params.conv1)
+    f1, f2 = random_cnn_params(rng, CnnConfig(mode="wl")).conv1, params.conv1
     stack = (rng.standard_normal((2, 3, 11)) + 1j * rng.standard_normal((2, 3, 11)))[..., ::2]
-    out = apply_filter_sequence(stack, bank)
-    assert out.shape == (2, 3, bank.f1.shape[0], 4)
+    out = apply_filter_sequence(stack, f1, f2)
+    assert out.shape == (2, 3, f1.shape[0], 4)
     for index in np.ndindex(stack.shape[:-1]):
-        for c in range(bank.f1.shape[0]):
-            single = apply_filter_sequence(stack[index], WlmfWeights(bank.f1[c], bank.f2[c]))
+        for c in range(f1.shape[0]):
+            single = apply_filter_sequence(stack[index], f1[c], f2[c])
             assert np.array_equal(out[index][c], single)
 
 
@@ -434,6 +434,10 @@ def test_config_validation():
         CnnConfig(mode="other")
     with pytest.raises(Exception):
         CnnConfig(input_len=2, filter_len=3)
+    with pytest.raises(DimensionMismatchError, match="pattern"):
+        CnnConfig(input_len=2, filter_len=2)
+    config = CnnConfig(input_len=np.int64(3), epochs=np.uint8(2))
+    assert type(config.input_len) is int and type(config.epochs) is int
 
 
 @pytest.mark.parametrize(
@@ -450,6 +454,9 @@ def test_config_validation():
         ("learning_rate", -0.05),
         ("learning_rate", float("nan")),
         ("learning_rate", float("inf")),
+        ("epochs", 1.5),
+        ("channels", True),
+        ("holdout_size", 100.0),
     ],
 )
 def test_config_rejects_out_of_range_values(field, value):

@@ -87,6 +87,18 @@ def test_spec_validation():
         ExperimentSpec.with_defaults("gain-surface", mode="psychic")
     with pytest.raises(InvalidParameterError, match="seed"):
         ExperimentSpec.with_defaults("mf-demo", seed=-1)
+    for key, value in (("filter_len", (4.9,)), ("seed", 1.5), ("seed", True), ("trials", 2.0),
+                       ("signal_len", "8"), ("est_len", None), ("workers", np.True_)):
+        with pytest.raises(InvalidParameterError, match=key):
+            ExperimentSpec.with_defaults("gain-bias", **{key: value})
+    spec = ExperimentSpec.with_defaults("gain-bias", seed=np.int64(5), filter_len=(np.int32(4),))
+    assert type(spec.seed) is int and type(spec.filter_len[0]) is int
+
+
+def test_numpy_integer_seed_writes_a_plain_manifest(tmp_path):
+    run_experiment(ExperimentSpec.with_defaults("mf-demo", seed=np.int64(5), out_dir=str(tmp_path)))
+    manifest = json.loads((tmp_path / "mf-demo-manifest.json").read_text())
+    assert manifest["master_seed"] == 5 and manifest["spec"]["seed"] == 5
 
 
 @pytest.mark.parametrize(
@@ -318,15 +330,20 @@ def test_cli_env_var_out_dir(tmp_path, monkeypatch, capsys):
 def test_cli_error_reporting(tmp_path, capsys):
     # NaN fails every comparison, so a range check written as two rejections
     # would pass it through to a manifest that is not valid JSON
-    for args, field in (
-        (["--experiment", "gain-bias", "--trials", "0"], "trials"),
-        (["--experiment", "mf-demo", "--rho-u", "nan"], "rho_u"),
+    for args, error, field in (
+        (["--experiment", "gain-bias", "--trials", "0"], "InvalidParameterError", "trials"),
+        (["--experiment", "mf-demo", "--rho-u", "nan"], "InvalidParameterError", "rho_u"),
+        (
+            ["--experiment", "cnn-train", "--signal-len", "2", "--filter-len", "2"],
+            "DimensionMismatchError",
+            "input_len",
+        ),
     ):
         code = cli.main(args + ["--out-dir", str(tmp_path)])
         assert code == 1
         err = capsys.readouterr().err.strip()
         payload = json.loads(err)
-        assert payload["error"] == "InvalidParameterError"
+        assert payload["error"] == error
         assert field in payload["message"]
         assert not any(tmp_path.iterdir())
 

@@ -6,6 +6,7 @@ from wlmf import (
     DimensionMismatchError,
     EmptyInputError,
     InsufficientSamplesError,
+    NonFiniteInputError,
     analytic_covariances,
     NotPositiveDefiniteError,
     NumericalConsistencyError,
@@ -20,7 +21,7 @@ from wlmf import (
     template_to_feature,
     wlmf_solve,
 )
-from wlmf.filters import SlmfWeights, WlmfWeights, _filter_windows
+from wlmf.filters import _filter_windows
 
 from helpers import augmented, random_improper_pair, random_unitary, sut_snr_gain
 
@@ -69,9 +70,9 @@ def block_elimination_weights(x, cov):
     return np.concatenate([f1, f2])
 
 
-def backward_error(weights, x, cov):
-    """Normwise backward error of the weights in ``R_q w = z``."""
-    w = np.concatenate([weights.f1, weights.f2])
+def backward_error(taps, x, cov):
+    """Normwise backward error of the taps ``(f1, f2)`` in ``R_q w = z``."""
+    w = np.concatenate(taps)
     z = np.concatenate([x, np.conj(x)])
     r_q = augmented(cov)
     residual = np.linalg.norm(r_q @ w - z)
@@ -84,8 +85,9 @@ def relative_error(value, reference):
 
 def test_slmf_white_noise_weights_equal_template():
     x = np.array([1.0 + 2.0j, -0.5j, 3.0])
-    weights = slmf_solve(x, white_pair(3))
-    assert np.allclose(weights.f, x, atol=1e-14)
+    f = slmf_solve(x, white_pair(3))
+    assert isinstance(f, np.ndarray)
+    assert np.allclose(f, x, atol=1e-14)
 
 
 def test_slmf_solution_residual():
@@ -94,7 +96,7 @@ def test_slmf_solution_residual():
         dim = int(rng.integers(1, 9))
         cov = random_improper_pair(rng, dim)
         x = random_window(rng, dim)
-        f = slmf_solve(x, cov).f
+        f = slmf_solve(x, cov)
         assert np.linalg.norm(cov.r @ f - x) <= 1e-10 * np.linalg.norm(x)
 
 
@@ -117,7 +119,7 @@ def test_snr_slmf_is_the_maximum_over_filters():
     cov = random_improper_pair(rng, 4)
     x = random_window(rng, 4)
     best = snr_slmf(x, cov)
-    f_opt = slmf_solve(x, cov).f
+    f_opt = slmf_solve(x, cov)
     opt_ratio = np.abs(np.vdot(f_opt, x)) ** 2 / np.real(np.vdot(f_opt, cov.r @ f_opt))
     assert np.isclose(opt_ratio, best, rtol=1e-9)
     for _ in range(2000):
@@ -128,9 +130,9 @@ def test_snr_slmf_is_the_maximum_over_filters():
 
 def test_wlmf_proper_noise_branches():
     x = np.array([0.3 - 1.0j, 2.0, 1.0j])
-    weights = wlmf_solve(x, white_pair(3))
-    assert np.allclose(weights.f1, x, atol=1e-14)
-    assert np.allclose(weights.f2, np.conj(x), atol=1e-14)
+    f1, f2 = wlmf_solve(x, white_pair(3))
+    assert np.allclose(f1, x, atol=1e-14)
+    assert np.allclose(f2, np.conj(x), atol=1e-14)
 
 
 def test_wlmf_branches_are_conjugate_pairs():
@@ -138,8 +140,8 @@ def test_wlmf_branches_are_conjugate_pairs():
     for _ in range(50):
         dim = int(rng.integers(1, 9))
         cov = random_improper_pair(rng, dim)
-        weights = wlmf_solve(random_window(rng, dim), cov)
-        assert np.allclose(weights.f2, np.conj(weights.f1), atol=1e-12)
+        f1, f2 = wlmf_solve(random_window(rng, dim), cov)
+        assert np.allclose(f2, np.conj(f1), atol=1e-12)
 
 
 def test_wlmf_dual_path_agreement():
@@ -150,13 +152,14 @@ def test_wlmf_dual_path_agreement():
         dim = int(rng.integers(1, 9))
         cov = random_improper_pair(rng, dim)
         x = random_window(rng, dim)
-        weights = wlmf_solve(x, cov)
-        w = np.concatenate([weights.f1, weights.f2])
+        taps = wlmf_solve(x, cov)
+        assert isinstance(taps, tuple) and len(taps) == 2
+        w = np.concatenate(taps)
         direct = augmented_oracle(x, cov)
         assert relative_error(w, direct) <= 1e-9
         assert relative_error(block_elimination_weights(x, cov), direct) <= 1e-9
-        assert np.array_equal(weights.f1, np.conj(weights.f2))
-        assert backward_error(weights, x, cov) <= 1e-15
+        assert np.array_equal(taps[0], np.conj(taps[1]))
+        assert backward_error(taps, x, cov) <= 1e-15
 
 
 def test_snr_wlmf_doubles_under_proper_noise():
@@ -427,8 +430,7 @@ def test_wlmf_snr_is_the_maximum_over_conjugate_pair_filters():
         w = w / np.linalg.norm(w)
         ratio = np.abs(np.vdot(w, z)) ** 2 / np.real(np.vdot(w, r_q @ w))
         assert ratio <= best * (1.0 + 1e-9)
-    weights = wlmf_solve(x, cov)
-    w_opt = np.concatenate([weights.f1, weights.f2])
+    w_opt = np.concatenate(wlmf_solve(x, cov))
     opt_ratio = np.abs(np.vdot(w_opt, z)) ** 2 / np.real(np.vdot(w_opt, r_q @ w_opt))
     assert np.isclose(opt_ratio, best, rtol=1e-9)
 
@@ -452,16 +454,16 @@ def test_augment_structure():
 
 def test_apply_filter_newest_sample_tap():
     sequence = np.arange(1, 7, dtype=complex) * (1 + 1j)
-    weights = SlmfWeights(f=np.array([1.0, 0.0, 0.0], dtype=complex))
-    assert np.allclose(apply_filter_sequence(sequence, weights), sequence[2:])
+    f = np.array([1.0, 0.0, 0.0], dtype=complex)
+    assert np.allclose(apply_filter_sequence(sequence, f), sequence[2:])
 
 
 def test_apply_filter_wl_degenerates_to_sl():
     rng = np.random.default_rng(45)
     sequence = random_window(rng, 20)
     f = random_window(rng, 4)
-    sl = apply_filter_sequence(sequence, SlmfWeights(f=f))
-    wl = apply_filter_sequence(sequence, WlmfWeights(f1=f, f2=np.zeros(4, dtype=complex)))
+    sl = apply_filter_sequence(sequence, f)
+    wl = apply_filter_sequence(sequence, f, np.zeros(4, dtype=complex))
     assert np.allclose(sl, wl, atol=1e-14)
 
 
@@ -472,8 +474,7 @@ def test_apply_filter_peaks_at_embedding_end():
     sequence = np.zeros(8, dtype=complex)
     start = 3
     sequence[start : start + 3] = feature
-    weights = slmf_solve(feature[::-1], white_pair(3))
-    y = apply_filter_sequence(sequence, weights)
+    y = apply_filter_sequence(sequence, slmf_solve(feature[::-1], white_pair(3)))
     peak = int(np.argmax(np.abs(y)))
     assert peak == start
     assert np.isclose(y[peak], np.linalg.norm(template) ** 2, rtol=1e-12)
@@ -510,7 +511,20 @@ def test_conjugate_branch_matches_conjugated_windows(length, bank, stack):
 
 def test_apply_filter_rejects_short_sequence():
     with pytest.raises(InsufficientSamplesError):
-        apply_filter_sequence(np.ones(2, dtype=complex), SlmfWeights(f=np.ones(3, dtype=complex)))
+        apply_filter_sequence(np.ones(2, dtype=complex), np.ones(3, dtype=complex))
+
+
+def test_apply_filter_rejects_non_finite_taps():
+    bad = np.array([np.nan, 1.0], dtype=complex)
+    with pytest.raises(NonFiniteInputError):
+        apply_filter_sequence(np.ones(4, complex), bad)
+    with pytest.raises(NonFiniteInputError):
+        apply_filter_sequence(np.ones(4, complex), np.ones(2, complex), bad)
+
+
+def test_apply_filter_rejects_mismatched_conjugate_branch():
+    with pytest.raises(DimensionMismatchError):
+        apply_filter_sequence(np.ones(5, complex), np.ones(2, complex), np.ones(3, complex))
 
 
 def test_template_to_feature_examples():
@@ -530,8 +544,7 @@ def test_demo_covariance_filter_roundtrip():
     cov = analytic_covariances(demo_model(0.5), 6)
     rng = np.random.default_rng(48)
     x = random_window(rng, 6)
-    weights = wlmf_solve(x, cov)
+    w = np.concatenate(wlmf_solve(x, cov))
     gain = snr_gain(x, cov)
     assert gain > 0.0
-    w = np.concatenate([weights.f1, weights.f2])
     assert relative_error(w, augmented_oracle(x, cov)) <= 1e-9

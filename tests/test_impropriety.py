@@ -16,6 +16,7 @@ from wlmf import (
     SingularAtOneError,
     WlmfError,
     analytic_covariances,
+    apply_filter_sequence,
     approx_snr_gain,
     aut_decompose,
     demo_model,
@@ -499,6 +500,10 @@ NON_FINITE_CALLS = {
         _with_first_entry(np.ones(4), bad), aut
     ),
     "slmf_solve": lambda cov, aut, bad: slmf_solve(_with_first_entry(np.ones(4), bad), cov),
+    "apply_filter_sequence": lambda cov, aut, bad: apply_filter_sequence(
+        _with_first_entry(np.ones(6), bad), np.ones(4)
+    ),
+    "ma_filter": lambda cov, aut, bad: ma_filter(np.ones(6), _with_first_entry((1.0, 0.5), bad)),
     "wlmf_solve": lambda cov, aut, bad: wlmf_solve(_with_first_entry(np.ones(4), bad), cov),
     "normalized_snr_bias": lambda cov, aut, bad: normalized_snr_bias(
         _with_first_entry(np.ones(50), bad), cov, aut
