@@ -56,6 +56,8 @@ __all__ = [
 
 PATTERN_ONE = np.array([-0.5 - 1j, 1.0 - 1j, -0.5 - 1j])
 PATTERN_TWO = np.array([1.0 + 1j, 1.0 + 1j, 1.0 + 1j])
+CLUTTER_HIGH = 0.3
+NOISE_STD = 0.05
 
 
 @dataclass(frozen=True)
@@ -127,11 +129,7 @@ class TrainResult:
 
 
 def _draw_signals(
-    count: int,
-    gen: np.random.Generator,
-    input_len: int,
-    uniform_high: float = 0.3,
-    gaussian_std: float = 0.05,
+    count: int, gen: np.random.Generator, input_len: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The signals of :func:`make_dataset` as arrays: ``x`` (count, input_len),
     class labels (count,) in {0, 1} and pattern starts (count,).
@@ -153,8 +151,8 @@ def _draw_signals(
         # u_re + 1j * u_im is exactly (u_re, u_im): numpy draws these from a
         # finite range >= 0 as 0.0 + range * r, never -0, and every other
         # term of that complex sum is an exact zero.
-        x.real[i] = gen.uniform(0.0, uniform_high, input_len)
-        x.imag[i] = gen.uniform(0.0, uniform_high, input_len)
+        x.real[i] = gen.uniform(0.0, CLUTTER_HIGH, input_len)
+        x.imag[i] = gen.uniform(0.0, CLUTTER_HIGH, input_len)
         gen.standard_normal(out=normal[0, i])
         gen.standard_normal(out=normal[1, i])
     pattern_cols = starts[:, None] + np.arange(pattern_len)
@@ -165,31 +163,31 @@ def _draw_signals(
     # and a * b == b * a hold exactly in IEEE arithmetic.
     noise = 1j * normal[1]
     noise += normal[0]
-    noise *= gaussian_std
+    noise *= NOISE_STD
     x += noise
     x /= np.array([np.linalg.norm(row) for row in x])[:, None]
     return x, labels, starts
 
 
 def make_dataset(
-    count: int,
-    rng: np.random.Generator | int | None = None,
-    *,
-    input_len: int = 8,
-    uniform_high: float = 0.3,
-    gaussian_std: float = 0.05,
+    count: int, rng: np.random.Generator | int | None = None, *, input_len: int = 8
 ) -> list[LabeledSignal]:
     """Random two-class signals: one pattern embedded at a random offset.
 
-    Every sample of the signal carries uniform [0, uniform_high] real and
-    imaginary noise; the three pattern values are added on top at a start
-    position drawn uniformly from the fitting range; doubly white circular
-    Gaussian noise (std per real component ``gaussian_std``) is added to the
-    whole signal; the result is normalized to unit energy.
+    Every sample of the signal carries uniform [0, ``CLUTTER_HIGH`` = 0.3)
+    real and imaginary clutter; the three pattern values are added on top at
+    a start position drawn uniformly from the fitting range; doubly white
+    circular Gaussian noise (std ``NOISE_STD`` = 0.05 per real component) is
+    added to the whole signal; the result is normalized to unit energy. A
+    ``count`` or ``input_len`` that is not an integer >= 0 raises
+    ``InvalidParameterError``, and an ``input_len`` below 3
+    ``DimensionMismatchError``.
     """
-    x, labels, starts = _draw_signals(
-        count, as_generator(rng), input_len, uniform_high, gaussian_std
-    )
+    count = _as_int("count", count, 0)
+    input_len = _as_int("input_len", input_len, 0)
+    if input_len < len(PATTERN_ONE):
+        raise DimensionMismatchError("input_len must cover the 3-sample pattern")
+    x, labels, starts = _draw_signals(count, as_generator(rng), input_len)
     targets = np.eye(2)[labels]
     return [
         LabeledSignal(x=row, t=t, pattern=label + 1, start=start)
@@ -373,10 +371,10 @@ def _holdout_means(
     return tuple(float(np.mean(true_class[rows])) if rows.size else 1.0 for rows in classes)
 
 
-def _first_sustained(evals: list[tuple[int, float, float]], threshold: float = 0.9) -> int | None:
+def _first_sustained(evals: list[tuple[int, float, float]]) -> int | None:
     first = None
     for iteration, mean_p1, mean_p2 in reversed(evals):
-        if not (mean_p1 > threshold and mean_p2 > threshold):
+        if not (mean_p1 > 0.9 and mean_p2 > 0.9):
             break
         first = iteration
     return first

@@ -59,14 +59,15 @@ class NumericalConsistencyError(WlmfError, ArithmeticError):
     """A numerical self-check failed: a residual or backward error exceeded its bound."""
 
 
-def _as_int(name: str, value, minimum: int) -> int:
+def _as_int(name: str, value, minimum: int | None) -> int:
     """``value`` as a plain int (numpy integers included); a bool, a value
-    that is not an integer or one below ``minimum`` raises
+    that is not an integer or one below ``minimum`` (unless None) raises
     ``InvalidParameterError``."""
     try:
         number = None if isinstance(value, bool) else operator.index(value)
     except TypeError:
         number = None
-    if number is None or number < minimum:
-        raise InvalidParameterError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    if number is None or (minimum is not None and number < minimum):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise InvalidParameterError(f"{name} must be an integer{bound}, got {value!r}")
     return number

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
@@ -159,6 +160,12 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
             raise InvalidParameterError(f"unknown experiment {self.experiment!r}")
+        for key in ("rho_u", "filter_len"):
+            grid = getattr(self, key)
+            if isinstance(grid, (str, bytes)) or not np.iterable(grid):
+                raise InvalidParameterError(f"{key} must be a sequence of numbers, got {grid!r}")
+        if not all(isinstance(r, numbers.Real) and not isinstance(r, bool) for r in self.rho_u):
+            raise InvalidParameterError(f"rho_u must hold real numbers, got {self.rho_u!r}")
         object.__setattr__(self, "rho_u", tuple(float(r) for r in self.rho_u))
         lengths = tuple(_as_int("filter_len", v, 1) for v in self.filter_len)
         object.__setattr__(self, "filter_len", lengths)
@@ -254,10 +261,8 @@ def _gain_bias_cell(task) -> float:
     total = 0.0
     for trial in range(trials):
         rng = derive_rng(seed, _STREAM_GAIN_BIAS, i_rho, i_len, trial)
-        # Built in place, with no complex temporaries; the real part is drawn first.
-        signal = np.empty(signal_len, dtype=complex)
-        signal.real = rng.standard_normal(signal_len)
-        signal.imag = rng.standard_normal(signal_len)
+        # Circular, unit variance per part: the scaling by 1.0 is exact.
+        signal = sample_improper_white(signal_len, 0.0, 2.0, rng=rng)
         total += normalized_snr_bias(signal, cov, aut)
     return total / trials
 

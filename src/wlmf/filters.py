@@ -225,13 +225,14 @@ def apply_filter_sequence(
     bank of C filters, and sequences of shape ``(..., N)`` a stack; the
     output is ``(..., C, K)``, or ``(..., K)`` for one filter. The taps are
     summed in one order whatever the shapes, so a bank on a stack agrees bit
-    for bit with each filter on each sequence alone. A NaN or infinite
-    sample or tap raises ``NonFiniteInputError``.
+    for bit with each filter on each sequence alone. 0-d taps raise
+    ``DimensionMismatchError``, and a NaN or infinite sample or tap
+    ``NonFiniteInputError``.
     """
     sequence = np.asarray(sequence, dtype=complex)
     taps = [np.asarray(t, dtype=complex) for t in ((f,) if f_conj is None else (f, f_conj))]
-    if taps[-1].shape != taps[0].shape:
-        raise DimensionMismatchError("f_conj and f differ in shape")
+    if taps[0].ndim == 0 or taps[-1].shape != taps[0].shape:
+        raise DimensionMismatchError("taps must be at least 1-D, and f_conj of the shape of f")
     if not all(np.isfinite(a).all() for a in (sequence, *taps)):
         raise NonFiniteInputError("sequence or taps contain non-finite entries")
     return _filter_windows(sliding_windows(sequence, taps[0].shape[-1]), *taps)

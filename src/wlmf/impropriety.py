@@ -41,14 +41,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateWindowError,
-    DimensionMismatchError,
-    InvalidImproprietyError,
-    InvalidParameterError,
-    NonFiniteInputError,
-    SingularAtOneError,
-)
+from .errors import DegenerateWindowError, DimensionMismatchError, InvalidImproprietyError
+from .errors import SingularAtOneError
 from .filters import _as_columns, _real_map_squared_norms, snr_gain
 from .linalg import _real_form, hermitian_eig, takagi
 from .noise import CovariancePair, sliding_windows
@@ -305,9 +299,7 @@ def normalized_snr_bias(signal: np.ndarray, cov: CovariancePair, aut: AutDecompo
 
 
 def design_matched_sequence(
-    aut: AutDecomposition,
-    magnitudes: np.ndarray | None = None,
-    rng: np.random.Generator | int | None = None,
+    aut: AutDecomposition, rng: np.random.Generator | int | None = None
 ) -> np.ndarray:
     """Construct an input whose components sit at the gain-factor minimizer.
 
@@ -315,23 +307,12 @@ def design_matched_sequence(
     eps_i) / 2`` where ``eps_i = 2 rho_i / (1 + rho_i^2)`` inverts the
     minimizer condition, so ``Re(xt_i^2)/|xt_i|^2 = eps_i`` lands each
     component exactly on the circularity quotient the noise already has.
-    Magnitudes are free; by default they are absolute values of standard
-    normal draws from ``rng``.
+    The bound condition fixes only these phases and leaves the magnitudes
+    free: they are absolute values of standard normal draws from ``rng``.
     """
     rho = _clamped_rho(aut)
     eps_target = 2.0 * rho / (1.0 + rho**2)
-    if magnitudes is None:
-        magnitudes = np.abs(as_generator(rng).standard_normal(aut.dim))
-    else:
-        magnitudes = np.asarray(magnitudes, dtype=float)
-        if magnitudes.shape != (aut.dim,):
-            raise DimensionMismatchError(
-                f"magnitudes must have shape ({aut.dim},), got {magnitudes.shape}"
-            )
-        if not np.isfinite(magnitudes).all():
-            raise NonFiniteInputError("magnitudes contain non-finite entries")
-        if not np.all(magnitudes > 0):
-            raise InvalidParameterError("magnitudes must be strictly positive")
+    magnitudes = np.abs(as_generator(rng).standard_normal(aut.dim))
     theta = 0.5 * np.arccos(eps_target)
     rotated = magnitudes * np.exp(1j * theta)
     return aut.q @ rotated

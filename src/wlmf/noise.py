@@ -29,6 +29,7 @@ from .errors import (
     InvalidImproprietyError,
     InvalidParameterError,
     NonFiniteInputError,
+    _as_int,
 )
 from .linalg import (
     _as_square_matrix,
@@ -64,7 +65,7 @@ class NoiseModel:
     rho_u : float
         Impropriety coefficient of the driving noise, in [0, 1].
     sigma2_u : float
-        Power of the driving noise, positive.
+        Power of the driving noise, positive and finite.
     """
 
     taps: tuple[complex, ...]
@@ -82,8 +83,8 @@ class NoiseModel:
         object.__setattr__(self, "taps", taps)
         if not 0.0 <= self.rho_u <= 1.0:
             raise InvalidImproprietyError(f"rho_u must lie in [0, 1], got {self.rho_u}")
-        if not self.sigma2_u > 0:
-            raise InvalidParameterError(f"sigma2_u must be positive, got {self.sigma2_u}")
+        if not 0 < self.sigma2_u < np.inf:
+            raise InvalidParameterError(f"sigma2_u must lie in (0, inf), got {self.sigma2_u}")
 
 
 @dataclass(frozen=True)
@@ -192,26 +193,29 @@ def sample_improper_white(
     Real and imaginary parts are independent zero-mean Gaussians with
     variances ``sigma2_u (1 + rho_u) / 2`` and ``sigma2_u (1 - rho_u) / 2``,
     the unique split with uncorrelated parts giving ``E[|u|^2] = sigma2_u``
-    and ``E[u^2] = rho_u sigma2_u``.
+    and ``E[u^2] = rho_u sigma2_u``; the real part is drawn first.
     """
+    n = _as_int("n", n, None)
     if n <= 0:
         raise EmptyInputError(f"sample count must be positive, got {n}")
     if not 0.0 <= rho_u <= 1.0:
         raise InvalidImproprietyError(f"rho_u must lie in [0, 1], got {rho_u}")
-    if not sigma2_u > 0:
-        raise InvalidParameterError(f"sigma2_u must be positive, got {sigma2_u}")
+    if not 0 < sigma2_u < np.inf:
+        raise InvalidParameterError(f"sigma2_u must lie in (0, inf), got {sigma2_u}")
     gen = as_generator(rng)
-    std_re = np.sqrt(sigma2_u * (1.0 + rho_u) / 2.0)
-    std_im = np.sqrt(sigma2_u * (1.0 - rho_u) / 2.0)
-    return std_re * gen.standard_normal(n) + 1j * std_im * gen.standard_normal(n)
+    u = np.empty(n, dtype=complex)
+    np.multiply(gen.standard_normal(n), np.sqrt(sigma2_u * (1.0 + rho_u) / 2.0), out=u.real)
+    np.multiply(gen.standard_normal(n), np.sqrt(sigma2_u * (1.0 - rho_u) / 2.0), out=u.imag)
+    return u
 
 
 def ma_filter(u: np.ndarray, taps) -> np.ndarray:
     """Apply the moving-average filter with zero initial state.
 
     Returns a sequence of the same length as ``u``; the first ``len(taps)``
-    outputs (where the filter is still filling) are kept. A NaN or infinite
-    sample or tap raises ``NonFiniteInputError``.
+    outputs (where the filter is still filling) are kept. An input or taps
+    that are not 1-D raise ``DimensionMismatchError``, and a NaN or infinite
+    sample or tap ``NonFiniteInputError``.
     """
     u = np.asarray(u, dtype=complex)
     if u.size == 0:
@@ -219,6 +223,8 @@ def ma_filter(u: np.ndarray, taps) -> np.ndarray:
     taps = np.asarray(taps, dtype=complex)
     if taps.size == 0:
         raise EmptyInputError("taps must be nonempty")
+    if u.ndim != 1 or taps.ndim != 1:
+        raise DimensionMismatchError(f"ma_filter takes 1-D u and taps, got {u.shape}, {taps.shape}")
     if not (np.isfinite(u).all() and np.isfinite(taps).all()):
         raise NonFiniteInputError("input sequence or taps contain non-finite entries")
     return np.convolve(u, taps)[: u.size]
@@ -244,6 +250,7 @@ def analytic_covariances(model: NoiseModel, filter_len: int) -> CovariancePair:
     the diagonal) and symmetric Toeplitz complementary covariance
     ``C[a, b] = c(|a - b|)``.
     """
+    filter_len = _as_int("filter_len", filter_len, None)
     if filter_len < 1:
         raise EmptyInputError(f"filter_len must be >= 1, got {filter_len}")
     taps = np.asarray(model.taps, dtype=complex)
@@ -265,6 +272,7 @@ def sliding_windows(sequence: np.ndarray, window_len: int) -> np.ndarray:
     sequence, shape ``(..., L, K)``.
     """
     sequence = np.asarray(sequence)
+    window_len = _as_int("window_len", window_len, None)
     if window_len < 1:
         raise EmptyInputError(f"window_len must be >= 1, got {window_len}")
     if sequence.ndim < 1 or sequence.shape[-1] < window_len:
@@ -292,6 +300,7 @@ def empirical_covariances(v: np.ndarray, filter_len: int) -> CovariancePair:
     construction.
     """
     v = np.asarray(v, dtype=complex)
+    filter_len = _as_int("filter_len", filter_len, None)
     if v.ndim != 1 or v.size < 10 * filter_len:
         raise InsufficientSamplesError(
             f"need at least {10 * filter_len} samples for filter_len={filter_len}, got {v.size}"

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import _as_int
+
 __all__ = ["as_generator", "derive_rng", "DERIVATION_RULE"]
 
 DERIVATION_RULE = "default_rng(SeedSequence(entropy=master_seed, spawn_key=key))"
@@ -23,5 +25,7 @@ def as_generator(rng: np.random.Generator | int | None) -> np.random.Generator:
 
 
 def derive_rng(master_seed: int, *key: int) -> np.random.Generator:
-    """Independent generator for stream/trial ``key`` under ``master_seed``."""
-    return np.random.default_rng(np.random.SeedSequence(entropy=master_seed, spawn_key=key))
+    """Independent generator for stream/trial ``key`` under ``master_seed``, an
+    integer >= 0 (else ``InvalidParameterError``)."""
+    seed = _as_int("seed", master_seed, 0)
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))

@@ -85,20 +85,19 @@ def sut_snr_gain(cols, cov):
     return surplus, float(factor.p[0])
 
 
-def make_dataset_per_sample(count, rng=None, *, input_len=8, uniform_high=0.3, gaussian_std=0.05):
+def make_dataset_per_sample(count, rng=None, *, input_len=8):
     """``make_dataset`` one sample at a time: the reference for its batched
-    arithmetic, with the same six generator calls per sample in one order."""
+    arithmetic, with the same six generator calls per sample in one order and
+    the paper's noise levels written out, not read from the module."""
     gen = as_generator(rng)
     signals = []
     for _ in range(count):
         pattern_id = int(gen.integers(2))
         pattern = PATTERN_ONE if pattern_id == 0 else PATTERN_TWO
         start = int(gen.integers(0, input_len - len(pattern) + 1))
-        x = gen.uniform(0.0, uniform_high, input_len) + 1j * gen.uniform(
-            0.0, uniform_high, input_len
-        )
+        x = gen.uniform(0.0, 0.3, input_len) + 1j * gen.uniform(0.0, 0.3, input_len)
         x[start : start + len(pattern)] += pattern
-        x += gaussian_std * (
+        x += 0.05 * (
             gen.standard_normal(input_len) + 1j * gen.standard_normal(input_len)
         )
         x /= np.linalg.norm(x)

@@ -13,14 +13,25 @@ import pytest
 
 import wlmf
 from wlmf import (
+    CnnConfig,
+    DimensionMismatchError,
+    EmptyInputError,
     InvalidParameterError,
+    WlmfError,
     analytic_covariances,
+    apply_filter_sequence,
     aut_decompose,
     cli,
     demo_model,
+    empirical_covariances,
     linalg,
+    ma_filter,
     normalized_snr_bias,
+    sample_improper_white,
+    sliding_windows,
+    train,
 )
+from wlmf.cnn import make_dataset
 from wlmf.experiments import (
     _STREAM_GAIN_BIAS,
     DEFAULT_RHO_GRID,
@@ -30,6 +41,7 @@ from wlmf.experiments import (
     _map_tasks,
     run_experiment,
 )
+from wlmf.noise import NoiseModel
 from wlmf.seeding import derive_rng
 
 FLOAT_CELL = re.compile(r"-?\d\.\d{12}e[+-]\d{2,3}")
@@ -114,6 +126,62 @@ def test_numpy_integer_seed_writes_a_plain_manifest(tmp_path):
 def test_spec_rejects_grids_the_experiment_does_not_sweep(experiment, key, values):
     with pytest.raises(InvalidParameterError, match=key):
         ExperimentSpec.with_defaults(experiment, **{key: values})
+
+
+TYPED_ARGUMENT_ERRORS = {
+    # Integer arguments: a bool or a non-integer is an invalid parameter.
+    "sliding_windows-float-len": (InvalidParameterError, lambda: sliding_windows(np.ones(10), 2.5)),
+    "sliding_windows-bool-len": (InvalidParameterError, lambda: sliding_windows(np.ones(10), True)),
+    "analytic_covariances-float-len": (
+        InvalidParameterError, lambda: analytic_covariances(demo_model(0.5), 2.5)
+    ),
+    "empirical_covariances-float-len": (
+        InvalidParameterError, lambda: empirical_covariances(np.ones(100, complex), 2.5)
+    ),
+    "sample_improper_white-float-n": (InvalidParameterError, lambda: sample_improper_white(2.5, 0.5)),
+    "make_dataset-float-count": (InvalidParameterError, lambda: make_dataset(2.5, 0)),
+    "make_dataset-negative-count": (InvalidParameterError, lambda: make_dataset(-1, 0)),
+    "make_dataset-float-len": (InvalidParameterError, lambda: make_dataset(3, 0, input_len=2.5)),
+    "make_dataset-short-len": (DimensionMismatchError, lambda: make_dataset(3, 0, input_len=2)),
+    # Typed errors raised before keep their type.
+    "sliding_windows-zero-len": (EmptyInputError, lambda: sliding_windows(np.ones(10), 0)),
+    "analytic_covariances-zero-len": (
+        EmptyInputError, lambda: analytic_covariances(demo_model(0.5), 0)
+    ),
+    "sample_improper_white-zero-n": (EmptyInputError, lambda: sample_improper_white(0, 0.5)),
+    # Seeds and grids.
+    "derive_rng-negative-seed": (InvalidParameterError, lambda: derive_rng(-1)),
+    "derive_rng-float-seed": (InvalidParameterError, lambda: derive_rng(1.5, 0)),
+    "train-negative-seed": (InvalidParameterError, lambda: train((CnnConfig(),), -1)),
+    "train-float-seed": (InvalidParameterError, lambda: train((CnnConfig(),), 1.5)),
+    "spec-scalar-rho": (InvalidParameterError, lambda: ExperimentSpec("gain-bias", rho_u=0.5)),
+    "spec-string-rho": (InvalidParameterError, lambda: ExperimentSpec("gain-bias", rho_u="0.5")),
+    "spec-string-rho-entry": (
+        InvalidParameterError, lambda: ExperimentSpec("gain-bias", rho_u=("0.5",))
+    ),
+    "spec-scalar-len": (InvalidParameterError, lambda: ExperimentSpec("gain-bias", filter_len=4)),
+    # Shapes and non-finite power.
+    "apply_filter_sequence-0d-taps": (
+        DimensionMismatchError, lambda: apply_filter_sequence(np.ones(5), 1.0)
+    ),
+    "ma_filter-2d-input": (DimensionMismatchError, lambda: ma_filter(np.ones((2, 3)), (1,))),
+    "ma_filter-2d-taps": (DimensionMismatchError, lambda: ma_filter(np.ones(3), np.ones((2, 2)))),
+    "sample_improper_white-inf-power": (
+        InvalidParameterError, lambda: sample_improper_white(5, 0.5, sigma2_u=np.inf)
+    ),
+    "NoiseModel-inf-power": (
+        InvalidParameterError, lambda: NoiseModel((1.0,), 0.5, sigma2_u=np.inf)
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TYPED_ARGUMENT_ERRORS))
+def test_invalid_arguments_raise_their_typed_error(name):
+    """Each call ends in its named WlmfError subclass, not a numpy error."""
+    error, call = TYPED_ARGUMENT_ERRORS[name]
+    with pytest.raises(WlmfError) as caught:
+        call()
+    assert type(caught.value) is error
 
 
 def small_gain_bias_spec(out_dir, workers=1):

@@ -10,7 +10,6 @@ from wlmf import (
     DegenerateWindowError,
     DimensionMismatchError,
     InvalidImproprietyError,
-    InvalidParameterError,
     NonFiniteInputError,
     NotPositiveDefiniteError,
     SingularAtOneError,
@@ -338,7 +337,7 @@ def test_designed_sequence_hits_target_epsilon():
         cov = random_improper_pair(rng, dim)
         aut = aut_decompose(cov)
         try:
-            x = design_matched_sequence(aut, magnitudes=np.ones(dim))
+            x = design_matched_sequence(aut, rng)
         except SingularAtOneError:
             continue
         profile = impropriety_profile(aut, rotated_input(aut, x))
@@ -351,19 +350,14 @@ def test_designed_sequence_proper_noise_balances_parts():
     rng = np.random.default_rng(63)
     r = random_improper_pair(rng, 5).r
     aut = aut_decompose(CovariancePair(r=r, c=np.zeros((5, 5))))
-    x = design_matched_sequence(aut, magnitudes=np.ones(5))
+    x = design_matched_sequence(aut, rng)
     xt = rotated_input(aut, x)
     assert np.allclose(np.abs(xt.real), np.abs(xt.imag), atol=1e-12)
 
 
 def test_designed_sequence_magnitude_validation():
+    """The magnitudes are draws from ``rng``: one seed, one sequence."""
     aut = demo_aut()
-    with pytest.raises(DimensionMismatchError):
-        design_matched_sequence(aut, magnitudes=np.ones(4))
-    with pytest.raises(ValueError):
-        design_matched_sequence(aut, magnitudes=np.zeros(6))
-    with pytest.raises(InvalidParameterError, match="strictly positive"):
-        design_matched_sequence(aut, magnitudes=-np.ones(6))
     first = design_matched_sequence(aut, rng=7)
     second = design_matched_sequence(aut, rng=7)
     assert np.array_equal(first, second)
@@ -509,9 +503,6 @@ NON_FINITE_CALLS = {
         _with_first_entry(np.ones(50), bad), cov, aut
     ),
     "NoiseModel": lambda cov, aut, bad: NoiseModel(taps=(bad, 0.5), rho_u=0.5),
-    "design_matched_sequence": lambda cov, aut, bad: design_matched_sequence(
-        aut, magnitudes=np.abs(_with_first_entry(np.ones(4), bad))
-    ),
 }
 
 
@@ -520,8 +511,8 @@ NON_FINITE_CALLS = {
 )
 @pytest.mark.parametrize("name", sorted(NON_FINITE_CALLS))
 def test_non_finite_input_raises_typed_error(name, bad):
-    """A NaN or infinite entry in a window, a signal, the taps or the design
-    magnitudes ends in NonFiniteInputError, not in a NaN result."""
+    """A NaN or infinite entry in a window, a signal or the taps ends in
+    NonFiniteInputError, not in a NaN result."""
     cov = analytic_covariances(demo_model(0.5), 4)
     with pytest.raises(NonFiniteInputError):
         NON_FINITE_CALLS[name](cov, aut_decompose(cov), bad)
