@@ -8,7 +8,7 @@ iteration at which each stays above 0.9 for good. Run with
 
 import numpy as np
 
-from wlmf import CnnConfig, train
+from wlmf import train
 from wlmf.cnn import PATTERN_ONE, PATTERN_TWO
 
 
@@ -19,7 +19,7 @@ def main():
 
     seed = 0
     modes = ("sl", "wl")
-    results = dict(zip(modes, train(tuple(CnnConfig(mode=mode) for mode in modes), seed)))
+    results = dict(zip(modes, train(seed)))
 
     print("\nheld-out mean correct-class probability, seed %d:" % seed)
     print("            strictly linear     widely linear")

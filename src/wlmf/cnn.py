@@ -9,11 +9,11 @@ a real affine head with softmax over two classes. The channel taps run as a
 filter bank through the core of :func:`wlmf.filters.apply_filter_sequence`,
 so each channel is a matched filter on the same newest-first windows; a
 batch of signals is filtered in one contraction and agrees bit for bit with
-its signals filtered one at a time. :func:`train` trains a stack of
-networks that differ only in mode, in one SGD loop: each parameter array
+its signals filtered one at a time. :func:`train` trains the strictly and
+widely linear networks side by side in one SGD loop: each parameter array
 carries a leading network axis, one forward and backward pass per step
-serves every network, and the stream, holdout and window stack are drawn
-and built once. Each network of a stack computes, bit for bit, what it
+serves both networks, and the stream, holdout and window stack are drawn
+and built once. Each network of the pair computes, bit for bit, what it
 computes alone, and each backward pass reuses the windows of its own
 forward pass for the tap gradients.
 
@@ -25,8 +25,8 @@ parameter.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, fields
+from typing import ClassVar
 
 import numpy as np
 
@@ -62,28 +62,25 @@ NOISE_STD = 0.05
 
 @dataclass(frozen=True)
 class CnnConfig:
-    """Hyperparameters; ``mode`` selects the strictly or widely linear layer."""
+    """``mode`` selects the strictly or widely linear layer; the paper's
+    training schedule is fixed on the class."""
 
     mode: str = "sl"
     input_len: int = 8
-    channels: int = 3
     filter_len: int = 3
-    learning_rate: float = 0.05
-    epochs: int = 10
-    realizations_per_epoch: int = 200
-    eval_every: int = 10
-    holdout_size: int = 100
+
+    channels: ClassVar[int] = 3
+    learning_rate: ClassVar[float] = 0.05
+    epochs: ClassVar[int] = 10
+    realizations_per_epoch: ClassVar[int] = 200
+    eval_every: ClassVar[int] = 10
+    holdout_size: ClassVar[int] = 100
 
     def __post_init__(self):
         if self.mode not in ("sl", "wl"):
             raise InvalidParameterError(f"mode must be 'sl' or 'wl', got {self.mode!r}")
-        for name in [field.name for field in fields(self) if field.type == "int"]:
-            value = _as_int(name, getattr(self, name), 0 if name == "holdout_size" else 1)
-            object.__setattr__(self, name, value)
-        if not 1 <= self.eval_every <= self.epochs * self.realizations_per_epoch:
-            raise InvalidParameterError(f"eval_every must be in [1, steps], got {self.eval_every}")
-        if not 0 <= self.learning_rate < math.inf:
-            raise InvalidParameterError(f"learning_rate {self.learning_rate} is outside [0, inf)")
+        for name in ("input_len", "filter_len"):
+            object.__setattr__(self, name, _as_int(name, getattr(self, name), 1))
         if self.input_len < max(self.filter_len, len(PATTERN_ONE)):
             raise DimensionMismatchError("input_len must cover filter_len and the 3-sample pattern")
 
@@ -365,8 +362,6 @@ def _holdout_means(
     of each signal's true class in the (B, 2) probabilities, and ``classes``
     the rows of each class; a pattern with no held-out sample reads 1.0.
     """
-    if len(x) == 0:
-        return 1.0, 1.0
     true_class = predict_proba(x, params)[true_index]
     return tuple(float(np.mean(true_class[rows])) if rows.size else 1.0 for rows in classes)
 
@@ -380,41 +375,31 @@ def _first_sustained(evals: list[tuple[int, float, float]]) -> int | None:
     return first
 
 
-def train(configs: tuple[CnnConfig, ...], seed: int) -> tuple[TrainResult, ...]:
-    """Per-sample SGD training of a stack of networks under one data stream.
+def train(
+    seed: int, *, input_len: int = 8, filter_len: int = 3
+) -> tuple[TrainResult, TrainResult]:
+    """Per-sample SGD training of the strictly and widely linear networks
+    under one data stream, on the :class:`CnnConfig` schedule.
 
-    The configs must agree in every field except ``mode``. The training
-    stream (fresh realizations every epoch), the held-out batch, and the
-    initial parameters are all derived from ``seed`` independently of the
-    mode, so strictly and widely linear networks see identical data and
-    start from the same strictly linear function. The stream and holdout
-    are drawn once for the whole stack, and each step runs one forward and
-    backward pass and one update for every network; each network's result
-    is, bit for bit, that of training it alone. Returns one
-    :class:`TrainResult` per config, in order; its ``params`` are views of
-    the stack.
+    The training stream (fresh realizations every epoch), the held-out
+    batch, and the initial parameters are all derived from ``seed``
+    independently of the mode, so both networks see identical data and start
+    from the same strictly linear function. Each step runs one forward and
+    backward pass and one update for both; each network's result is, bit
+    for bit, that of training it alone. Returns the strictly and the widely
+    linear :class:`TrainResult`; their ``params`` are views of the stack.
 
     Raises
     ------
-    InvalidParameterError
-        If ``configs`` is empty, or two configs differ in a field other than
-        ``mode``.
+    InvalidParameterError, DimensionMismatchError
+        For a seed that is not an integer >= 0, or lengths that
+        :class:`CnnConfig` rejects.
     DivergenceDetectedError
         At the first step where some network's loss is not finite; the
         message names that network's mode.
     """
-    configs = tuple(configs)
-    if not configs:
-        raise InvalidParameterError("train needs at least one config")
+    configs = tuple(CnnConfig(mode, input_len, filter_len) for mode in ("sl", "wl"))
     config = configs[0]
-    for other in configs[1:]:
-        for field in fields(CnnConfig):
-            name = field.name
-            if name != "mode" and getattr(other, name) != getattr(config, name):
-                raise InvalidParameterError(
-                    f"configs of one train call differ in {name}: "
-                    f"{getattr(config, name)!r} and {getattr(other, name)!r}"
-                )
     total = config.epochs * config.realizations_per_epoch
     stream_x, stream_labels, _ = _draw_signals(total, derive_rng(seed, 0), config.input_len)
     holdout_x, holdout_labels, _ = _draw_signals(

@@ -1,5 +1,7 @@
-"""Exception types raised by the library, and the integer check its configs share."""
+"""Exception types raised by the library, and the integer and real checks its
+arguments share."""
 
+import numbers
 import operator
 
 
@@ -71,3 +73,12 @@ def _as_int(name: str, value, minimum: int | None) -> int:
         bound = "" if minimum is None else f" >= {minimum}"
         raise InvalidParameterError(f"{name} must be an integer{bound}, got {value!r}")
     return number
+
+
+def _as_float(name: str, value) -> float:
+    """``value`` as a plain float (numpy reals included); a bool, a string,
+    None or any other value that is not a real number raises
+    ``InvalidParameterError``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InvalidParameterError(f"{name} must be a real number, got {value!r}")
+    return float(value)

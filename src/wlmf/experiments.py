@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
@@ -44,8 +43,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .cnn import CnnConfig, train
-from .errors import DimensionMismatchError, InsufficientSamplesError, InvalidParameterError, _as_int
+from .cnn import train
+from .errors import DimensionMismatchError, InsufficientSamplesError, InvalidParameterError
+from .errors import _as_float, _as_int
 from .filters import (
     apply_filter_sequence,
     slmf_solve,
@@ -164,9 +164,7 @@ class ExperimentSpec:
             grid = getattr(self, key)
             if isinstance(grid, (str, bytes)) or not np.iterable(grid):
                 raise InvalidParameterError(f"{key} must be a sequence of numbers, got {grid!r}")
-        if not all(isinstance(r, numbers.Real) and not isinstance(r, bool) for r in self.rho_u):
-            raise InvalidParameterError(f"rho_u must hold real numbers, got {self.rho_u!r}")
-        object.__setattr__(self, "rho_u", tuple(float(r) for r in self.rho_u))
+        object.__setattr__(self, "rho_u", tuple(_as_float("rho_u", r) for r in self.rho_u))
         lengths = tuple(_as_int("filter_len", v, 1) for v in self.filter_len)
         object.__setattr__(self, "filter_len", lengths)
         for name in ("signal_len", "trials", "seed", "est_len", "workers"):
@@ -294,9 +292,7 @@ def _surface_probe(spec: ExperimentSpec) -> np.ndarray:
             aut_decompose(cov), rng=derive_rng(spec.seed, _STREAM_DESIGN)
         )
     rng = derive_rng(spec.seed, _STREAM_SURFACE_FILLER)
-    filler = (
-        rng.standard_normal(spec.signal_len) + 1j * rng.standard_normal(spec.signal_len)
-    ) / np.sqrt(2.0)
+    filler = sample_improper_white(spec.signal_len, 0.0, 1.0, rng=rng)
     return np.concatenate([matched[::-1], filler])
 
 
@@ -398,12 +394,8 @@ def run_mf_demo(spec: ExperimentSpec) -> dict:
 def run_cnn_train(spec: ExperimentSpec) -> dict:
     rows = []
     summary = {"seed": spec.seed, "modes": {}}
-    modes = ("sl", "wl")
-    configs = tuple(
-        CnnConfig(mode=mode, input_len=spec.signal_len, filter_len=spec.filter_len[0])
-        for mode in modes
-    )
-    for mode, result in zip(modes, train(configs, spec.seed)):
+    results = train(spec.seed, input_len=spec.signal_len, filter_len=spec.filter_len[0])
+    for mode, result in zip(("sl", "wl"), results):
         for iteration, pattern, probability in result.trace:
             rows.append((iteration, mode, pattern, probability))
         final = result.evals[-1]

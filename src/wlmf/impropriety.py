@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateWindowError, DimensionMismatchError, InvalidImproprietyError
-from .errors import SingularAtOneError
+from .errors import SingularAtOneError, _as_float
 from .filters import _as_columns, _real_map_squared_norms, snr_gain
 from .linalg import _real_form, hermitian_eig, takagi
 from .noise import CovariancePair, sliding_windows
@@ -231,6 +231,7 @@ def lower_bound_rho(epsilon: float) -> float:
     Evaluated as ``eps / (1 + sqrt((1 - eps)(1 + eps)))``, which has no
     cancellation: the textbook form loses every digit as ``eps`` goes to 0.
     """
+    epsilon = _as_float("epsilon", epsilon)
     if not -1.0 <= epsilon <= 1.0:
         raise InvalidImproprietyError(f"epsilon must lie in [-1, 1], got {epsilon}")
     if epsilon <= 0.0:

@@ -29,6 +29,7 @@ from .errors import (
     InvalidImproprietyError,
     InvalidParameterError,
     NonFiniteInputError,
+    _as_float,
     _as_int,
 )
 from .linalg import (
@@ -81,6 +82,8 @@ class NoiseModel:
         if all(t == 0 for t in taps):
             raise InvalidParameterError("at least one tap must be nonzero")
         object.__setattr__(self, "taps", taps)
+        for name in ("rho_u", "sigma2_u"):
+            object.__setattr__(self, name, _as_float(name, getattr(self, name)))
         if not 0.0 <= self.rho_u <= 1.0:
             raise InvalidImproprietyError(f"rho_u must lie in [0, 1], got {self.rho_u}")
         if not 0 < self.sigma2_u < np.inf:
@@ -198,6 +201,7 @@ def sample_improper_white(
     n = _as_int("n", n, None)
     if n <= 0:
         raise EmptyInputError(f"sample count must be positive, got {n}")
+    rho_u, sigma2_u = _as_float("rho_u", rho_u), _as_float("sigma2_u", sigma2_u)
     if not 0.0 <= rho_u <= 1.0:
         raise InvalidImproprietyError(f"rho_u must lie in [0, 1], got {rho_u}")
     if not 0 < sigma2_u < np.inf:

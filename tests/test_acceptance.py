@@ -10,7 +10,6 @@ import time
 import numpy as np
 
 from wlmf import (
-    CnnConfig,
     CovariancePair,
     aut_decompose,
     demo_model,
@@ -227,7 +226,7 @@ def test_criterion_10_training_speed_ordering():
     strictly_earlier = 0
     both_accurate = 0
     for seed in range(10):
-        sl, wl = train((CnnConfig(mode="sl"), CnnConfig(mode="wl")), seed)
+        sl, wl = train(seed)
         if wl.first_sustained is not None and (
             sl.first_sustained is None or wl.first_sustained < sl.first_sustained
         ):

@@ -13,8 +13,8 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 
 def readme_code_names():
     """Last component of the dotted name that opens each inline code span of
-    README (fenced blocks aside), so `wlmf.cnn.train` and `train(configs,
-    seed)` both document ``train``."""
+    README (fenced blocks aside), so `wlmf.cnn.train` and `train(seed, *,
+    input_len=8, filter_len=3)` both document ``train``."""
     text = re.sub(r"^```.*?^```", "", README.read_text(encoding="utf-8"), flags=re.M | re.S)
     names = set()
     for span in re.findall(r"`([^`]+)`", text):

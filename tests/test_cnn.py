@@ -1,5 +1,5 @@
 import copy
-from dataclasses import replace
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -84,11 +84,13 @@ def test_conv_wl_zero_branch_matches_sl():
 
 
 def test_conv_single_tap_reproduces_input():
-    config = CnnConfig(mode="sl", channels=1, filter_len=1)
+    config = CnnConfig(mode="sl", filter_len=1)
     params = init_params(config, 0)
     params.conv1[:] = 1.0
     x = np.arange(8, dtype=complex) * (0.5 - 0.25j)
-    assert np.allclose(forward(x, params)[1]["y"][0], x, atol=1e-15)
+    y = forward(x, params)[1]["y"]
+    assert y.shape == (CnnConfig.channels, 8)
+    assert np.allclose(y, x, atol=1e-15)
 
 
 @pytest.mark.parametrize("mode", ["sl", "wl"])
@@ -259,94 +261,59 @@ def test_init_shares_stream_across_modes():
     assert np.array_equal(predict_proba(x, sl), predict_proba(x, wl))
 
 
-def test_train_zero_learning_rate_is_inert():
-    config = CnnConfig(mode="sl", learning_rate=0.0, epochs=1,
-                       realizations_per_epoch=30, holdout_size=10)
-    (result,) = train((config,), seed=3)
-    reference = init_params(config, derive_rng(3, 1))
-    assert np.array_equal(result.params.conv1, reference.conv1)
-    assert np.array_equal(result.params.head_w, reference.head_w)
-    assert np.array_equal(result.params.head_b, reference.head_b)
-    first = result.evals[0]
-    assert all(row[1:] == first[1:] for row in result.evals)
+@pytest.fixture(scope="module")
+def trained_pair():
+    """The seed and the (strictly, widely linear) results of one ``train``."""
+    seed = 21
+    return seed, train(seed)
 
 
-def test_train_records_have_expected_shape():
-    config = CnnConfig(mode="wl", epochs=2, realizations_per_epoch=30, holdout_size=20)
-    (result,) = train((config,), seed=5)
-    assert len(result.trace) == 60
-    assert [row[0] for row in result.trace] == list(range(1, 61))
-    assert all(0.0 < row[2] < 1.0 for row in result.trace)
-    assert [row[0] for row in result.evals] == [10, 20, 30, 40, 50, 60]
-    if result.first_sustained is not None:
-        assert result.first_sustained % config.eval_every == 0
+def test_train_records_have_expected_shape(trained_pair):
+    _, results = trained_pair
+    steps = CnnConfig.epochs * CnnConfig.realizations_per_epoch
+    for result in results:
+        assert len(result.trace) == steps == 2000
+        assert [row[0] for row in result.trace] == list(range(1, steps + 1))
+        assert all(0.0 < row[2] < 1.0 for row in result.trace)
+        assert [row[0] for row in result.evals] == list(range(10, steps + 1, 10))
+        if result.first_sustained is not None:
+            assert result.first_sustained % CnnConfig.eval_every == 0
 
 
-def _stack_id(value):
-    return "-".join(value) if isinstance(value, tuple) else None
-
-
-@pytest.mark.parametrize("modes", [("sl",), ("wl",), ("sl", "wl"), ("wl", "sl")], ids=_stack_id)
-def test_train_is_the_public_per_sample_path(modes):
-    """Each network of a stack gets from ``train``, bit for bit, the trace,
+@pytest.mark.parametrize("mode", ["sl", "wl"])
+def test_train_is_the_public_per_sample_path(trained_pair, mode):
+    """Each network of the pair gets from ``train``, bit for bit, the trace,
     evaluations and parameters of a loop over public ``backward`` and
     ``predict_proba`` on the same streams, for that network alone."""
-    configs = tuple(
-        CnnConfig(mode=mode, epochs=1, realizations_per_epoch=40, holdout_size=10)
-        for mode in modes
-    )
-    seed = 21
-    results = train(configs, seed)
-    assert len(results) == len(configs)
+    seed, results = trained_pair
+    result = dict(zip(("sl", "wl"), results))[mode]
+    config = CnnConfig(mode=mode)
+    steps = config.epochs * config.realizations_per_epoch
 
-    stream = make_dataset(40, derive_rng(seed, 0))
-    holdout = make_dataset(10, derive_rng(seed, 2))
+    stream = make_dataset(steps, derive_rng(seed, 0))
+    holdout = make_dataset(config.holdout_size, derive_rng(seed, 2))
     holdout_x = np.array([sample.x for sample in holdout])
     labels = np.array([sample.pattern - 1 for sample in holdout])
-    for config, result in zip(configs, results):
-        params = init_params(config, derive_rng(seed, 1))
-        trace, evals = [], []
-        for step, sample in enumerate(stream, start=1):
-            _, probs, grads = backward(sample.x, sample.t, params)
-            trace.append((step, sample.pattern, float(probs[sample.pattern - 1])))
-            _sgd_step(params, grads, config.learning_rate)
-            if step % config.eval_every == 0:
-                true_class = predict_proba(holdout_x, params)[np.arange(10), labels]
-                means = [float(np.mean(true_class[labels == c])) if np.any(labels == c) else 1.0
-                         for c in (0, 1)]
-                evals.append((step, *means))
+    params = init_params(config, derive_rng(seed, 1))
+    trace, evals = [], []
+    for step, sample in enumerate(stream, start=1):
+        _, probs, grads = backward(sample.x, sample.t, params)
+        trace.append((step, sample.pattern, float(probs[sample.pattern - 1])))
+        _sgd_step(params, grads, config.learning_rate)
+        if step % config.eval_every == 0:
+            true_class = predict_proba(holdout_x, params)[np.arange(len(labels)), labels]
+            means = [float(np.mean(true_class[labels == c])) if np.any(labels == c) else 1.0
+                     for c in (0, 1)]
+            evals.append((step, *means))
 
-        assert result.trace == trace
-        assert result.evals == evals and len(evals) == 4
-        for name in ("conv1", "conv2", "bias_re", "bias_im", "head_w", "head_b"):
-            got, want = getattr(result.params, name), getattr(params, name)
-            assert got is want is None or np.array_equal(got, want), (config.mode, name)
-
-
-@pytest.mark.parametrize(
-    "field, value",
-    [(None, None), ("epochs", 2), ("learning_rate", 0.1), ("holdout_size", 11),
-     ("input_len", 9), ("channels", 2)],
-)
-def test_train_rejects_mismatched_stacks(field, value):
-    """An empty stack, or configs that differ in a field other than mode."""
-    base = CnnConfig(mode="sl", epochs=1, realizations_per_epoch=20, holdout_size=10)
-    if field is None:
-        configs, message = (), "at least one"
-    else:
-        configs, message = (base, replace(base, mode="wl", **{field: value})), field
-    with pytest.raises(InvalidParameterError, match=message):
-        train(configs, seed=0)
+    assert result.trace == trace
+    assert result.evals == evals and len(evals) == 200
+    for name in ("conv1", "conv2", "bias_re", "bias_im", "head_w", "head_b"):
+        got, want = getattr(result.params, name), getattr(params, name)
+        assert got is want is None or np.array_equal(got, want), name
 
 
-def test_train_divergence_raises():
-    config = CnnConfig(mode="sl", learning_rate=1e15, epochs=1,
-                       realizations_per_epoch=50, holdout_size=10)
-    with pytest.raises(DivergenceDetectedError):
-        train((config,), seed=0)
-
-
-def _train_from_edited_params(monkeypatch, configs, seed, edit):
+def _train_from_edited_params(monkeypatch, seed, edit):
     """``train`` with ``edit(config, params)`` applied to the initial
     parameters of each network."""
     draw = cnn.init_params
@@ -357,13 +324,12 @@ def _train_from_edited_params(monkeypatch, configs, seed, edit):
         return params
 
     monkeypatch.setattr(cnn, "init_params", init_params_edited)
-    return train(configs, seed)
+    return train(seed)
 
 
 def test_train_divergence_on_underflowed_true_class(monkeypatch):
     """A head bias gap that rounds the true class's probability to exactly 0
     makes the loss infinite at the first step."""
-    config = CnnConfig(mode="sl", epochs=1, realizations_per_epoch=20, holdout_size=4)
     first = make_dataset(1, derive_rng(9, 0))[0]
     label = first.pattern - 1
 
@@ -372,35 +338,23 @@ def test_train_divergence_on_underflowed_true_class(monkeypatch):
         assert predict_proba(first.x, params)[label] == 0.0
 
     with pytest.raises(DivergenceDetectedError, match="iteration 1$"):
-        _train_from_edited_params(monkeypatch, (config,), 9, widen_gap)
+        _train_from_edited_params(monkeypatch, 9, widen_gap)
 
 
 @pytest.mark.parametrize(
-    "modes, name",
-    [
-        (("sl",), "conv1"),
-        (("wl",), "conv2"),
-        (("sl",), "bias_im"),
-        (("wl",), "head_w"),
-        (("sl", "wl"), "conv2"),
-        (("sl", "wl"), "bias_re"),
-    ],
-    ids=_stack_id,
+    "mode, name",
+    [("sl", "conv1"), ("wl", "conv2"), ("sl", "bias_im"), ("wl", "head_w"), ("wl", "bias_re")],
 )
-def test_train_divergence_on_nan_parameter(monkeypatch, modes, name):
-    """A NaN parameter of the stack's last network makes its loss NaN at the
-    first step; the error names that network's mode."""
-    configs = tuple(
-        CnnConfig(mode=mode, epochs=1, realizations_per_epoch=20, holdout_size=4)
-        for mode in modes
-    )
+def test_train_divergence_on_nan_parameter(monkeypatch, mode, name):
+    """A NaN parameter of either network of the pair makes its loss NaN at
+    the first step; the error names that network's mode."""
 
     def poison(config, params):
-        if config.mode == modes[-1]:
+        if config.mode == mode:
             getattr(params, name).flat[0] = np.nan
 
-    with pytest.raises(DivergenceDetectedError, match=f"'{modes[-1]}' network at iteration 1$"):
-        _train_from_edited_params(monkeypatch, configs, 9, poison)
+    with pytest.raises(DivergenceDetectedError, match=f"'{mode}' network at iteration 1$"):
+        _train_from_edited_params(monkeypatch, 9, poison)
 
 
 def test_first_sustained_scan():
@@ -418,41 +372,37 @@ def test_config_validation():
         CnnConfig(input_len=2, filter_len=3)
     with pytest.raises(DimensionMismatchError, match="pattern"):
         CnnConfig(input_len=2, filter_len=2)
-    config = CnnConfig(input_len=np.int64(3), epochs=np.uint8(2))
-    assert type(config.input_len) is int and type(config.epochs) is int
+    config = CnnConfig(input_len=np.int64(3), filter_len=np.uint8(2))
+    assert type(config.input_len) is int and type(config.filter_len) is int
+
+
+def test_config_fields_and_schedule():
+    """Only the mode and the lengths are fields; the schedule that
+    ``train`` runs is fixed on the class."""
+    assert [field.name for field in fields(CnnConfig)] == ["mode", "input_len", "filter_len"]
+    config = CnnConfig()
+    schedule = (config.channels, config.learning_rate, config.epochs,
+                config.realizations_per_epoch, config.eval_every, config.holdout_size)
+    assert schedule == (3, 0.05, 10, 200, 10, 100)
+    with pytest.raises(TypeError):
+        CnnConfig(epochs=2)
 
 
 @pytest.mark.parametrize(
     "field, value",
     [
         ("mode", "other"),
-        ("epochs", 0),
-        ("realizations_per_epoch", 0),
-        ("eval_every", 0),
-        ("eval_every", 2001),
-        ("channels", 0),
         ("filter_len", 0),
-        ("holdout_size", -1),
-        ("learning_rate", -0.05),
-        ("learning_rate", float("nan")),
-        ("learning_rate", float("inf")),
-        ("epochs", 1.5),
-        ("channels", True),
-        ("holdout_size", 100.0),
+        ("input_len", 0),
+        ("input_len", 8.5),
+        ("input_len", True),
+        ("input_len", 8.0),
     ],
 )
 def test_config_rejects_out_of_range_values(field, value):
     with pytest.raises(InvalidParameterError, match=field) as info:
         CnnConfig(**{field: value})
     assert isinstance(info.value, WlmfError) and isinstance(info.value, ValueError)
-
-
-def test_config_boundary_values_train():
-    config = CnnConfig(learning_rate=0.0, epochs=1, realizations_per_epoch=5, eval_every=5,
-                       holdout_size=0)
-    (result,) = train((config,), seed=4)
-    assert result.evals == [(5, 1.0, 1.0)]
-    assert len(result.trace) == 5
 
 
 def test_backward_rejects_bad_shapes():

@@ -13,7 +13,6 @@ import pytest
 
 import wlmf
 from wlmf import (
-    CnnConfig,
     DimensionMismatchError,
     EmptyInputError,
     InvalidParameterError,
@@ -25,6 +24,7 @@ from wlmf import (
     demo_model,
     empirical_covariances,
     linalg,
+    lower_bound_rho,
     ma_filter,
     normalized_snr_bias,
     sample_improper_white,
@@ -143,6 +143,18 @@ TYPED_ARGUMENT_ERRORS = {
     "make_dataset-negative-count": (InvalidParameterError, lambda: make_dataset(-1, 0)),
     "make_dataset-float-len": (InvalidParameterError, lambda: make_dataset(3, 0, input_len=2.5)),
     "make_dataset-short-len": (DimensionMismatchError, lambda: make_dataset(3, 0, input_len=2)),
+    # Real arguments: a bool, a string, None or another non-real is an
+    # invalid parameter.
+    "NoiseModel-string-rho": (InvalidParameterError, lambda: NoiseModel((1.0,), "0.5")),
+    "NoiseModel-bool-rho": (InvalidParameterError, lambda: NoiseModel((1.0,), True)),
+    "sample_improper_white-string-rho": (
+        InvalidParameterError, lambda: sample_improper_white(5, "0.5")
+    ),
+    "sample_improper_white-string-power": (
+        InvalidParameterError, lambda: sample_improper_white(5, 0.5, sigma2_u="1")
+    ),
+    "sample_improper_white-none-rho": (InvalidParameterError, lambda: sample_improper_white(5, None)),
+    "lower_bound_rho-string-eps": (InvalidParameterError, lambda: lower_bound_rho("0.5")),
     # Typed errors raised before keep their type.
     "sliding_windows-zero-len": (EmptyInputError, lambda: sliding_windows(np.ones(10), 0)),
     "analytic_covariances-zero-len": (
@@ -152,8 +164,8 @@ TYPED_ARGUMENT_ERRORS = {
     # Seeds and grids.
     "derive_rng-negative-seed": (InvalidParameterError, lambda: derive_rng(-1)),
     "derive_rng-float-seed": (InvalidParameterError, lambda: derive_rng(1.5, 0)),
-    "train-negative-seed": (InvalidParameterError, lambda: train((CnnConfig(),), -1)),
-    "train-float-seed": (InvalidParameterError, lambda: train((CnnConfig(),), 1.5)),
+    "train-negative-seed": (InvalidParameterError, lambda: train(-1)),
+    "train-float-seed": (InvalidParameterError, lambda: train(1.5)),
     "spec-scalar-rho": (InvalidParameterError, lambda: ExperimentSpec("gain-bias", rho_u=0.5)),
     "spec-string-rho": (InvalidParameterError, lambda: ExperimentSpec("gain-bias", rho_u="0.5")),
     "spec-string-rho-entry": (
