@@ -280,37 +280,43 @@ def test_train_records_have_expected_shape(trained_pair):
             assert result.first_sustained % CnnConfig.eval_every == 0
 
 
-@pytest.mark.parametrize("mode", ["sl", "wl"])
-def test_train_is_the_public_per_sample_path(trained_pair, mode):
+def _stack_id(value):
+    return "-".join(value) if isinstance(value, tuple) else None
+
+
+@pytest.mark.parametrize("modes", [("sl",), ("wl",), ("sl", "wl")], ids=_stack_id)
+def test_train_is_the_public_per_sample_path(trained_pair, modes):
     """Each network of the pair gets from ``train``, bit for bit, the trace,
     evaluations and parameters of a loop over public ``backward`` and
     ``predict_proba`` on the same streams, for that network alone."""
     seed, results = trained_pair
-    result = dict(zip(("sl", "wl"), results))[mode]
-    config = CnnConfig(mode=mode)
-    steps = config.epochs * config.realizations_per_epoch
+    assert len(results) == 2
+    for mode in modes:
+        result = dict(zip(("sl", "wl"), results))[mode]
+        config = CnnConfig(mode=mode)
+        steps = config.epochs * config.realizations_per_epoch
 
-    stream = make_dataset(steps, derive_rng(seed, 0))
-    holdout = make_dataset(config.holdout_size, derive_rng(seed, 2))
-    holdout_x = np.array([sample.x for sample in holdout])
-    labels = np.array([sample.pattern - 1 for sample in holdout])
-    params = init_params(config, derive_rng(seed, 1))
-    trace, evals = [], []
-    for step, sample in enumerate(stream, start=1):
-        _, probs, grads = backward(sample.x, sample.t, params)
-        trace.append((step, sample.pattern, float(probs[sample.pattern - 1])))
-        _sgd_step(params, grads, config.learning_rate)
-        if step % config.eval_every == 0:
-            true_class = predict_proba(holdout_x, params)[np.arange(len(labels)), labels]
-            means = [float(np.mean(true_class[labels == c])) if np.any(labels == c) else 1.0
-                     for c in (0, 1)]
-            evals.append((step, *means))
+        stream = make_dataset(steps, derive_rng(seed, 0))
+        holdout = make_dataset(config.holdout_size, derive_rng(seed, 2))
+        holdout_x = np.array([sample.x for sample in holdout])
+        labels = np.array([sample.pattern - 1 for sample in holdout])
+        params = init_params(config, derive_rng(seed, 1))
+        trace, evals = [], []
+        for step, sample in enumerate(stream, start=1):
+            _, probs, grads = backward(sample.x, sample.t, params)
+            trace.append((step, sample.pattern, float(probs[sample.pattern - 1])))
+            _sgd_step(params, grads, config.learning_rate)
+            if step % config.eval_every == 0:
+                true_class = predict_proba(holdout_x, params)[np.arange(len(labels)), labels]
+                means = [float(np.mean(true_class[labels == c])) if np.any(labels == c) else 1.0
+                         for c in (0, 1)]
+                evals.append((step, *means))
 
-    assert result.trace == trace
-    assert result.evals == evals and len(evals) == 200
-    for name in ("conv1", "conv2", "bias_re", "bias_im", "head_w", "head_b"):
-        got, want = getattr(result.params, name), getattr(params, name)
-        assert got is want is None or np.array_equal(got, want), name
+        assert result.trace == trace, mode
+        assert result.evals == evals and len(evals) == 200, mode
+        for name in ("conv1", "conv2", "bias_re", "bias_im", "head_w", "head_b"):
+            got, want = getattr(result.params, name), getattr(params, name)
+            assert got is want is None or np.array_equal(got, want), (mode, name)
 
 
 def _train_from_edited_params(monkeypatch, seed, edit):
@@ -342,18 +348,31 @@ def test_train_divergence_on_underflowed_true_class(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "mode, name",
-    [("sl", "conv1"), ("wl", "conv2"), ("sl", "bias_im"), ("wl", "head_w"), ("wl", "bias_re")],
+    "modes, name",
+    [
+        (("sl",), "conv1"),
+        (("wl",), "conv2"),
+        (("sl",), "bias_im"),
+        (("wl",), "head_w"),
+        (("wl",), "bias_re"),
+        (("sl", "wl"), "conv2"),
+        (("sl", "wl"), "bias_re"),
+    ],
+    ids=_stack_id,
 )
-def test_train_divergence_on_nan_parameter(monkeypatch, mode, name):
-    """A NaN parameter of either network of the pair makes its loss NaN at
-    the first step; the error names that network's mode."""
+def test_train_divergence_on_nan_parameter(monkeypatch, modes, name):
+    """A NaN parameter of the networks in ``modes`` that have it makes their
+    loss NaN at the first step; the error names the first of them in the
+    pair's (sl, wl) order.  The strictly linear network has no ``conv2``."""
+    poisoned = [mode for mode in ("sl", "wl")
+                if mode in modes and not (mode == "sl" and name == "conv2")]
 
     def poison(config, params):
-        if config.mode == mode:
+        if config.mode in poisoned:
             getattr(params, name).flat[0] = np.nan
 
-    with pytest.raises(DivergenceDetectedError, match=f"'{mode}' network at iteration 1$"):
+    with pytest.raises(DivergenceDetectedError,
+                       match=f"'{poisoned[0]}' network at iteration 1$"):
         _train_from_edited_params(monkeypatch, 9, poison)
 
 
