@@ -10,12 +10,12 @@ filter bank through the core of :func:`wlmf.filters.apply_filter_sequence`,
 so each channel is a matched filter on the same newest-first windows; a
 batch of signals is filtered in one contraction and agrees bit for bit with
 its signals filtered one at a time. :func:`train` trains the strictly and
-widely linear networks side by side in one SGD loop: each parameter array
-carries a leading network axis, one forward and backward pass per step
-serves both networks, and the stream, holdout and window stack are drawn
-and built once. Each network of the pair computes, bit for bit, what it
-computes alone, and each backward pass reuses the windows of its own
-forward pass for the tap gradients.
+widely linear networks as the two rows of one widely linear network, the
+strictly linear row keeping a zero conjugate branch: one forward and
+backward pass per step, and one holdout pass per evaluation, serve both,
+and the stream, holdout and window stack are drawn and built once. Each
+network computes, bit for bit, what it computes alone, and each backward
+pass reuses the windows of its own forward pass for the tap gradients.
 
 Gradients are taken with respect to the real and imaginary parts of every
 complex parameter; the complex carrier ``d(Re) + 1j d(Im)`` that the
@@ -258,14 +258,11 @@ def _windows(x, params: CnnParams) -> np.ndarray:
     return sliding_windows(np.asarray(x, dtype=complex), params.conv1.shape[-1])
 
 
-def _forward(windows: np.ndarray, params: CnnParams, wl=...) -> tuple[np.ndarray, dict]:
+def _forward(windows: np.ndarray, params: CnnParams) -> tuple[np.ndarray, dict]:
     """Forward pass on the windows of one signal or a batch of signals, for
-    one network or for a stack of them on one signal's windows.
-
-    A stack's arrays carry a leading network axis, and its ``conv2`` stacks
-    the conjugate branches of the networks ``wl`` (rows of that axis) alone.
-    """
-    y = _filter_windows(windows, params.conv1, params.conv2, wl)
+    one network or for a stack of them, whose arrays carry a leading network
+    axis (behind a batch's axes)."""
+    y = _filter_windows(windows, params.conv1, params.conv2)
     a = split_relu(y, params.bias_re, params.bias_im)
     pooled, idx = max_modulus_pool(a)
     feat, logits, probs = head_forward(pooled, params.head_w, params.head_b)
@@ -283,10 +280,10 @@ def predict_proba(x: np.ndarray, params: CnnParams) -> np.ndarray:
     return _forward(_windows(x, params), params)[0]
 
 
-def _backward(windows: np.ndarray, t: np.ndarray, params: CnnParams, wl=...) -> tuple:
+def _backward(windows: np.ndarray, t: np.ndarray, params: CnnParams) -> tuple:
     """Probabilities and gradients of one signal's windows (L, K), which its
     forward pass reuses, for one network or a stack (see :func:`_forward`)."""
-    probs, cache = _forward(windows, params, wl)
+    probs, cache = _forward(windows, params)
     dlogits = probs - t
     grads = {"head_w": dlogits[..., None] * cache["feat"][..., None, :], "head_b": dlogits}
     dfeat = (np.swapaxes(params.head_w, -1, -2) @ dlogits[..., None])[..., 0]
@@ -306,7 +303,7 @@ def _backward(windows: np.ndarray, t: np.ndarray, params: CnnParams, wl=...) -> 
     s = np.conj(s)
     grads["conv1"] = s @ windows.T
     if params.conv2 is not None:
-        grads["conv2"] = s[wl] @ windows.conj().T
+        grads["conv2"] = s @ windows.conj().T
     return probs, grads
 
 
@@ -335,35 +332,21 @@ def _sgd_step(params: CnnParams, grads: dict, lr: float) -> None:
         value -= lr * grad
 
 
-def _stack(nets: list[CnnParams]) -> tuple[CnnParams, np.ndarray, list[CnnParams]]:
-    """Stack networks along a leading axis: the stacked parameters, the rows
-    ``wl`` whose networks have a conjugate branch (``conv2`` stacks those
-    alone), and per-network :class:`CnnParams` views of the stack."""
-    wl = np.array([i for i, net in enumerate(nets) if net.conv2 is not None], dtype=np.intp)
-    shared = [f.name for f in fields(CnnParams) if f.name != "conv2"]
-    stack = CnnParams(
-        conv2=np.stack([nets[i].conv2 for i in wl]) if wl.size else None,
-        **{name: np.stack([getattr(net, name) for net in nets]) for name in shared},
-    )
-    conv2_rows = dict(zip(wl.tolist(), stack.conv2 if wl.size else ()))
-    views = [
-        CnnParams(conv2=conv2_rows.get(i), **{name: getattr(stack, name)[i] for name in shared})
-        for i in range(len(nets))
-    ]
-    return stack, wl, views
-
-
 def _holdout_means(
     x: np.ndarray, true_index: tuple, classes: tuple, params: CnnParams
-) -> tuple[float, float]:
-    """Mean true-class probability over a held-out batch, per pattern.
+) -> list[tuple[float, float]]:
+    """Mean true-class probability over a held-out batch, per pattern, for
+    each network of a stack, from one forward pass.
 
-    ``x`` holds the signals (B, N), ``true_index`` the (rows, labels) index
-    of each signal's true class in the (B, 2) probabilities, and ``classes``
-    the rows of each class; a pattern with no held-out sample reads 1.0.
+    ``x`` holds the signals (B, N), ``true_index`` the (rows, :, labels)
+    index of each true class in the (B, networks, 2) probabilities, and
+    ``classes`` the rows of each class; a class with no rows reads 1.0.
     """
-    true_class = predict_proba(x, params)[true_index]
-    return tuple(float(np.mean(true_class[rows])) if rows.size else 1.0 for rows in classes)
+    true_class = predict_proba(x[:, None], params)[true_index].T
+    return [
+        tuple(float(np.mean(net[rows])) if rows.size else 1.0 for rows in classes)
+        for net in true_class
+    ]
 
 
 def _first_sustained(evals: list[tuple[int, float, float]]) -> int | None:
@@ -384,9 +367,11 @@ def train(
     The training stream (fresh realizations every epoch), the held-out
     batch, and the initial parameters are all derived from ``seed``
     independently of the mode, so both networks see identical data and start
-    from the same strictly linear function. Each step runs one forward and
-    backward pass and one update for both; each network's result is, bit
-    for bit, that of training it alone. Returns the strictly and the widely
+    from the same strictly linear function. They are the rows of one widely
+    linear stack, the strictly linear row's conjugate branch held at zero;
+    each step runs one forward and backward pass and one update, and each
+    evaluation one holdout pass, for both. Each network's result is, bit for
+    bit, that of training it alone. Returns the strictly and the widely
     linear :class:`TrainResult`; their ``params`` are views of the stack.
 
     Raises
@@ -405,9 +390,16 @@ def train(
     holdout_x, holdout_labels, _ = _draw_signals(
         config.holdout_size, derive_rng(seed, 2), config.input_len
     )
-    true_index = (np.arange(config.holdout_size), holdout_labels)
+    true_index = (np.arange(config.holdout_size), slice(None), holdout_labels)
     classes = (np.flatnonzero(holdout_labels == 0), np.flatnonzero(holdout_labels == 1))
-    params, wl, views = _stack([init_params(c, derive_rng(seed, 1)) for c in configs])
+    nets = [init_params(c, derive_rng(seed, 1)) for c in configs]
+    # The strictly linear network is the widely linear one with a conjugate
+    # branch held at exactly +0, which leaves its responses bit-identical.
+    nets[0].conv2 = np.zeros_like(nets[0].conv1)
+    names = [f.name for f in fields(CnnParams)]
+    params = CnnParams(**{name: np.stack([getattr(net, name) for net in nets]) for name in names})
+    views = [CnnParams(**{name: getattr(params, name)[i] for name in names}) for i in range(2)]
+    views[0].conv2 = None
     windows = _windows(stream_x, params)
     targets = np.eye(2)[stream_labels]
 
@@ -415,7 +407,8 @@ def train(
     evals: list[list[tuple[int, float, float]]] = [[] for _ in configs]
     samples = zip(windows, targets, stream_labels.tolist())
     for step, (sample_windows, t, label) in enumerate(samples, start=1):
-        probs, grads = _backward(sample_windows, t, params, wl)
+        probs, grads = _backward(sample_windows, t, params)
+        grads["conv2"][0] = 0.0
         p_true = probs[:, label]
         # Exactly where the loss -log(p_true) is not finite: p_true 0 or NaN.
         finite = p_true > 0
@@ -428,8 +421,9 @@ def train(
             trace.append((step, label + 1, p))
         _sgd_step(params, grads, config.learning_rate)
         if step % config.eval_every == 0:
-            for net_evals, view in zip(evals, views):
-                net_evals.append((step, *_holdout_means(holdout_x, true_index, classes, view)))
+            means = _holdout_means(holdout_x, true_index, classes, params)
+            for net_evals, net_means in zip(evals, means):
+                net_evals.append((step, *net_means))
     return tuple(
         TrainResult(view, trace, net_evals, first_sustained=_first_sustained(net_evals))
         for view, trace, net_evals in zip(views, traces, evals)

@@ -239,13 +239,12 @@ def apply_filter_sequence(
 
 
 def _filter_windows(
-    windows: np.ndarray, f: np.ndarray, f_conj: np.ndarray | None = None, rows=...
+    windows: np.ndarray, f: np.ndarray, f_conj: np.ndarray | None = None
 ) -> np.ndarray:
     """Responses of taps ``f`` (L,), a bank (C, L) or a stack of banks
     (S, C, L) to windows (..., L, K): (..., K) or (..., C, K), the leading
-    axes broadcast. A conjugate branch ``f_conj`` unless None is added to
-    the rows ``rows`` of the leading axis (all by default) and has their
-    shape."""
+    axes broadcast. A conjugate branch ``f_conj`` unless None has the shape
+    of ``f``; a zero branch leaves the responses bit-identical."""
     # einsum, unlike a (C, L) @ (L, K) matmul, rounds a bank like its rows.
     subscripts = "...l,...lk->...k" if f.ndim == 1 else "...cl,...lk->...ck"
     y = np.einsum(subscripts, np.conj(f), windows)
@@ -253,8 +252,9 @@ def _filter_windows(
         # Conjugates the K outputs instead of the L x K windows. conj(f2ᵀ w)
         # and conj(f2)ᵀ conj(w) differ at most in the sign of an exactly zero
         # imaginary part, and einsum sums from +0, so adding the strictly
-        # linear part, which is never -0, makes the two sums bit-identical.
-        y[rows] += np.conj(np.einsum(subscripts, f_conj, windows))
+        # linear part, which is never -0, makes the two sums bit-identical;
+        # for the same reason, adding a zero branch's ±0 changes nothing.
+        y += np.conj(np.einsum(subscripts, f_conj, windows))
     return y
 
 

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateWindowError, DimensionMismatchError, InvalidImproprietyError
-from .errors import SingularAtOneError, _as_float
+from .errors import InvalidParameterError, SingularAtOneError, _as_float
 from .filters import _as_columns, _real_map_squared_norms, snr_gain
 from .linalg import _real_form, hermitian_eig, takagi
 from .noise import CovariancePair, sliding_windows
@@ -193,6 +193,13 @@ def impropriety_profile(aut: AutDecomposition, rotated: np.ndarray) -> Improprie
 
 
 def _validate_rho_eps(rho, epsilon):
+    rho, epsilon = np.asarray(rho), np.asarray(epsilon)
+    # Checked before the float conversion, which would read a string or a
+    # bool as the number it spells.
+    if rho.dtype.kind not in "iuf" or epsilon.dtype.kind not in "iuf":
+        raise InvalidParameterError(
+            f"rho and epsilon must be real numbers, got dtypes {rho.dtype}, {epsilon.dtype}"
+        )
     rho = np.asarray(rho, dtype=float)
     epsilon = np.asarray(epsilon, dtype=float)
     if not (np.all(np.isfinite(rho)) and np.all(np.isfinite(epsilon))):
@@ -210,7 +217,8 @@ def g_of_rho(rho, epsilon):
     """Component gain factor ``(1 + rho^2 - 2 eps rho) / (1 - rho^2)``.
 
     Scalar or elementwise on arrays. Requires ``0 <= rho < 1`` and
-    ``|eps| <= 1``.
+    ``|eps| <= 1``; a string, bool, complex or ``None`` argument raises
+    ``InvalidParameterError``.
 
     Evaluated as ``((1 - rho)^2 + 2 rho (1 - eps)) / ((1 - rho)(1 + rho))``,
     whose terms are all nonnegative: no digit is lost as ``(rho, eps) -> (1, 1)``.

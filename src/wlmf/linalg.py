@@ -175,14 +175,18 @@ def hermitian_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     NotPositiveDefiniteError
         If the Cholesky factorization fails or a squared pivot falls below
         ``1e-12 * max(diag(a))``.
+    NonFiniteInputError
+        If ``a`` or ``b`` holds a NaN or infinite entry.
     """
     a = _as_square_matrix(a, "a")
     _check_hermitian(a, "a")
     b = np.asarray(b, dtype=complex)
-    if b.shape[0] != a.shape[0] or b.ndim not in (1, 2):
+    if b.ndim not in (1, 2) or b.shape[0] != a.shape[0]:
         raise DimensionMismatchError(
             f"b has shape {b.shape}, expected ({a.shape[0]},) or ({a.shape[0]}, k)"
         )
+    if not np.all(np.isfinite(b.view(float))):
+        raise NonFiniteInputError("b contains non-finite entries")
     return _refined_solve(a, _lower_inverse(_pd_cholesky(a)), b)
 
 

@@ -18,10 +18,11 @@ DERIVATION_RULE = "default_rng(SeedSequence(entropy=master_seed, spawn_key=key))
 
 
 def as_generator(rng: np.random.Generator | int | None) -> np.random.Generator:
-    """Coerce an int seed, None, or Generator into a Generator."""
+    """Coerce an int seed, None, or Generator into a Generator; any other
+    value, a bool or a negative seed raises ``InvalidParameterError``."""
     if isinstance(rng, np.random.Generator):
         return rng
-    return np.random.default_rng(rng)
+    return np.random.default_rng(None if rng is None else _as_int("seed", rng, 0))
 
 
 def derive_rng(master_seed: int, *key: int) -> np.random.Generator:

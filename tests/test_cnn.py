@@ -319,6 +319,25 @@ def test_train_is_the_public_per_sample_path(trained_pair, modes):
             assert got is want is None or np.array_equal(got, want), (mode, name)
 
 
+def test_train_scores_the_holdout_once_per_evaluation(monkeypatch):
+    """Each evaluation scores the whole holdout for both networks with one
+    ``predict_proba`` call, (holdout, 1, N) signals -> (holdout, 2, 2)."""
+    shapes = []
+
+    def counting_predict_proba(x, params):
+        probs = predict_proba(x, params)
+        shapes.append((np.shape(x), probs.shape))
+        return probs
+
+    monkeypatch.setattr(cnn, "predict_proba", counting_predict_proba)
+    train(5)
+    config = CnnConfig()
+    steps = config.epochs * config.realizations_per_epoch
+    batch = config.holdout_size
+    assert len(shapes) == steps // config.eval_every == 200
+    assert set(shapes) == {((batch, 1, config.input_len), (batch, 2, 2))}
+
+
 def _train_from_edited_params(monkeypatch, seed, edit):
     """``train`` with ``edit(config, params)`` applied to the initial
     parameters of each network."""

@@ -13,6 +13,7 @@ import pytest
 
 import wlmf
 from wlmf import (
+    CnnConfig,
     DimensionMismatchError,
     EmptyInputError,
     InvalidParameterError,
@@ -23,6 +24,7 @@ from wlmf import (
     cli,
     demo_model,
     empirical_covariances,
+    g_of_rho,
     linalg,
     lower_bound_rho,
     ma_filter,
@@ -31,7 +33,7 @@ from wlmf import (
     sliding_windows,
     train,
 )
-from wlmf.cnn import make_dataset
+from wlmf.cnn import init_params, make_dataset
 from wlmf.experiments import (
     _STREAM_GAIN_BIAS,
     DEFAULT_RHO_GRID,
@@ -155,6 +157,16 @@ TYPED_ARGUMENT_ERRORS = {
     ),
     "sample_improper_white-none-rho": (InvalidParameterError, lambda: sample_improper_white(5, None)),
     "lower_bound_rho-string-eps": (InvalidParameterError, lambda: lower_bound_rho("0.5")),
+    # Array reals: a string, bool, complex or object dtype is an invalid
+    # parameter, checked before the range checks.
+    "g_of_rho-string-rho": (InvalidParameterError, lambda: g_of_rho("0.5", 0.5)),
+    "g_of_rho-bool-rho": (InvalidParameterError, lambda: g_of_rho(True, 0.5)),
+    "g_of_rho-complex-rho": (InvalidParameterError, lambda: g_of_rho(0.5 + 0.1j, 0.5)),
+    "g_of_rho-none-rho": (InvalidParameterError, lambda: g_of_rho(None, 0.5)),
+    "g_of_rho-string-eps": (InvalidParameterError, lambda: g_of_rho(0.5, "0.5")),
+    "g_of_rho-bool-array-eps": (
+        InvalidParameterError, lambda: g_of_rho(np.array([0.5]), np.array([True]))
+    ),
     # Typed errors raised before keep their type.
     "sliding_windows-zero-len": (EmptyInputError, lambda: sliding_windows(np.ones(10), 0)),
     "analytic_covariances-zero-len": (
@@ -166,6 +178,12 @@ TYPED_ARGUMENT_ERRORS = {
     "derive_rng-float-seed": (InvalidParameterError, lambda: derive_rng(1.5, 0)),
     "train-negative-seed": (InvalidParameterError, lambda: train(-1)),
     "train-float-seed": (InvalidParameterError, lambda: train(1.5)),
+    "make_dataset-negative-seed": (InvalidParameterError, lambda: make_dataset(2, -1)),
+    "make_dataset-bool-seed": (InvalidParameterError, lambda: make_dataset(2, True)),
+    "init_params-float-seed": (InvalidParameterError, lambda: init_params(CnnConfig(), 2.5)),
+    "sample_improper_white-string-seed": (
+        InvalidParameterError, lambda: sample_improper_white(3, 0.5, rng="a")
+    ),
     "spec-scalar-rho": (InvalidParameterError, lambda: ExperimentSpec("gain-bias", rho_u=0.5)),
     "spec-string-rho": (InvalidParameterError, lambda: ExperimentSpec("gain-bias", rho_u="0.5")),
     "spec-string-rho-entry": (

@@ -494,7 +494,8 @@ def _signed_zero_mix(rng, shape):
 @pytest.mark.parametrize("stack", [False, True])
 def test_conjugate_branch_matches_conjugated_windows(length, bank, stack):
     """The conjugate branch, taken as conj(f2ᵀ w), gives the responses of
-    conj(f2)ᵀ conj(w) bit for bit, signs of zeros included."""
+    conj(f2)ᵀ conj(w) bit for bit, signs of zeros included, and a zero
+    branch gives the strictly linear responses bit for bit."""
     rng = np.random.default_rng(47)
     f_shape = (4, length) if bank else (length,)
     w_shape = (5, length, 9) if stack else (length, 9)
@@ -505,6 +506,9 @@ def test_conjugate_branch_matches_conjugated_windows(length, bank, stack):
             subscripts, np.conj(f2), np.conj(windows)
         )
         got = _filter_windows(windows, f, f2)
+        assert np.array_equal(got.view(float), want.view(float))
+        assert np.array_equal(np.signbit(got.view(float)), np.signbit(want.view(float)))
+        got, want = _filter_windows(windows, f, np.zeros_like(f)), _filter_windows(windows, f)
         assert np.array_equal(got.view(float), want.view(float))
         assert np.array_equal(np.signbit(got.view(float)), np.signbit(want.view(float)))
 

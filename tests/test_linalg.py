@@ -69,6 +69,11 @@ def test_hermitian_solve_errors():
         hermitian_solve(skew, np.ones(2))
     with pytest.raises(NonFiniteInputError):
         hermitian_solve(np.diag([1.0, np.nan]), np.ones(2))
+    for b in ([np.nan, 1.0], [1.0, np.inf], [[1.0, 2.0], [1j * np.nan, 0.0]]):
+        with pytest.raises(NonFiniteInputError):
+            hermitian_solve(np.eye(2), b)
+    with pytest.raises(DimensionMismatchError):
+        hermitian_solve(np.eye(2), 1.0)
 
 
 def test_takagi_zero_matrix():
