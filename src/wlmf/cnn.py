@@ -9,18 +9,20 @@ a real affine head with softmax over two classes. The channel taps run as a
 filter bank through the core of :func:`wlmf.filters.apply_filter_sequence`,
 so each channel is a matched filter on the same newest-first windows; a
 batch of signals is filtered in one contraction and agrees bit for bit with
-its signals filtered one at a time. :func:`train` trains the strictly and
-widely linear networks as the two rows of one widely linear network, the
-strictly linear row keeping a zero conjugate branch: one forward and
-backward pass per step, and one holdout pass per evaluation, serve both,
-and the stream, holdout and window stack are drawn and built once. Each
-network computes, bit for bit, what it computes alone, and each backward
-pass reuses the windows of its own forward pass for the tap gradients.
+its signals filtered one at a time, the batch folded into one window block.
+:func:`train` trains the strictly and widely linear networks as the two rows
+of one widely linear network, the strictly linear row keeping a zero
+conjugate branch: one forward and backward pass per step, one update over
+one parameter buffer, and one holdout pass per evaluation serve both, and
+the stream, holdout and window stack are drawn and built once. Each network
+computes, bit for bit, what it computes alone.
 
 Gradients are taken with respect to the real and imaginary parts of every
 complex parameter; the complex carrier ``d(Re) + 1j d(Im)`` that the
 backward pass produces makes the plain SGD update one complex operation per
-parameter.
+parameter. Max-modulus pooling passes each channel's gradient through one
+window, its pooled one, so the backward pass takes each channel's gradient
+at that window alone, from the windows of its own forward pass.
 """
 
 from __future__ import annotations
@@ -133,6 +135,9 @@ def _draw_signals(
 
     Each sample makes six generator calls, in this order: label, start, real
     and imaginary uniform noise, real and imaginary Gaussian noise. The
+    uniform draws are ``random()`` values scaled by ``CLUTTER_HIGH`` after
+    the loop, which is how numpy draws ``uniform(0.0, CLUTTER_HIGH)``: ``0.0
+    + CLUTTER_HIGH * random()``, the same values from the same stream. The
     pattern add, the noise add and the scaling then run once on the whole
     stack, with the values a per-sample loop computes; each row is divided
     by its own ``np.linalg.norm``.
@@ -140,18 +145,21 @@ def _draw_signals(
     pattern_len = len(PATTERN_ONE)
     labels = np.empty(count, dtype=np.intp)
     starts = np.empty(count, dtype=np.intp)
-    x = np.empty((count, input_len), dtype=complex)
+    clutter = np.empty((2, count, input_len))
     normal = np.empty((2, count, input_len))
     for i in range(count):
         labels[i] = gen.integers(2)
         starts[i] = gen.integers(0, input_len - pattern_len + 1)
-        # u_re + 1j * u_im is exactly (u_re, u_im): numpy draws these from a
-        # finite range >= 0 as 0.0 + range * r, never -0, and every other
-        # term of that complex sum is an exact zero.
-        x.real[i] = gen.uniform(0.0, CLUTTER_HIGH, input_len)
-        x.imag[i] = gen.uniform(0.0, CLUTTER_HIGH, input_len)
+        gen.random(out=clutter[0, i])
+        gen.random(out=clutter[1, i])
         gen.standard_normal(out=normal[0, i])
         gen.standard_normal(out=normal[1, i])
+    clutter *= CLUTTER_HIGH
+    # u_re + 1j * u_im is exactly (u_re, u_im): the clutter is never -0, and
+    # every other term of that complex sum is an exact zero.
+    x = np.empty((count, input_len), dtype=complex)
+    x.real = clutter[0]
+    x.imag = clutter[1]
     pattern_cols = starts[:, None] + np.arange(pattern_len)
     x[np.arange(count)[:, None], pattern_cols] += np.where(
         labels[:, None] == 0, PATTERN_ONE, PATTERN_TWO
@@ -231,7 +239,8 @@ def max_modulus_pool(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if a.size == 0:
         raise EmptyInputError("max_modulus_pool needs a nonempty sequence")
     idx = np.abs(a).argmax(axis=-1)
-    pooled = a.reshape(-1, a.shape[-1])[np.arange(idx.size), idx.ravel()].reshape(idx.shape)
+    # Each pooled entry's flat index: the start of its row plus its argmax.
+    pooled = a.reshape(-1)[idx + np.arange(0, a.size, a.shape[-1]).reshape(idx.shape)]
     return pooled, idx
 
 
@@ -280,30 +289,40 @@ def predict_proba(x: np.ndarray, params: CnnParams) -> np.ndarray:
     return _forward(_windows(x, params), params)[0]
 
 
-def _backward(windows: np.ndarray, t: np.ndarray, params: CnnParams) -> tuple:
+def _backward(
+    windows: np.ndarray, t: np.ndarray, params: CnnParams, out: dict | None = None
+) -> tuple:
     """Probabilities and gradients of one signal's windows (L, K), which its
-    forward pass reuses, for one network or a stack (see :func:`_forward`)."""
+    forward pass reuses, for one network or a stack (see :func:`_forward`).
+
+    Max-modulus pooling passes each channel's gradient through its pooled
+    window alone: of the sum over windows that makes a bias or tap
+    gradient, every other term is an exact zero, so the gradient is the one
+    pooled term. The gradients are written into the arrays of ``out``,
+    keyed by field name, when it is given.
+    """
+    out = {} if out is None else out
     probs, cache = _forward(windows, params)
-    dlogits = probs - t
-    grads = {"head_w": dlogits[..., None] * cache["feat"][..., None, :], "head_b": dlogits}
+    feat = cache["feat"]
+    dlogits = np.subtract(probs, t, out=out.get("head_b"))
+    grads = {
+        "head_w": np.multiply(dlogits[..., None], feat[..., None, :], out=out.get("head_w")),
+        "head_b": dlogits,
+    }
     dfeat = (np.swapaxes(params.head_w, -1, -2) @ dlogits[..., None])[..., 0]
-    dpool = dfeat.view(complex)
+    # The rectifier passes a part exactly where its pooled output part is
+    # positive; the features interleave real and imaginary parts.
+    gate = (dfeat * (feat > 0)).view(complex)
+    # + 0.0 as in the sum over windows, which is +0 where the gate is closed.
+    grads["bias_re"] = np.add(gate.real, 0.0, out=out.get("bias_re"))
+    grads["bias_im"] = np.add(gate.imag, 0.0, out=out.get("bias_im"))
 
-    a = cache["a"]
-    da = np.zeros(a.shape, dtype=complex)
-    da.reshape(-1, a.shape[-1])[np.arange(dpool.size), cache["idx"].ravel()] = dpool.ravel()
-
-    # The rectifier passes a part exactly where its output part is positive.
-    s_re = da.real * (a.real > 0)
-    s_im = da.imag * (a.imag > 0)
-    s = s_re + 1j * s_im
-    grads["bias_re"] = s_re.sum(axis=-1)
-    grads["bias_im"] = s_im.sum(axis=-1)
-
-    s = np.conj(s)
-    grads["conv1"] = s @ windows.T
+    gate = np.conj(gate)[..., None]
+    pooled_windows = windows.T[cache["idx"]]
+    grads["conv1"] = np.multiply(gate, pooled_windows, out=out.get("conv1"))
     if params.conv2 is not None:
-        grads["conv2"] = s @ windows.conj().T
+        np.conj(pooled_windows, out=pooled_windows)
+        grads["conv2"] = np.multiply(gate, pooled_windows, out=out.get("conv2"))
     return probs, grads
 
 
@@ -326,10 +345,15 @@ def backward(x: np.ndarray, t: np.ndarray, params: CnnParams) -> tuple[float, np
     return loss, probs, grads
 
 
-def _sgd_step(params: CnnParams, grads: dict, lr: float) -> None:
-    for name, grad in grads.items():
-        value = getattr(params, name)
-        value -= lr * grad
+def _flat_views(buffer: np.ndarray, like: dict) -> dict:
+    """Views of a flat float ``buffer`` with the shapes and dtypes of the
+    arrays of ``like``, laid end to end in its order."""
+    views, start = {}, 0
+    for name, array in like.items():
+        stop = start + array.nbytes // buffer.itemsize
+        views[name] = buffer[start:stop].view(array.dtype).reshape(array.shape)
+        start = stop
+    return views
 
 
 def _holdout_means(
@@ -369,10 +393,13 @@ def train(
     independently of the mode, so both networks see identical data and start
     from the same strictly linear function. They are the rows of one widely
     linear stack, the strictly linear row's conjugate branch held at zero;
-    each step runs one forward and backward pass and one update, and each
-    evaluation one holdout pass, for both. Each network's result is, bit for
-    bit, that of training it alone. Returns the strictly and the widely
-    linear :class:`TrainResult`; their ``params`` are views of the stack.
+    each step runs one forward and backward pass for both, and each
+    evaluation one holdout pass. The stack's fields are views of one float
+    buffer and the backward pass writes its gradients into views of a
+    second, so each step's update is one operation over the whole buffer.
+    Each network's result is, bit for bit, that of training it alone.
+    Returns the strictly and the widely linear :class:`TrainResult`; their
+    ``params`` are views of the stack.
 
     Raises
     ------
@@ -397,7 +424,14 @@ def train(
     # branch held at exactly +0, which leaves its responses bit-identical.
     nets[0].conv2 = np.zeros_like(nets[0].conv1)
     names = [f.name for f in fields(CnnParams)]
-    params = CnnParams(**{name: np.stack([getattr(net, name) for net in nets]) for name in names})
+    stacked = {name: np.stack([getattr(net, name) for net in nets]) for name in names}
+    # On a complex field the buffer's update is the complex update, bit for
+    # bit: lr * (re + 1j im) is (lr * re, lr * im) up to the sign of a zero,
+    # and p - (+0) == p - (-0) for every parameter p, none being -0.
+    flat = np.concatenate([array.ravel().view(float) for array in stacked.values()])
+    grad_flat = np.empty_like(flat)
+    params = CnnParams(**_flat_views(flat, stacked))
+    grads = _flat_views(grad_flat, stacked)
     views = [CnnParams(**{name: getattr(params, name)[i] for name in names}) for i in range(2)]
     views[0].conv2 = None
     windows = _windows(stream_x, params)
@@ -407,19 +441,18 @@ def train(
     evals: list[list[tuple[int, float, float]]] = [[] for _ in configs]
     samples = zip(windows, targets, stream_labels.tolist())
     for step, (sample_windows, t, label) in enumerate(samples, start=1):
-        probs, grads = _backward(sample_windows, t, params)
+        probs, _ = _backward(sample_windows, t, params, out=grads)
         grads["conv2"][0] = 0.0
-        p_true = probs[:, label]
-        # Exactly where the loss -log(p_true) is not finite: p_true 0 or NaN.
-        finite = p_true > 0
-        if not finite.all():
-            mode = configs[int(finite.argmin())].mode
+        p_true = probs[:, label].tolist()
+        # Exactly where the loss -log(p) is not finite: p 0 or NaN.
+        diverged = [c.mode for c, p in zip(configs, p_true) if not p > 0]
+        if diverged:
             raise DivergenceDetectedError(
-                f"non-finite loss of the {mode!r} network at iteration {step}"
+                f"non-finite loss of the {diverged[0]!r} network at iteration {step}"
             )
-        for trace, p in zip(traces, p_true.tolist()):
+        for trace, p in zip(traces, p_true):
             trace.append((step, label + 1, p))
-        _sgd_step(params, grads, config.learning_rate)
+        flat -= config.learning_rate * grad_flat
         if step % config.eval_every == 0:
             means = _holdout_means(holdout_x, true_index, classes, params)
             for net_evals, net_means in zip(evals, means):

@@ -216,11 +216,18 @@ def _format_cell(value) -> str:
     return "%.12e" % float(value)
 
 
+# The formats of the cell types the experiments write most, keyed by exact
+# type and equal to _format_cell's; every other type (None, bool, numpy
+# scalars) goes through _format_cell.
+_CELL_FORMATS = {float: "%.12e".__mod__, int: str, str: str}
+
+
 def _write_csv(path: Path, header: tuple[str, ...], rows: list) -> None:
+    cell_format = _CELL_FORMATS.get
+    lines = [",".join([cell_format(type(v), _format_cell)(v) for v in row]) + "\n" for row in rows]
     with open(path, "w", newline="") as handle:
         handle.write(",".join(header) + "\n")
-        for row in rows:
-            handle.write(",".join(_format_cell(v) for v in row) + "\n")
+        handle.writelines(lines)
 
 
 def _sha256(path: Path) -> str:

@@ -244,9 +244,24 @@ def _filter_windows(
     """Responses of taps ``f`` (L,), a bank (C, L) or a stack of banks
     (S, C, L) to windows (..., L, K): (..., K) or (..., C, K), the leading
     axes broadcast. A conjugate branch ``f_conj`` unless None has the shape
-    of ``f``; a zero branch leaves the responses bit-identical."""
-    # einsum, unlike a (C, L) @ (L, K) matmul, rounds a bank like its rows.
-    subscripts = "...l,...lk->...k" if f.ndim == 1 else "...cl,...lk->...ck"
+    of ``f``; a zero branch leaves the responses bit-identical.
+
+    Batch axes of the windows in front of the axes that meet the stack axes
+    of ``f``, where those are 1, are folded: every filter of ``f`` runs on
+    one (L, B, K) block of all B signals' windows in one contraction. Each
+    response is still the same sum over L in the same order, so folding
+    changes no bit."""
+    lead = windows.ndim - max(f.ndim, 2)
+    if lead > 0 and all(n == 1 for n in windows.shape[lead:-2]):
+        length, count = windows.shape[-2:]
+        shape = windows.shape[:lead] + f.shape[:-1] + (count,)
+        windows = np.ascontiguousarray(np.moveaxis(windows.reshape(-1, length, count), 1, 0))
+        f, f_conj = (None if t is None else t.reshape(-1, length) for t in (f, f_conj))
+        subscripts = "cl,lbk->bck"
+    else:
+        shape = None
+        # einsum, unlike a (C, L) @ (L, K) matmul, rounds a bank like its rows.
+        subscripts = "...l,...lk->...k" if f.ndim == 1 else "...cl,...lk->...ck"
     y = np.einsum(subscripts, np.conj(f), windows)
     if f_conj is not None:
         # Conjugates the K outputs instead of the L x K windows. conj(f2ᵀ w)
@@ -255,7 +270,7 @@ def _filter_windows(
         # linear part, which is never -0, makes the two sums bit-identical;
         # for the same reason, adding a zero branch's ±0 changes nothing.
         y += np.conj(np.einsum(subscripts, f_conj, windows))
-    return y
+    return y if shape is None else y.reshape(shape)
 
 
 def template_to_feature(template: np.ndarray) -> np.ndarray:

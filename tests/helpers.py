@@ -1,4 +1,5 @@
-"""Shared random-instance generators and the CNN gradient checker."""
+"""Shared random-instance generators, the CNN gradient checker and the dense
+CNN backward pass."""
 
 import copy
 
@@ -10,10 +11,12 @@ from wlmf.cnn import (
     PATTERN_TWO,
     CnnParams,
     LabeledSignal,
+    _forward,
     backward,
     forward,
     make_dataset,
 )
+from wlmf.noise import sliding_windows
 from wlmf.seeding import as_generator
 
 
@@ -189,3 +192,34 @@ def gradient_check(sample, params, h=1e-6):
         scale = max(float(np.linalg.norm(analytic)), 1e-8)
         worst = max(worst, float(np.linalg.norm(numeric - analytic)) / scale)
     return worst
+
+
+def dense_backward(x, t, params):
+    """Probabilities and gradients of one signal by the dense formulation,
+    the reference for the pooled-window backward pass: the pooled gradient
+    is scattered over all K windows of each channel at the first
+    largest-modulus window, gated by the rectifier, summed over the windows
+    for the biases, and multiplied by the whole (K, L) window matrix for the
+    taps. ``params`` may be one network or a stack."""
+    windows = sliding_windows(np.asarray(x, dtype=complex), params.conv1.shape[-1])
+    probs, cache = _forward(windows, params)
+    dlogits = probs - t
+    grads = {"head_w": dlogits[..., None] * cache["feat"][..., None, :], "head_b": dlogits}
+    dfeat = (np.swapaxes(params.head_w, -1, -2) @ dlogits[..., None])[..., 0]
+    dpool = dfeat.view(complex)
+
+    a = cache["a"]
+    idx = np.argmax(np.abs(a), axis=-1)
+    da = np.zeros(a.shape, dtype=complex)
+    np.put_along_axis(da, idx[..., None], dpool[..., None], axis=-1)
+    s_re = da.real * (a.real > 0)
+    s_im = da.imag * (a.imag > 0)
+    s = s_re + 1j * s_im
+    grads["bias_re"] = s_re.sum(axis=-1)
+    grads["bias_im"] = s_im.sum(axis=-1)
+
+    s = np.conj(s)
+    grads["conv1"] = s @ windows.T
+    if params.conv2 is not None:
+        grads["conv2"] = s @ windows.conj().T
+    return probs, grads

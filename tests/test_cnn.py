@@ -18,7 +18,6 @@ from wlmf import (
 )
 from wlmf.cnn import (
     _first_sustained,
-    _sgd_step,
     backward,
     forward,
     head_forward,
@@ -29,7 +28,13 @@ from wlmf.cnn import (
 )
 from wlmf.filters import apply_filter_sequence
 
-from helpers import gradient_check, kink_free_case, make_dataset_per_sample, random_cnn_params
+from helpers import (
+    dense_backward,
+    gradient_check,
+    kink_free_case,
+    make_dataset_per_sample,
+    random_cnn_params,
+)
 
 
 def test_dataset_unit_energy_and_balance():
@@ -237,6 +242,80 @@ def test_gradients_match_finite_differences(mode):
         assert gradient_check(sample, params) <= 1e-5
 
 
+def _backward_cases(filter_len, count, ties=False):
+    """(kind, x, t, params) for a strictly and a widely linear network and
+    their stack as ``train`` builds it, the strictly linear row with a zero
+    conjugate branch. In every third case channel 1 of each network is
+    rectified to all zeros. With ``ties``, in every other case channel 0
+    responds only to a window's newest sample, which windows 1 and 4 share
+    and which dominates: an exact modulus tie between two distinct windows."""
+    rng = np.random.default_rng(84 + filter_len)
+    for i in range(count):
+        sl, wl = (random_cnn_params(rng, CnnConfig(mode, 8, filter_len)) for mode in ("sl", "wl"))
+        x = 0.3 * (rng.standard_normal(8) + 1j * rng.standard_normal(8))
+        if i % 3 == 0:
+            for net in (sl, wl):
+                net.bias_re[1] = net.bias_im[1] = -10.0
+        if ties and i % 2 == 0:
+            x[filter_len] = x[filter_len + 3] = 3.0 + 2.0j
+            newest = np.eye(filter_len)[0]
+            sl.conv1[0], wl.conv1[0], wl.conv2[0] = 0.5 * newest, 0.5 * newest, 0.1j * newest
+        stack = {**vars(sl), "conv2": np.zeros_like(sl.conv1)}
+        stack = cnn.CnnParams(**{name: np.stack([stack[name], getattr(wl, name)]) for name in stack})
+        t = np.eye(2)[i % 2]
+        yield from (("sl", x, t, sl), ("wl", x, t, wl), ("stack", x, t, stack))
+
+
+def _gradients(kind, x, t, params):
+    """Public ``backward``'s gradients, or for a stack those of the
+    backward pass ``train`` runs."""
+    if kind == "stack":
+        return cnn._backward(cnn._windows(x, params), t, params)[1]
+    return backward(x, t, params)[2]
+
+
+def test_backward_is_the_dense_backward_bit_for_bit():
+    """At the paper's lengths the pooled-window gradients are the dense
+    formulation's bit for bit, values and signs, for strictly and widely
+    linear networks and their stack, with a channel rectified to all zeros
+    and with an exact modulus tie, where the first window wins. A zero tap
+    gradient is compared by value only: the sign of the dense product's
+    zero depends on the order its matmul kernel adds the exact zeros in."""
+    ties = 0
+    for kind, x, t, params in _backward_cases(3, 60, ties=True):
+        got, want = _gradients(kind, x, t, params), dense_backward(x, t, params)[1]
+        assert got.keys() == want.keys()
+        for name, value in want.items():
+            assert got[name].shape == value.shape and np.array_equal(got[name], value), (kind, name)
+            signed = value != 0 if name in ("conv1", "conv2") else slice(None)
+            for part in (np.real, np.imag):
+                assert np.array_equal(np.signbit(part(got[name]))[signed],
+                                      np.signbit(part(value))[signed]), (kind, name)
+        if x[3] == x[6]:
+            ties += 1
+            assert np.all(forward(x, params)[1]["idx"][..., 0] == 1)
+    assert ties == 3 * 30
+
+
+@pytest.mark.parametrize("filter_len", [1, 2, 4, 8])
+def test_backward_is_the_dense_backward_at_other_lengths(filter_len):
+    """At other lengths the dense product may run through a BLAS kernel that
+    rounds its one nonzero term without a fused multiply-add, so a tap
+    gradient may differ from it by the rounding of that one complex product;
+    every other gradient is the dense formulation's bit for bit."""
+    for kind, x, t, params in _backward_cases(filter_len, 30):
+        got, want = _gradients(kind, x, t, params), dense_backward(x, t, params)[1]
+        assert got.keys() == want.keys()
+        for name, value in want.items():
+            assert got[name].shape == value.shape, (kind, name)
+            if name in ("conv1", "conv2"):
+                bound = 8 * np.finfo(float).eps * np.abs(value)
+                assert np.all(np.abs(got[name] - value) <= bound), (kind, name)
+            else:
+                assert np.array_equal(got[name], value), (kind, name)
+                assert np.array_equal(np.signbit(got[name]), np.signbit(value)), (kind, name)
+
+
 def test_saturated_head_has_vanishing_gradients():
     rng = np.random.default_rng(77)
     params = random_cnn_params(rng, CnnConfig(mode="sl"))
@@ -305,7 +384,9 @@ def test_train_is_the_public_per_sample_path(trained_pair, modes):
         for step, sample in enumerate(stream, start=1):
             _, probs, grads = backward(sample.x, sample.t, params)
             trace.append((step, sample.pattern, float(probs[sample.pattern - 1])))
-            _sgd_step(params, grads, config.learning_rate)
+            for name, grad in grads.items():
+                value = getattr(params, name)
+                value -= config.learning_rate * grad
             if step % config.eval_every == 0:
                 true_class = predict_proba(holdout_x, params)[np.arange(len(labels)), labels]
                 means = [float(np.mean(true_class[labels == c])) if np.any(labels == c) else 1.0

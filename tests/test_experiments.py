@@ -39,8 +39,10 @@ from wlmf.experiments import (
     DEFAULT_RHO_GRID,
     EXPERIMENTS,
     ExperimentSpec,
+    _format_cell,
     _gain_bias_cell,
     _map_tasks,
+    _write_csv,
     run_experiment,
 )
 from wlmf.noise import NoiseModel
@@ -225,6 +227,19 @@ def small_gain_bias_spec(out_dir, workers=1):
         workers=workers,
         out_dir=str(out_dir),
     )
+
+
+def test_csv_cells_are_format_cell_bytes(tmp_path):
+    """Every cell type a row can hold is written as ``_format_cell`` writes it."""
+    row = (None, True, False, np.int64(-3), 7, np.float64(0.1), 0.1, -0.0, math.inf,
+           -math.inf, 2.5e-300, np.float32(1.5), "sl")
+    header = tuple(f"c{i}" for i in range(len(row)))
+    path = tmp_path / "cells.csv"
+    _write_csv(path, header, [row, row[::-1]])
+    want = [",".join(header)] + [",".join(_format_cell(v) for v in r) for r in (row, row[::-1])]
+    assert path.read_bytes() == ("\n".join(want) + "\n").encode()
+    assert want[1].split(",")[:8] == ["", "1", "0", "-3", "7", "1.000000000000e-01",
+                                      "1.000000000000e-01", "-0.000000000000e+00"]
 
 
 def test_gain_bias_output_and_manifest(tmp_path):
