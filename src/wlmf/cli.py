@@ -17,7 +17,7 @@ import json
 import os
 import sys
 
-from .experiments import EXPERIMENTS, ExperimentSpec, run_experiment
+from .experiments import _MODES, EXPERIMENTS, ExperimentSpec, run_experiment
 
 __all__ = ["build_parser", "load_config", "resolve_spec", "main"]
 
@@ -32,20 +32,26 @@ def _int_list(text: str) -> tuple[int, ...]:
     return tuple(int(part) for part in text.split(",") if part.strip())
 
 
-# Config key (the long flag name) -> converter from its text. Flag values and
-# config lines both arrive as text and go through the same converter.
-_CONVERTERS = {
-    "experiment": str,
-    "rho-u": _float_list,
-    "filter-len": _int_list,
-    "signal-len": int,
-    "trials": int,
-    "seed": int,
-    "mode": str,
-    "out-dir": str,
-    "workers": int,
-    "est-len": int,
+# Long flag name, which is also the config key -> converter from its text and
+# help text. Flag values and config lines both arrive as text and go through
+# the same converter.
+_OPTIONS = {
+    "experiment": (str, "experiment to run"),
+    "rho-u": (_float_list, "comma-separated driving-noise impropriety grid, values in [0, 1)"),
+    "filter-len": (_int_list, "comma-separated filter lengths"),
+    "signal-len": (
+        int,
+        "input sequence length (gain-bias: draws per trial; "
+        "gain-surface: filler length after the matched sequence)",
+    ),
+    "trials": (int, "Monte Carlo trials per grid cell"),
+    "seed": (int, "master seed (default 1234)"),
+    "mode": (str, "covariance source for gain-surface (default: empirical)"),
+    "out-dir": (str, f"output directory (default: ${ENV_OUT_DIR} or current directory)"),
+    "workers": (int, "trial-level parallel workers (default 1)"),
+    "est-len": (int, "noise record length for empirical covariance estimates (default 5000)"),
 }
+_CHOICES = {"experiment": EXPERIMENTS, "mode": _MODES}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -57,34 +63,9 @@ def build_parser() -> argparse.ArgumentParser:
             "write CSV/JSON outputs plus a reproducibility manifest."
         ),
     )
-    parser.add_argument("--experiment", choices=EXPERIMENTS, help="experiment to run")
-    parser.add_argument(
-        "--rho-u",
-        help="comma-separated driving-noise impropriety grid, values in [0, 1)",
-    )
-    parser.add_argument("--filter-len", help="comma-separated filter lengths")
-    parser.add_argument(
-        "--signal-len",
-        help="input sequence length (gain-bias: draws per trial; "
-        "gain-surface: filler length after the matched sequence)",
-    )
-    parser.add_argument("--trials", help="Monte Carlo trials per grid cell")
-    parser.add_argument("--seed", help="master seed (default 1234)")
-    parser.add_argument(
-        "--mode",
-        choices=("analytic", "empirical"),
-        help="covariance source for gain-surface (default: empirical)",
-    )
-    parser.add_argument(
-        "--out-dir",
-        help=f"output directory (default: ${ENV_OUT_DIR} or current directory)",
-    )
+    for key, (_, help_text) in _OPTIONS.items():
+        parser.add_argument(f"--{key}", choices=_CHOICES.get(key), help=help_text)
     parser.add_argument("--config", help="flat key-value config file; flags override it")
-    parser.add_argument("--workers", help="trial-level parallel workers (default 1)")
-    parser.add_argument(
-        "--est-len",
-        help="noise record length for empirical covariance estimates (default 5000)",
-    )
     return parser
 
 
@@ -100,7 +81,7 @@ def load_config(path: str) -> dict:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
             key, _, value = line.partition("=")
             key = key.strip()
-            if key not in _CONVERTERS:
+            if key not in _OPTIONS:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
             values[key] = value.strip()
     return values
@@ -109,14 +90,14 @@ def load_config(path: str) -> dict:
 def resolve_spec(args: argparse.Namespace) -> ExperimentSpec:
     """Merge defaults, config file, and flags into a resolved spec."""
     texts = load_config(args.config) if args.config else {}
-    for key in _CONVERTERS:
+    for key in _OPTIONS:
         flag_value = getattr(args, key.replace("-", "_"))
         if flag_value is not None:
             texts[key] = flag_value
     params = {}
     for key, text in texts.items():
         try:
-            params[key.replace("-", "_")] = _CONVERTERS[key](text)
+            params[key.replace("-", "_")] = _OPTIONS[key][0](text)
         except ValueError as exc:
             raise ValueError(f"{key}: {exc}") from None
 

@@ -7,15 +7,17 @@ split rectifier ``relu(Re + b_re) + 1j relu(Im + b_im)`` with per-channel
 real biases, max-modulus pooling down to one complex value per channel, and
 a real affine head with softmax over two classes. The channel taps run as a
 filter bank through the core of :func:`wlmf.filters.apply_filter_sequence`,
-so each channel is a matched filter on the same newest-first windows; a
-batch of signals is filtered in one contraction and agrees bit for bit with
-its signals filtered one at a time, the batch folded into one window block.
+so each channel is a matched filter on the same newest-first windows: every
+filter meets every window, and a batch of signals, its windows folded into
+one block, is filtered in one contraction that agrees bit for bit with its
+signals filtered one at a time.
 :func:`train` trains the strictly and widely linear networks as the two rows
 of one widely linear network, the strictly linear row keeping a zero
 conjugate branch: one forward and backward pass per step, one update over
-one parameter buffer, and one holdout pass per evaluation serve both, and
-the stream, holdout and window stack are drawn and built once. Each network
-computes, bit for bit, what it computes alone.
+one parameter buffer, and one ``predict_proba`` call on the holdout signals
+per evaluation serve both, and the stream, holdout and window stack are
+drawn and built once. Each network computes, bit for bit, what it computes
+alone.
 
 Gradients are taken with respect to the real and imaginary parts of every
 complex parameter; the complex carrier ``d(Re) + 1j d(Im)`` that the
@@ -234,8 +236,11 @@ def split_relu(y: np.ndarray, bias_re: np.ndarray, bias_im: np.ndarray) -> np.nd
 def max_modulus_pool(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Keep the largest-modulus activation per channel (first index on ties).
 
-    Pools over the last axis, so ``a`` may carry leading batch axes.
+    Pools over the last axis, so ``a`` may carry leading batch axes; 0-d
+    activations raise ``DimensionMismatchError``.
     """
+    if a.ndim == 0:
+        raise DimensionMismatchError("max_modulus_pool needs activations of at least 1-D")
     if a.size == 0:
         raise EmptyInputError("max_modulus_pool needs a nonempty sequence")
     idx = np.abs(a).argmax(axis=-1)
@@ -249,8 +254,9 @@ def head_forward(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Affine head over interleaved real/imaginary features, then softmax.
 
-    Works on the last axis, so ``pooled`` may carry leading batch axes, or
-    ``pooled`` and the head parameters one leading network axis.
+    Works on the last axis, so ``pooled`` may carry leading batch axes. Head
+    parameters with a leading network axis meet the network axis of
+    ``pooled``, which sits behind its batch axes.
     """
     feat = np.ascontiguousarray(pooled, dtype=complex).view(float)
     # One matrix-vector product per feature vector, batched or not, so a
@@ -285,7 +291,8 @@ def forward(x: np.ndarray, params: CnnParams) -> tuple[np.ndarray, dict]:
 
 
 def predict_proba(x: np.ndarray, params: CnnParams) -> np.ndarray:
-    """Class probabilities of one signal (N,) -> (2,), or of a batch (B, N) -> (B, 2)."""
+    """Class probabilities of one signal (N,) -> (2,), or of a batch (B, N) -> (B, 2);
+    a stack of networks adds its axis in front of the classes."""
     return _forward(_windows(x, params), params)[0]
 
 
@@ -357,18 +364,16 @@ def _flat_views(buffer: np.ndarray, like: dict) -> dict:
 
 
 def _holdout_means(
-    x: np.ndarray, true_index: tuple, classes: tuple, params: CnnParams
+    x: np.ndarray, labels: np.ndarray, params: CnnParams
 ) -> list[tuple[float, float]]:
-    """Mean true-class probability over a held-out batch, per pattern, for
-    each network of a stack, from one forward pass.
-
-    ``x`` holds the signals (B, N), ``true_index`` the (rows, :, labels)
-    index of each true class in the (B, networks, 2) probabilities, and
-    ``classes`` the rows of each class; a class with no rows reads 1.0.
+    """Mean true-class probability over held-out signals ``x`` (B, N) with
+    class ``labels`` (B,), per pattern, for each network of a stack, from
+    one ``predict_proba`` call whose probabilities are (B, networks, 2). A
+    class with no signals reads 1.0.
     """
-    true_class = predict_proba(x[:, None], params)[true_index].T
+    true_class = predict_proba(x, params)[np.arange(len(labels)), :, labels].T
     return [
-        tuple(float(np.mean(net[rows])) if rows.size else 1.0 for rows in classes)
+        tuple(float(np.mean(p)) if p.size else 1.0 for p in (net[labels == 0], net[labels == 1]))
         for net in true_class
     ]
 
@@ -394,9 +399,10 @@ def train(
     from the same strictly linear function. They are the rows of one widely
     linear stack, the strictly linear row's conjugate branch held at zero;
     each step runs one forward and backward pass for both, and each
-    evaluation one holdout pass. The stack's fields are views of one float
-    buffer and the backward pass writes its gradients into views of a
-    second, so each step's update is one operation over the whole buffer.
+    evaluation one ``predict_proba`` call on the holdout signals. The
+    stack's fields are views of one float buffer and the backward pass
+    writes its gradients into views of a second, so each step's update is
+    one operation over the whole buffer.
     Each network's result is, bit for bit, that of training it alone.
     Returns the strictly and the widely linear :class:`TrainResult`; their
     ``params`` are views of the stack.
@@ -417,8 +423,6 @@ def train(
     holdout_x, holdout_labels, _ = _draw_signals(
         config.holdout_size, derive_rng(seed, 2), config.input_len
     )
-    true_index = (np.arange(config.holdout_size), slice(None), holdout_labels)
-    classes = (np.flatnonzero(holdout_labels == 0), np.flatnonzero(holdout_labels == 1))
     nets = [init_params(c, derive_rng(seed, 1)) for c in configs]
     # The strictly linear network is the widely linear one with a conjugate
     # branch held at exactly +0, which leaves its responses bit-identical.
@@ -454,7 +458,7 @@ def train(
             trace.append((step, label + 1, p))
         flat -= config.learning_rate * grad_flat
         if step % config.eval_every == 0:
-            means = _holdout_means(holdout_x, true_index, classes, params)
+            means = _holdout_means(holdout_x, holdout_labels, params)
             for net_evals, net_means in zip(evals, means):
                 net_evals.append((step, *net_means))
     return tuple(

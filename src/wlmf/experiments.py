@@ -113,10 +113,14 @@ _STREAM_MF_DEMO = 13
 _STREAM_DESIGN = 14
 
 _STREAM_NOTE = (
-    "streams: gain-bias=(10, rho_index, len_index, trial); "
-    "gain-surface=(11, rho_index, trial); surface-filler=(12,); "
-    "mf-demo=(13,); design-sequence=(14,); cnn-train uses (0|1|2) inside train()"
+    f"streams: gain-bias=({_STREAM_GAIN_BIAS}, rho_index, len_index, trial); "
+    f"gain-surface=({_STREAM_GAIN_SURFACE}, rho_index, trial); "
+    f"surface-filler=({_STREAM_SURFACE_FILLER},); mf-demo=({_STREAM_MF_DEMO},); "
+    f"design-sequence=({_STREAM_DESIGN},); cnn-train uses (0|1|2) inside train()"
 )
+
+# Covariance sources of gain-surface: exact, or estimated from a noise record.
+_MODES = ("analytic", "empirical")
 
 # Where an experiment's defaults differ from the ExperimentSpec field defaults.
 _DEFAULTS = {
@@ -180,7 +184,7 @@ class ExperimentSpec:
             count = len(getattr(self, key))
             if count > 1 and key not in _SWEPT.get(self.experiment, ()):
                 raise InvalidParameterError(f"{self.experiment} takes one {key} value, got {count}")
-        if self.mode not in ("analytic", "empirical"):
+        if self.mode not in _MODES:
             raise InvalidParameterError(
                 f"mode must be 'analytic' or 'empirical', got {self.mode!r}"
             )

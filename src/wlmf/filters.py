@@ -221,13 +221,13 @@ def apply_filter_sequence(
 
     Output ``k`` (0-based) is the response to the newest-first window ending
     at sample ``k + L - 1``, so a sequence of N samples yields N - L + 1
-    outputs covering window positions L..N. Taps of shape ``(C, L)`` are a
-    bank of C filters, and sequences of shape ``(..., N)`` a stack; the
-    output is ``(..., C, K)``, or ``(..., K)`` for one filter. The taps are
-    summed in one order whatever the shapes, so a bank on a stack agrees bit
-    for bit with each filter on each sequence alone. 0-d taps raise
-    ``DimensionMismatchError``, and a NaN or infinite sample or tap
-    ``NonFiniteInputError``.
+    outputs covering window positions L..N. Taps of shape ``(..., L)`` are a
+    bank of filters, and sequences of shape ``(..., N)`` a stack; every
+    filter runs along every sequence, and the output is ``(stack axes, bank
+    axes, K)``. The taps are summed in one order whatever the shapes, so a
+    bank on a stack agrees bit for bit with each filter on each sequence
+    alone. 0-d taps raise ``DimensionMismatchError``, and a NaN or infinite
+    sample or tap ``NonFiniteInputError``.
     """
     sequence = np.asarray(sequence, dtype=complex)
     taps = [np.asarray(t, dtype=complex) for t in ((f,) if f_conj is None else (f, f_conj))]
@@ -241,27 +241,25 @@ def apply_filter_sequence(
 def _filter_windows(
     windows: np.ndarray, f: np.ndarray, f_conj: np.ndarray | None = None
 ) -> np.ndarray:
-    """Responses of taps ``f`` (L,), a bank (C, L) or a stack of banks
-    (S, C, L) to windows (..., L, K): (..., K) or (..., C, K), the leading
-    axes broadcast. A conjugate branch ``f_conj`` unless None has the shape
-    of ``f``; a zero branch leaves the responses bit-identical.
+    """Responses of every filter of ``f`` (..., L) to every window of
+    ``windows`` (..., L, K): shape ``windows.shape[:-2] + f.shape[:-1] +
+    (K,)``. A conjugate branch ``f_conj`` unless None has the shape of
+    ``f``; a zero branch leaves the responses bit-identical.
 
-    Batch axes of the windows in front of the axes that meet the stack axes
-    of ``f``, where those are 1, are folded: every filter of ``f`` runs on
-    one (L, B, K) block of all B signals' windows in one contraction. Each
-    response is still the same sum over L in the same order, so folding
-    changes no bit."""
-    lead = windows.ndim - max(f.ndim, 2)
-    if lead > 0 and all(n == 1 for n in windows.shape[lead:-2]):
-        length, count = windows.shape[-2:]
-        shape = windows.shape[:lead] + f.shape[:-1] + (count,)
+    One sequence's windows (L, K) are contracted in place; the windows of
+    several sequences are folded into one contiguous (L, B, K) block that
+    every filter meets in one contraction. Each response is the same sum
+    over L in the same order either way, so folding changes no bit."""
+    length, count = windows.shape[-2:]
+    if windows.ndim == 2:
+        shape = None
+        subscripts = "...l,lk->...k"
+    else:
+        shape = windows.shape[:-2] + f.shape[:-1] + (count,)
         windows = np.ascontiguousarray(np.moveaxis(windows.reshape(-1, length, count), 1, 0))
         f, f_conj = (None if t is None else t.reshape(-1, length) for t in (f, f_conj))
         subscripts = "cl,lbk->bck"
-    else:
-        shape = None
-        # einsum, unlike a (C, L) @ (L, K) matmul, rounds a bank like its rows.
-        subscripts = "...l,...lk->...k" if f.ndim == 1 else "...cl,...lk->...ck"
+    # einsum, unlike a (C, L) @ (L, K) matmul, rounds a bank like its rows.
     y = np.einsum(subscripts, np.conj(f), windows)
     if f_conj is not None:
         # Conjugates the K outputs instead of the L x K windows. conj(f2ᵀ w)

@@ -67,6 +67,8 @@ class NoiseModel:
         Impropriety coefficient of the driving noise, in [0, 1].
     sigma2_u : float
         Power of the driving noise, positive and finite.
+
+    Taps that are not 1-D raise ``DimensionMismatchError``.
     """
 
     taps: tuple[complex, ...]
@@ -74,6 +76,8 @@ class NoiseModel:
     sigma2_u: float = 1.0
 
     def __post_init__(self):
+        if np.ndim(self.taps) != 1:
+            raise DimensionMismatchError(f"taps must be 1-D, got shape {np.shape(self.taps)}")
         taps = tuple(complex(t) for t in self.taps)
         if len(taps) == 0:
             raise EmptyInputError("taps must be nonempty")
@@ -236,8 +240,7 @@ def ma_filter(u: np.ndarray, taps) -> np.ndarray:
 
 def _lagged_products(taps: np.ndarray, conjugate: bool, length: int) -> np.ndarray:
     """Vector of ``sum_m taps[m+k] * (conj)taps[m]`` for k = 0..length-1."""
-    other = np.conj(taps) if conjugate else taps
-    full = np.correlate(taps, np.conj(other), mode="full")
+    full = np.correlate(taps, taps if conjugate else np.conj(taps), mode="full")
     nonneg = full[len(taps) - 1 :]
     out = np.zeros(length, dtype=complex)
     take = min(length, len(nonneg))

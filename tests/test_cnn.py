@@ -214,6 +214,13 @@ def test_model_nesting_is_exact():
     assert "conv2" in grads_wl and "conv2" not in grads_sl
 
 
+def _stack(sl, wl):
+    """The two-row stack of a strictly and a widely linear network, as
+    ``train`` builds it: the strictly linear row has a zero conjugate branch."""
+    rows = {**vars(sl), "conv2": np.zeros_like(sl.conv1)}
+    return cnn.CnnParams(**{name: np.stack([rows[name], getattr(wl, name)]) for name in rows})
+
+
 def test_batched_prediction_matches_per_sample():
     rng = np.random.default_rng(79)
     batch = np.stack([sample.x for sample in make_dataset(100, rng)])
@@ -232,6 +239,13 @@ def test_batched_prediction_matches_per_sample():
     params_sl = copy.deepcopy(params_wl)
     params_sl.conv2 = None
     assert np.array_equal(predict_proba(batch, params_wl), predict_proba(batch, params_sl))
+    # Every network of a stack meets every signal of a batch, bit for bit.
+    nets = [random_cnn_params(rng, CnnConfig(mode=mode)) for mode in ("sl", "wl")]
+    probs = predict_proba(batch, _stack(*nets))
+    assert probs.shape == (100, 2, 2)
+    for b in range(100):
+        for n, net in enumerate(nets):
+            assert np.array_equal(probs[b, n], predict_proba(batch[b], net))
 
 
 @pytest.mark.parametrize("mode", ["sl", "wl"])
@@ -260,10 +274,8 @@ def _backward_cases(filter_len, count, ties=False):
             x[filter_len] = x[filter_len + 3] = 3.0 + 2.0j
             newest = np.eye(filter_len)[0]
             sl.conv1[0], wl.conv1[0], wl.conv2[0] = 0.5 * newest, 0.5 * newest, 0.1j * newest
-        stack = {**vars(sl), "conv2": np.zeros_like(sl.conv1)}
-        stack = cnn.CnnParams(**{name: np.stack([stack[name], getattr(wl, name)]) for name in stack})
         t = np.eye(2)[i % 2]
-        yield from (("sl", x, t, sl), ("wl", x, t, wl), ("stack", x, t, stack))
+        yield from (("sl", x, t, sl), ("wl", x, t, wl), ("stack", x, t, _stack(sl, wl)))
 
 
 def _gradients(kind, x, t, params):
@@ -402,7 +414,7 @@ def test_train_is_the_public_per_sample_path(trained_pair, modes):
 
 def test_train_scores_the_holdout_once_per_evaluation(monkeypatch):
     """Each evaluation scores the whole holdout for both networks with one
-    ``predict_proba`` call, (holdout, 1, N) signals -> (holdout, 2, 2)."""
+    ``predict_proba`` call, (holdout, N) signals -> (holdout, 2, 2)."""
     shapes = []
 
     def counting_predict_proba(x, params):
@@ -416,7 +428,7 @@ def test_train_scores_the_holdout_once_per_evaluation(monkeypatch):
     steps = config.epochs * config.realizations_per_epoch
     batch = config.holdout_size
     assert len(shapes) == steps // config.eval_every == 200
-    assert set(shapes) == {((batch, 1, config.input_len), (batch, 2, 2))}
+    assert set(shapes) == {((batch, config.input_len), (batch, 2, 2))}
 
 
 def _train_from_edited_params(monkeypatch, seed, edit):

@@ -33,7 +33,7 @@ from wlmf import (
     sliding_windows,
     train,
 )
-from wlmf.cnn import init_params, make_dataset
+from wlmf.cnn import init_params, make_dataset, max_modulus_pool
 from wlmf.experiments import (
     _STREAM_GAIN_BIAS,
     DEFAULT_RHO_GRID,
@@ -198,6 +198,9 @@ TYPED_ARGUMENT_ERRORS = {
     ),
     "ma_filter-2d-input": (DimensionMismatchError, lambda: ma_filter(np.ones((2, 3)), (1,))),
     "ma_filter-2d-taps": (DimensionMismatchError, lambda: ma_filter(np.ones(3), np.ones((2, 2)))),
+    "NoiseModel-2d-taps": (DimensionMismatchError, lambda: NoiseModel(np.ones((2, 2)), 0.5)),
+    "NoiseModel-scalar-taps": (DimensionMismatchError, lambda: NoiseModel(5, 0.5)),
+    "max_modulus_pool-0d": (DimensionMismatchError, lambda: max_modulus_pool(np.array(1.0))),
     "sample_improper_white-inf-power": (
         InvalidParameterError, lambda: sample_improper_white(5, 0.5, sigma2_u=np.inf)
     ),

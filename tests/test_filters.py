@@ -495,22 +495,30 @@ def _signed_zero_mix(rng, shape):
 def test_conjugate_branch_matches_conjugated_windows(length, bank, stack):
     """The conjugate branch, taken as conj(f2ᵀ w), gives the responses of
     conj(f2)ᵀ conj(w) bit for bit, signs of zeros included, and a zero
-    branch gives the strictly linear responses bit for bit."""
+    branch gives the strictly linear responses bit for bit. Every filter
+    meets every window: a stack of banks (S, C, L) on a window stack
+    (B, L, K) gives (B, S, C, K)."""
+
+    def assert_bits(got, want):
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(float), want.view(float))
+        assert np.array_equal(np.signbit(got.view(float)), np.signbit(want.view(float)))
+
     rng = np.random.default_rng(47)
     f_shape = (4, length) if bank else (length,)
     w_shape = (5, length, 9) if stack else (length, 9)
-    subscripts = "cl,...lk->...ck" if bank else "l,...lk->...k"
-    for _ in range(50):
-        f, f2, windows = (_signed_zero_mix(rng, shape) for shape in (f_shape, f_shape, w_shape))
-        want = np.einsum(subscripts, np.conj(f), windows) + np.einsum(
-            subscripts, np.conj(f2), np.conj(windows)
-        )
-        got = _filter_windows(windows, f, f2)
-        assert np.array_equal(got.view(float), want.view(float))
-        assert np.array_equal(np.signbit(got.view(float)), np.signbit(want.view(float)))
-        got, want = _filter_windows(windows, f, np.zeros_like(f)), _filter_windows(windows, f)
-        assert np.array_equal(got.view(float), want.view(float))
-        assert np.array_equal(np.signbit(got.view(float)), np.signbit(want.view(float)))
+    cases = [(f_shape, "cl,...lk->...ck" if bank else "l,...lk->...k")]
+    if bank and stack:
+        cases.append(((2,) + f_shape, "scl,blk->bsck"))
+    for f_shape, subscripts in cases:
+        for _ in range(50):
+            f, f2 = (_signed_zero_mix(rng, f_shape) for _ in range(2))
+            windows = _signed_zero_mix(rng, w_shape)
+            want = np.einsum(subscripts, np.conj(f), windows) + np.einsum(
+                subscripts, np.conj(f2), np.conj(windows)
+            )
+            assert_bits(_filter_windows(windows, f, f2), want)
+            assert_bits(_filter_windows(windows, f, np.zeros_like(f)), _filter_windows(windows, f))
 
 
 def test_apply_filter_rejects_short_sequence():
