@@ -48,7 +48,7 @@ _OPTIONS = {
     "seed": (int, "master seed (default 1234)"),
     "mode": (str, "covariance source for gain-surface (default: empirical)"),
     "out-dir": (str, f"output directory (default: ${ENV_OUT_DIR} or current directory)"),
-    "workers": (int, "trial-level parallel workers (default 1)"),
+    "workers": (int, "parallel workers, one grid point per task (default 1)"),
     "est-len": (int, "noise record length for empirical covariance estimates (default 5000)"),
 }
 _CHOICES = {"experiment": EXPERIMENTS, "mode": _MODES}

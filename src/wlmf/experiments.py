@@ -28,8 +28,8 @@ as JSON, and a manifest recording the resolved parameters, seed derivation
 rule, and SHA-256 digests of the output files. Identical spec and seed give
 byte-identical CSV bodies, independent of the worker count: every trial
 draws from its own stream keyed by grid and trial index, and results merge
-in index order whichever process computed them (a pool task is one
-gain-bias cell or one gain-surface trial).
+in index order whichever process computed them (a pool task is one grid
+point: a gain-bias (rho_u, L) cell, or a gain-surface rho_u).
 """
 
 from __future__ import annotations
@@ -243,20 +243,21 @@ def _complex_pairs(values: np.ndarray) -> list:
 
 
 def _map_tasks(func, tasks: list, workers: int) -> list:
-    if workers <= 1 or len(tasks) <= 1:
+    workers = min(workers, len(tasks))
+    if workers <= 1:
         return [func(t) for t in tasks]
-    chunk = max(1, len(tasks) // (8 * workers))
     # Each worker holds OpenBLAS at one thread, whatever the start method: the
     # workers already share the cores, and a BLAS thread of their own would
     # only compete with them.
     with ProcessPoolExecutor(
         max_workers=workers, initializer=_set_blas_threads, initargs=(1,)
     ) as pool:
-        return list(pool.map(func, tasks, chunksize=chunk))
+        return list(pool.map(func, tasks))
 
 
 def _gain_bias_cell(task) -> float:
-    """Mean normalized bias of one (rho_u, L) cell over its trials.
+    """Mean normalized bias of one (rho_u, L) cell over its trials; ``task``
+    is ``(spec, i_rho, i_len)``.
 
     The covariance pair and its AUT are built once and shared by the trials,
     so its whitening map and Takagi basis are factored once. The trials sum
@@ -264,16 +265,16 @@ def _gain_bias_cell(task) -> float:
     it compensated, which would move the output bytes between interpreter
     versions.
     """
-    seed, i_rho, i_len, rho_u, filter_len, signal_len, trials = task
-    cov = analytic_covariances(demo_model(rho_u), filter_len)
+    spec, i_rho, i_len = task
+    cov = analytic_covariances(demo_model(spec.rho_u[i_rho]), spec.filter_len[i_len])
     aut = aut_decompose(cov)
     total = 0.0
-    for trial in range(trials):
-        rng = derive_rng(seed, _STREAM_GAIN_BIAS, i_rho, i_len, trial)
+    for trial in range(spec.trials):
+        rng = derive_rng(spec.seed, _STREAM_GAIN_BIAS, i_rho, i_len, trial)
         # Circular, unit variance per part: the scaling by 1.0 is exact.
-        signal = sample_improper_white(signal_len, 0.0, 2.0, rng=rng)
+        signal = sample_improper_white(spec.signal_len, 0.0, 2.0, rng=rng)
         total += normalized_snr_bias(signal, cov, aut)
-    return total / trials
+    return total / spec.trials
 
 
 def run_gain_bias(spec: ExperimentSpec) -> dict:
@@ -282,12 +283,15 @@ def run_gain_bias(spec: ExperimentSpec) -> dict:
             "gain-bias needs signal_len >= 10 x the largest filter length"
         )
     cells = [
-        (spec.seed, i_rho, i_len, rho, length, spec.signal_len, spec.trials)
-        for i_rho, rho in enumerate(spec.rho_u)
-        for i_len, length in enumerate(spec.filter_len)
+        (spec, i_rho, i_len)
+        for i_rho in range(len(spec.rho_u))
+        for i_len in range(len(spec.filter_len))
     ]
     means = _map_tasks(_gain_bias_cell, cells, spec.workers)
-    rows = [(cell[3], cell[4], mean) for cell, mean in zip(cells, means)]
+    rows = [
+        (spec.rho_u[i_rho], spec.filter_len[i_len], mean)
+        for (_, i_rho, i_len), mean in zip(cells, means)
+    ]
     return {"gain-bias.csv": (("rho_u", "filter_len", "normalized_bias"), rows)}
 
 
@@ -307,39 +311,30 @@ def _surface_probe(spec: ExperimentSpec) -> np.ndarray:
     return np.concatenate([matched[::-1], filler])
 
 
-def _gain_surface_trial(task) -> np.ndarray:
-    seed, i_rho, trial, rho_u, filter_len, est_len, probe = task
-    rng = derive_rng(seed, _STREAM_GAIN_SURFACE, i_rho, trial)
-    noise = ma_filter(
-        sample_improper_white(est_len, rho_u, rng=rng), demo_model(rho_u).taps
-    )
-    pair = empirical_covariances(noise, filter_len)
-    windows = sliding_windows(np.asarray(probe), filter_len)
-    return snr_gain(windows, pair)
+def _gain_surface_point(task) -> np.ndarray:
+    """SNR gain along the probe ``windows`` at one rho_u; ``task`` is
+    ``(spec, i_rho, windows)``. In analytic mode the gain of the exact pair,
+    in empirical mode the mean over the trials of the gain of a pair
+    estimated from a fresh noise record of ``est_len`` samples."""
+    spec, i_rho, windows = task
+    rho_u, length = spec.rho_u[i_rho], spec.filter_len[0]
+    model = demo_model(rho_u)
+    if spec.mode == "analytic":
+        return snr_gain(windows, analytic_covariances(model, length))
+    gains = []
+    for trial in range(spec.trials):
+        rng = derive_rng(spec.seed, _STREAM_GAIN_SURFACE, i_rho, trial)
+        noise = ma_filter(sample_improper_white(spec.est_len, rho_u, rng=rng), model.taps)
+        gains.append(snr_gain(windows, empirical_covariances(noise, length)))
+    return np.mean(gains, axis=0)
 
 
 def run_gain_surface(spec: ExperimentSpec) -> dict:
     length = spec.filter_len[0]
-    probe = _surface_probe(spec)
-    windows = sliding_windows(probe, length)
+    windows = sliding_windows(_surface_probe(spec), length)
     positions = np.arange(windows.shape[1]) + length
-
-    gains_by_rho = []
-    if spec.mode == "analytic":
-        for rho in spec.rho_u:
-            pair = analytic_covariances(demo_model(rho), length)
-            gains_by_rho.append(snr_gain(windows, pair))
-    else:
-        tasks = [
-            (spec.seed, i_rho, trial, rho, length, spec.est_len, probe)
-            for i_rho, rho in enumerate(spec.rho_u)
-            for trial in range(spec.trials)
-        ]
-        values = _map_tasks(_gain_surface_trial, tasks, spec.workers)
-        # Tasks are rho-major, so each rho's trials are one contiguous slice.
-        for start in range(0, len(tasks), spec.trials):
-            gains_by_rho.append(np.mean(values[start : start + spec.trials], axis=0))
-
+    points = [(spec, i_rho, windows) for i_rho in range(len(spec.rho_u))]
+    gains_by_rho = _map_tasks(_gain_surface_point, points, spec.workers)
     rows = [
         (int(n_p), rho, float(gains[k]))
         for rho, gains in zip(spec.rho_u, gains_by_rho)

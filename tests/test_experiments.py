@@ -31,16 +31,19 @@ from wlmf import (
     normalized_snr_bias,
     sample_improper_white,
     sliding_windows,
+    snr_gain,
     train,
 )
 from wlmf.cnn import init_params, make_dataset, max_modulus_pool
 from wlmf.experiments import (
     _STREAM_GAIN_BIAS,
+    _STREAM_GAIN_SURFACE,
     DEFAULT_RHO_GRID,
     EXPERIMENTS,
     ExperimentSpec,
     _format_cell,
     _gain_bias_cell,
+    _gain_surface_point,
     _map_tasks,
     _write_csv,
     run_experiment,
@@ -284,6 +287,14 @@ def test_gain_bias_cell_shares_one_aut_across_trials():
     the left-to-right mean of the public per-signal bias under that one
     decomposition, on the same streams."""
     seed, i_rho, i_len, rho_u, length, signal_len, trials = 5, 1, 2, 0.5, 4, 300, 3
+    spec = ExperimentSpec(
+        "gain-bias",
+        rho_u=(0.1, rho_u),
+        filter_len=(6, 8, length),
+        signal_len=signal_len,
+        trials=trials,
+        seed=seed,
+    )
     cov = analytic_covariances(demo_model(rho_u), length)
     aut = aut_decompose(cov)
     total = 0.0
@@ -291,8 +302,70 @@ def test_gain_bias_cell_shares_one_aut_across_trials():
         rng = derive_rng(seed, _STREAM_GAIN_BIAS, i_rho, i_len, trial)
         signal = rng.standard_normal(signal_len) + 1j * rng.standard_normal(signal_len)
         total += normalized_snr_bias(signal, cov, aut)
-    task = (seed, i_rho, i_len, rho_u, length, signal_len, trials)
+    task = (spec, i_rho, i_len)
     assert _gain_bias_cell(task) == total / trials
+
+
+@pytest.mark.parametrize("mode", ["analytic", "empirical"])
+def test_gain_surface_point_averages_its_own_trials(mode):
+    """A gain-surface point must equal, bit for bit, the gain of the exact
+    pair in analytic mode, and in empirical mode the mean of the per-trial
+    gains of pairs estimated on the trial streams."""
+    seed, i_rho, rho_u, length, est_len, trials = 5, 1, 0.5, 4, 400, 3
+    spec = ExperimentSpec(
+        "gain-surface",
+        rho_u=(0.1, rho_u),
+        filter_len=(length,),
+        trials=trials,
+        seed=seed,
+        mode=mode,
+        est_len=est_len,
+    )
+    rng = np.random.default_rng(0)
+    windows = sliding_windows(rng.standard_normal(12) + 1j * rng.standard_normal(12), length)
+    model = demo_model(rho_u)
+    if mode == "analytic":
+        want = snr_gain(windows, analytic_covariances(model, length))
+    else:
+        gains = []
+        for trial in range(trials):
+            rng = derive_rng(seed, _STREAM_GAIN_SURFACE, i_rho, trial)
+            noise = ma_filter(sample_improper_white(est_len, rho_u, rng=rng), model.taps)
+            gains.append(snr_gain(windows, empirical_covariances(noise, length)))
+        want = np.mean(gains, axis=0)
+    got = _gain_surface_point((spec, i_rho, windows))
+    assert got.tobytes() == want.tobytes()
+
+
+def test_pool_never_outnumbers_its_tasks(tmp_path, monkeypatch):
+    sizes = []
+
+    class SerialPool:
+        """Records its size and maps in process: no process is started."""
+
+        def __init__(self, max_workers, **_):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, func, tasks):
+            return map(func, tasks)
+
+    monkeypatch.setattr("wlmf.experiments.ProcessPoolExecutor", SerialPool)
+    blobs = []
+    for workers in (1, 64):
+        out_dir = tmp_path / f"w{workers}"
+        spec = ExperimentSpec.with_defaults(
+            "gain-surface", trials=2, est_len=500, workers=workers, out_dir=str(out_dir)
+        )
+        run_experiment(spec)
+        blobs.append((out_dir / "gain-surface.csv").read_bytes())
+    assert sizes == [len(DEFAULT_RHO_GRID)]
+    assert blobs[0] == blobs[1]
 
 
 def test_run_experiment_sets_no_environment_variable(tmp_path):
