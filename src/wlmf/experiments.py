@@ -24,12 +24,15 @@ Five experiments are provided:
     decomposition diagnostics and the epsilon round-trip error.
 
 Every run writes its grid outputs as CSV (floats as ``%.12e``), summaries
-as JSON, and a manifest recording the resolved parameters, seed derivation
-rule, and SHA-256 digests of the output files. Identical spec and seed give
-byte-identical CSV bodies, independent of the worker count: every trial
-draws from its own stream keyed by grid and trial index, and results merge
-in index order whichever process computed them (a pool task is one grid
-point: a gain-bias (rho_u, L) cell, or a gain-surface rho_u).
+as JSON, and a manifest, also JSON, recording the resolved parameters, seed
+derivation rule, and SHA-256 digests of the output files. One serializer
+makes each file's bytes, with ``\n`` line ends on every platform; they are
+written once and hashed from memory, so a digest is that of the bytes
+written. Identical spec and seed give byte-identical CSV bodies,
+independent of the worker count: every trial draws from its own stream
+keyed by grid and trial index, and results merge in index order whichever
+process computed them (a pool task is one grid point: a gain-bias (rho_u,
+L) cell, or a gain-surface rho_u).
 """
 
 from __future__ import annotations
@@ -206,9 +209,6 @@ class RunManifest:
     finished_at: str
     digests: dict = field(default_factory=dict)
 
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
-
 
 def _format_cell(value) -> str:
     if value is None:
@@ -226,20 +226,21 @@ def _format_cell(value) -> str:
 _CELL_FORMATS = {float: "%.12e".__mod__, int: str, str: str}
 
 
-def _write_csv(path: Path, header: tuple[str, ...], rows: list) -> None:
+def _file_bytes(name: str, content) -> bytes:
+    """The bytes of output file ``name``: ``(header, rows)`` as CSV for a
+    ``.csv`` name, else a summary as sorted, indented JSON. Lines end in
+    ``\n`` on every platform."""
+    if not name.endswith(".csv"):
+        return (json.dumps(content, indent=2, sort_keys=True) + "\n").encode()
+    header, rows = content
     cell_format = _CELL_FORMATS.get
-    lines = [",".join([cell_format(type(v), _format_cell)(v) for v in row]) + "\n" for row in rows]
-    with open(path, "w", newline="") as handle:
-        handle.write(",".join(header) + "\n")
-        handle.writelines(lines)
-
-
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    lines = [",".join(header) + "\n"]
+    lines += [",".join([cell_format(type(v), _format_cell)(v) for v in row]) + "\n" for row in rows]
+    return "".join(lines).encode()
 
 
 def _complex_pairs(values: np.ndarray) -> list:
-    return [[float(v.real), float(v.imag)] for v in np.asarray(values).ravel()]
+    return np.column_stack([values.real, values.imag]).tolist()
 
 
 def _map_tasks(func, tasks: list, workers: int) -> list:
@@ -332,13 +333,13 @@ def _gain_surface_point(task) -> np.ndarray:
 def run_gain_surface(spec: ExperimentSpec) -> dict:
     length = spec.filter_len[0]
     windows = sliding_windows(_surface_probe(spec), length)
-    positions = np.arange(windows.shape[1]) + length
+    positions = range(length, length + windows.shape[1])
     points = [(spec, i_rho, windows) for i_rho in range(len(spec.rho_u))]
     gains_by_rho = _map_tasks(_gain_surface_point, points, spec.workers)
     rows = [
-        (int(n_p), rho, float(gains[k]))
+        (n_p, rho, gain)
         for rho, gains in zip(spec.rho_u, gains_by_rho)
-        for k, n_p in enumerate(positions)
+        for n_p, gain in zip(positions, gains.tolist())
     ]
     return {"gain-surface.csv": (("n_p", "rho_u", "snr_gain"), rows)}
 
@@ -367,18 +368,10 @@ def run_mf_demo(spec: ExperimentSpec) -> dict:
     sl_mod = np.abs(apply_filter_sequence(signal, slmf_solve(probe_window, pair)))
     wl_mod = np.abs(apply_filter_sequence(signal, *wlmf_solve(probe_window, pair)))
 
-    rows = []
-    for i in range(n):
-        k = i + 1 - length
-        rows.append(
-            (
-                i + 1,
-                float(signal[i].real),
-                float(signal[i].imag),
-                float(sl_mod[k]) if k >= 0 else None,
-                float(wl_mod[k]) if k >= 0 else None,
-            )
-        )
+    # The first L - 1 samples end no full window, so they have no output.
+    pad = [None] * (length - 1)
+    moduli = (pad + sl_mod.tolist(), pad + wl_mod.tolist())
+    rows = list(zip(range(1, n + 1), signal.real.tolist(), signal.imag.tolist(), *moduli))
     sl_peak = int(np.argmax(sl_mod)) + length
     wl_peak = int(np.argmax(wl_mod)) + length
     summary = {
@@ -402,8 +395,7 @@ def run_cnn_train(spec: ExperimentSpec) -> dict:
     summary = {"seed": spec.seed, "modes": {}}
     results = train(spec.seed, input_len=spec.signal_len, filter_len=spec.filter_len[0])
     for mode, result in zip(("sl", "wl"), results):
-        for iteration, pattern, probability in result.trace:
-            rows.append((iteration, mode, pattern, probability))
+        rows += [(iteration, mode, pattern, p) for iteration, pattern, p in result.trace]
         final = result.evals[-1]
         summary["modes"][mode] = {
             "first_sustained_iteration": result.first_sustained,
@@ -428,12 +420,12 @@ def run_design_sequence(spec: ExperimentSpec) -> dict:
     summary = {
         "rho_u": rho_u,
         "filter_len": length,
-        "lambda_r": [float(v) for v in aut.lambda_r],
-        "lambda_c": [float(v) for v in aut.lambda_c],
-        "rho": [float(v) for v in profile.rho],
+        "lambda_r": aut.lambda_r.tolist(),
+        "lambda_c": aut.lambda_c.tolist(),
+        "rho": profile.rho.tolist(),
         "offdiag_residual": float(aut.offdiag_residual),
-        "epsilon_target": [float(v) for v in target],
-        "epsilon_achieved": [float(v) for v in profile.epsilon],
+        "epsilon_target": target.tolist(),
+        "epsilon_achieved": profile.epsilon.tolist(),
         "sequence": _complex_pairs(designed),
         "roundtrip_max_error": roundtrip,
     }
@@ -465,12 +457,9 @@ def run_experiment(spec: ExperimentSpec) -> RunManifest:
     out_dir.mkdir(parents=True, exist_ok=True)
     digests = {}
     for name, content in files.items():
-        path = out_dir / name
-        if name.endswith(".csv"):
-            _write_csv(path, *content)
-        else:
-            path.write_text(json.dumps(content, indent=2, sort_keys=True) + "\n")
-        digests[name] = _sha256(path)
+        data = _file_bytes(name, content)
+        (out_dir / name).write_bytes(data)
+        digests[name] = hashlib.sha256(data).hexdigest()
 
     manifest = RunManifest(
         spec=asdict(spec),
@@ -481,5 +470,6 @@ def run_experiment(spec: ExperimentSpec) -> RunManifest:
         finished_at=datetime.now(timezone.utc).isoformat(),
         digests=digests,
     )
-    (out_dir / f"{spec.experiment}-manifest.json").write_text(manifest.to_json())
+    name = f"{spec.experiment}-manifest.json"
+    (out_dir / name).write_bytes(_file_bytes(name, asdict(manifest)))
     return manifest

@@ -281,6 +281,10 @@ def template_to_feature(template: np.ndarray) -> np.ndarray:
     contains the feature in time order.
     """
     template = np.asarray(template, dtype=complex)
-    if template.ndim != 1 or template.size == 0:
-        raise EmptyInputError("template must be a nonempty vector")
+    if template.size == 0:
+        raise EmptyInputError("template is empty")
+    if template.ndim != 1:
+        raise DimensionMismatchError(f"template must be 1-D, got shape {template.shape}")
+    if not np.isfinite(template).all():
+        raise NonFiniteInputError("template contains non-finite entries")
     return np.conj(template[::-1])

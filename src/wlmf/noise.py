@@ -308,7 +308,9 @@ def empirical_covariances(v: np.ndarray, filter_len: int) -> CovariancePair:
     """
     v = np.asarray(v, dtype=complex)
     filter_len = _as_int("filter_len", filter_len, None)
-    if v.ndim != 1 or v.size < 10 * filter_len:
+    if v.ndim != 1:
+        raise DimensionMismatchError(f"noise record must be 1-D, got shape {v.shape}")
+    if v.size < 10 * filter_len:
         raise InsufficientSamplesError(
             f"need at least {10 * filter_len} samples for filter_len={filter_len}, got {v.size}"
         )

@@ -88,6 +88,24 @@ def sut_snr_gain(cols, cov):
     return surplus, float(factor.p[0])
 
 
+# Zero-mean, unit-variance real laws: (rng, n) -> n draws.
+UNIT_VARIANCE_LAWS = {
+    "gaussian": lambda rng, n: rng.standard_normal(n),
+    "uniform": lambda rng, n: rng.uniform(-np.sqrt(3.0), np.sqrt(3.0), n),
+    "binary": lambda rng, n: rng.choice([-1.0, 1.0], n),
+}
+
+
+def sample_improper_law(law, n, rho_u, sigma2_u, rng):
+    """``n`` white samples with ``sample_improper_white``'s second-order
+    moments, ``E|u|^2 = sigma2_u`` and ``E u^2 = rho_u sigma2_u``, whose real
+    and imaginary parts are independent draws of one of
+    ``UNIT_VARIANCE_LAWS``, scaled; the real part is drawn first."""
+    real = UNIT_VARIANCE_LAWS[law](rng, n) * np.sqrt(sigma2_u * (1.0 + rho_u) / 2.0)
+    imag = UNIT_VARIANCE_LAWS[law](rng, n) * np.sqrt(sigma2_u * (1.0 - rho_u) / 2.0)
+    return real + 1j * imag
+
+
 def make_dataset_per_sample(count, rng=None, *, input_len=8):
     """``make_dataset`` one sample at a time: the reference for its batched
     arithmetic, with the same six generator calls per sample in one order and

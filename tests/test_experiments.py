@@ -14,9 +14,12 @@ import pytest
 import wlmf
 from wlmf import (
     CnnConfig,
+    CovariancePair,
     DimensionMismatchError,
     EmptyInputError,
+    InsufficientSamplesError,
     InvalidParameterError,
+    NotPositiveDefiniteError,
     WlmfError,
     analytic_covariances,
     apply_filter_sequence,
@@ -25,14 +28,18 @@ from wlmf import (
     demo_model,
     empirical_covariances,
     g_of_rho,
+    hermitian_solve,
     linalg,
     lower_bound_rho,
     ma_filter,
     normalized_snr_bias,
     sample_improper_white,
+    slmf_solve,
     sliding_windows,
     snr_gain,
+    template_to_feature,
     train,
+    wlmf_solve,
 )
 from wlmf.cnn import init_params, make_dataset, max_modulus_pool
 from wlmf.experiments import (
@@ -41,12 +48,14 @@ from wlmf.experiments import (
     DEFAULT_RHO_GRID,
     EXPERIMENTS,
     ExperimentSpec,
+    _file_bytes,
     _format_cell,
     _gain_bias_cell,
     _gain_surface_point,
     _map_tasks,
-    _write_csv,
     run_experiment,
+    run_gain_bias,
+    run_mf_demo,
 )
 from wlmf.noise import NoiseModel
 from wlmf.seeding import derive_rng
@@ -135,6 +144,8 @@ def test_spec_rejects_grids_the_experiment_does_not_sweep(experiment, key, value
         ExperimentSpec.with_defaults(experiment, **{key: values})
 
 
+DEMO_PAIR = analytic_covariances(demo_model(0.5), 4)
+
 TYPED_ARGUMENT_ERRORS = {
     # Integer arguments: a bool or a non-integer is an invalid parameter.
     "sliding_windows-float-len": (InvalidParameterError, lambda: sliding_windows(np.ones(10), 2.5)),
@@ -210,6 +221,37 @@ TYPED_ARGUMENT_ERRORS = {
     "NoiseModel-inf-power": (
         InvalidParameterError, lambda: NoiseModel((1.0,), 0.5, sigma2_u=np.inf)
     ),
+    "template_to_feature-2d": (DimensionMismatchError, lambda: template_to_feature(np.ones((2, 2)))),
+    "empirical_covariances-2d-record": (
+        DimensionMismatchError, lambda: empirical_covariances(np.ones((2, 100)), 3)
+    ),
+    "empirical_covariances-empty-record": (
+        InsufficientSamplesError, lambda: empirical_covariances(np.ones(0), 3)
+    ),
+    "slmf_solve-batch": (DimensionMismatchError, lambda: slmf_solve(np.ones((4, 2)), DEMO_PAIR)),
+    "wlmf_solve-batch": (DimensionMismatchError, lambda: wlmf_solve(np.ones((4, 2)), DEMO_PAIR)),
+    "snr_gain-3d": (DimensionMismatchError, lambda: snr_gain(np.ones((4, 2, 2)), DEMO_PAIR)),
+    "snr_gain-no-columns": (EmptyInputError, lambda: snr_gain(np.ones((4, 0)), DEMO_PAIR)),
+    "CovariancePair-non-square": (
+        DimensionMismatchError, lambda: CovariancePair(np.ones((2, 3)), np.ones((2, 3)))
+    ),
+    "CovariancePair-empty": (
+        EmptyInputError, lambda: CovariancePair(np.ones((0, 0)), np.ones((0, 0)))
+    ),
+    "hermitian_solve-pivot-below-tolerance": (
+        NotPositiveDefiniteError, lambda: hermitian_solve(np.diag([1.0, 1e-13]), np.ones(2))
+    ),
+    "NoiseModel-empty-taps": (EmptyInputError, lambda: NoiseModel((), 0.5)),
+    "ma_filter-empty-taps": (EmptyInputError, lambda: ma_filter(np.ones(3), [])),
+    # Experiment guards.
+    "spec-empty-len": (InvalidParameterError, lambda: ExperimentSpec("gain-bias", filter_len=())),
+    "run_gain_bias-short-signal": (
+        InsufficientSamplesError,
+        lambda: run_gain_bias(ExperimentSpec.with_defaults("gain-bias", signal_len=79)),
+    ),
+    "run_mf_demo-short-signal": (
+        DimensionMismatchError, lambda: run_mf_demo(ExperimentSpec("mf-demo", signal_len=3))
+    ),
 }
 
 
@@ -241,7 +283,7 @@ def test_csv_cells_are_format_cell_bytes(tmp_path):
            -math.inf, 2.5e-300, np.float32(1.5), "sl")
     header = tuple(f"c{i}" for i in range(len(row)))
     path = tmp_path / "cells.csv"
-    _write_csv(path, header, [row, row[::-1]])
+    path.write_bytes(_file_bytes(path.name, (header, [row, row[::-1]])))
     want = [",".join(header)] + [",".join(_format_cell(v) for v in r) for r in (row, row[::-1])]
     assert path.read_bytes() == ("\n".join(want) + "\n").encode()
     assert want[1].split(",")[:8] == ["", "1", "0", "-3", "7", "1.000000000000e-01",
@@ -271,6 +313,33 @@ def test_gain_bias_output_and_manifest(tmp_path):
     digest = hashlib.sha256(csv_path.read_bytes()).hexdigest()
     assert stored["digests"]["gain-bias.csv"] == digest
     assert manifest.digests["gain-bias.csv"] == digest
+
+
+# Small specs of every experiment, for checks that run them all.
+SMALL_SPECS = {
+    "gain-bias": {"rho_u": (0.1,), "filter_len": (4,), "signal_len": 200, "trials": 1},
+    "gain-surface": {"rho_u": (0.2,), "signal_len": 20, "trials": 2, "est_len": 400},
+    "mf-demo": {},
+    "cnn-train": {},
+    "design-sequence": {},
+}
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_manifest_digests_are_the_written_bytes(experiment, tmp_path):
+    """Each digest is the SHA-256 of the file on disk, every line ends in a
+    bare newline, and the manifest file holds the returned manifest."""
+    spec = ExperimentSpec.with_defaults(experiment, out_dir=str(tmp_path), **SMALL_SPECS[experiment])
+    manifest = run_experiment(spec)
+    manifest_name = f"{experiment}-manifest.json"
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([*manifest.digests, manifest_name])
+    for name, digest in manifest.digests.items():
+        data = (tmp_path / name).read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest
+        assert data.endswith(b"\n") and b"\r" not in data
+    want = asdict(manifest)
+    want["spec"] = {k: list(v) if isinstance(v, tuple) else v for k, v in want["spec"].items()}
+    assert json.loads((tmp_path / manifest_name).read_bytes()) == want
 
 
 def test_gain_bias_determinism_across_dirs_and_workers(tmp_path):
@@ -553,13 +622,14 @@ def test_cli_edge_cell_ends_in_typed_error(tmp_path, capsys):
 
 def test_cli_rejects_unknown_config_key(tmp_path, capsys):
     config = tmp_path / "bad.cfg"
-    config.write_text("experiment = mf-demo\nbogus = 1\n")
-    code = cli.main(["--config", str(config)])
-    assert code == 1
-    payload = json.loads(capsys.readouterr().err.strip())
-    assert payload["error"] == "ValueError"
-    assert "bogus" in payload["message"]
-    assert ":2:" in payload["message"]
+    for line, named in (("bogus = 1", "bogus"), ("seed 5", "key = value")):
+        config.write_text(f"experiment = mf-demo\n{line}\n")
+        code = cli.main(["--config", str(config)])
+        assert code == 1
+        payload = json.loads(capsys.readouterr().err.strip())
+        assert payload["error"] == "ValueError"
+        assert named in payload["message"]
+        assert ":2:" in payload["message"]
 
 
 def test_cli_config_and_flags_resolve_alike(tmp_path, capsys):
@@ -647,6 +717,26 @@ def test_gain_surface_empirical_parallel_determinism(tmp_path, capsys):
     assert (serial_dir / "gain-surface.csv").read_bytes() == (
         parallel_dir / "gain-surface.csv"
     ).read_bytes()
+
+
+def test_gain_surface_designed_probe_at_other_lengths(tmp_path, capsys):
+    """Away from the demo sequence's length 6, the probe embeds a sequence
+    designed for the run's length; the run is the same at any worker count."""
+    args = [
+        "--experiment", "gain-surface", "--filter-len", "4", "--rho-u", "0.2,0.5",
+        "--trials", "2", "--signal-len", "20", "--est-len", "400",
+    ]
+    blobs = []
+    for workers in ("1", "2"):
+        out_dir = tmp_path / workers
+        assert cli.main(args + ["--workers", workers, "--out-dir", str(out_dir)]) == 0
+        blobs.append((out_dir / "gain-surface.csv").read_bytes())
+    capsys.readouterr()
+    assert blobs[0] == blobs[1]
+    header, rows = read_rows(tmp_path / "1" / "gain-surface.csv")
+    assert header == ["n_p", "rho_u", "snr_gain"]
+    assert [int(row[0]) for row in rows] == list(range(4, 25)) * 2
+    assert all(float(row[2]) > 0 for row in rows)
 
 
 def _close(got, want) -> bool:

@@ -14,6 +14,7 @@ from wlmf import (
     aut_decompose,
     demo_model,
     hermitian_solve,
+    ma_filter,
     slmf_solve,
     snr_gain,
     snr_slmf,
@@ -21,9 +22,16 @@ from wlmf import (
     template_to_feature,
     wlmf_solve,
 )
+from wlmf.experiments import DEMO_MATCHED_SEQUENCE
 from wlmf.filters import _filter_windows
 
-from helpers import augmented, random_improper_pair, random_unitary, sut_snr_gain
+from helpers import (
+    augmented,
+    random_improper_pair,
+    random_unitary,
+    sample_improper_law,
+    sut_snr_gain,
+)
 
 # The strong-uncorrelating-transform oracle loses accuracy as its largest
 # circularity coefficient k_max nears 1, like eps / (1 - k_max). The worst
@@ -550,6 +558,39 @@ def test_template_to_feature_examples():
     assert np.array_equal(template_to_feature(template_to_feature(x)), x)
     with pytest.raises(EmptyInputError):
         template_to_feature(np.array([], dtype=complex))
+
+
+@pytest.mark.parametrize(
+    "law, rho_u, seed",
+    [
+        ("gaussian", 0.0, 601), ("gaussian", 0.5, 602), ("gaussian", 0.8, 603),
+        ("uniform", 0.0, 611), ("uniform", 0.5, 612), ("uniform", 0.8, 613),
+        ("binary", 0.0, 621), ("binary", 0.5, 622), ("binary", 0.8, 623),
+    ],
+)
+def test_closed_form_snrs_are_filter_output_power_on_non_gaussian_noise(law, rho_u, seed):
+    """The matched filters' SNRs depend on the noise through (R, C) alone,
+    whatever its law. With ``f = R^{-1} x`` (and its widely linear
+    counterpart), ``|f^H x|^2 = E|y|^2``, so the SNR is the mean output power
+    over noise windows. This joins ``analytic_covariances``' conjugation,
+    ``sliding_windows``' newest-first order, ``apply_filter_sequence``'s
+    ``f^H w`` and the solvers; the bound is 5 standard errors of 40 batch
+    means."""
+    length, count, batches = 6, 400_000, 40
+    model = demo_model(rho_u)
+    cov = analytic_covariances(model, length)
+    x = DEMO_MATCHED_SEQUENCE
+    rng = np.random.default_rng(seed)
+    v = ma_filter(sample_improper_law(law, count, rho_u, model.sigma2_u, rng), model.taps)
+    for taps, snr in (
+        ((slmf_solve(x, cov),), snr_slmf(x, cov)),
+        (wlmf_solve(x, cov), snr_wlmf(x, cov)),
+    ):
+        # The windows that meet the moving average's zero initial state go.
+        power = np.abs(apply_filter_sequence(v, *taps)[len(model.taps) :]) ** 2
+        means = power[: power.size - power.size % batches].reshape(batches, -1).mean(axis=1)
+        standard_error = means.std(ddof=1) / np.sqrt(batches)
+        assert abs(means.mean() - snr) <= 5 * standard_error, (len(taps), means.mean(), snr)
 
 
 def test_demo_covariance_filter_roundtrip():

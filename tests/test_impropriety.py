@@ -32,6 +32,7 @@ from wlmf import (
     snr_gain,
     snr_slmf,
     snr_wlmf,
+    template_to_feature,
     wlmf_solve,
 )
 from wlmf.impropriety import AutDecomposition
@@ -503,6 +504,9 @@ NON_FINITE_CALLS = {
         _with_first_entry(np.ones(50), bad), cov, aut
     ),
     "NoiseModel": lambda cov, aut, bad: NoiseModel(taps=(bad, 0.5), rho_u=0.5),
+    "template_to_feature": lambda cov, aut, bad: template_to_feature(
+        _with_first_entry(np.ones(3), bad)
+    ),
 }
 
 

@@ -1,3 +1,5 @@
+import ctypes
+
 import numpy as np
 import pytest
 
@@ -233,6 +235,32 @@ def test_blas_threads_without_openblas_is_a_no_op(monkeypatch):
     with pytest.raises(RuntimeError):
         with linalg._blas_threads(1):
             raise RuntimeError("inside the block")
+
+
+@pytest.mark.parametrize("broken", ["maps", "load", "symbols"])
+def test_openblas_lookup_that_finds_nothing_changes_nothing(broken, monkeypatch):
+    """With no readable ``/proc/self/maps``, an OpenBLAS that fails to load,
+    or one without the thread-count symbols, the lookup returns None and
+    holding one thread leaves the count alone."""
+
+    def unreadable(*args, **kwargs):
+        raise OSError("unreadable")
+
+    linalg._openblas_threads.cache_clear()
+    loaded = linalg._openblas_threads()
+    linalg._openblas_threads.cache_clear()
+    prior = loaded[1]() if loaded else None
+    if broken == "maps":
+        monkeypatch.setattr(linalg, "open", unreadable, raising=False)
+    else:
+        monkeypatch.setattr(ctypes, "CDLL", unreadable if broken == "load" else lambda path: object())
+    try:
+        assert linalg._openblas_threads() is None
+        with linalg._blas_threads(1):
+            assert loaded is None or loaded[1]() == prior
+    finally:
+        monkeypatch.undo()
+        linalg._openblas_threads.cache_clear()
 
 
 def test_blas_threads_sets_the_loaded_openblas():
