@@ -35,7 +35,7 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import DimensionMismatchError, DivergenceDetectedError, EmptyInputError
-from .errors import InvalidParameterError, _as_int
+from .errors import InvalidParameterError, _as_array, _as_int
 from .filters import _filter_windows
 from .noise import sliding_windows
 from .seeding import as_generator, derive_rng
@@ -268,9 +268,9 @@ def head_forward(
     return feat, logits, probs
 
 
-def _windows(x, params: CnnParams) -> np.ndarray:
+def _windows(x, params: CnnParams, ndim=(1, 2)) -> np.ndarray:
     """Newest-first windows of one signal (L, K) or of a batch (B, L, K)."""
-    return sliding_windows(np.asarray(x, dtype=complex), params.conv1.shape[-1])
+    return sliding_windows(_as_array("x", x, ndim), params.conv1.shape[-1])
 
 
 def _forward(windows: np.ndarray, params: CnnParams) -> tuple[np.ndarray, dict]:
@@ -340,13 +340,13 @@ def backward(x: np.ndarray, t: np.ndarray, params: CnnParams) -> tuple[float, np
     pooling layer routes the head gradient to the selected window only, and
     the split rectifier gates real and imaginary flows independently.
 
-    A batch ``x`` (ndim != 1) or a ``t`` not of shape (2,) raises
-    ``DimensionMismatchError``.
+    ``x`` (N,) and ``t`` (2,) follow the array rule of :mod:`wlmf.errors`;
+    another shape raises ``DimensionMismatchError``.
     """
-    x, t = np.asarray(x, dtype=complex), np.asarray(t)
-    if x.ndim != 1 or t.shape != (2,):
-        raise DimensionMismatchError(f"backward takes x (N,) and t (2,), got {x.shape}, {t.shape}")
-    probs, grads = _backward(_windows(x, params), t, params)
+    t = _as_array("t", t, (1,), dtype=float)
+    if t.shape != (2,):
+        raise DimensionMismatchError(f"backward takes t of shape (2,), got {t.shape}")
+    probs, grads = _backward(_windows(x, params, (1,)), t, params)
     with np.errstate(divide="ignore"):
         loss = float(-np.log(probs[int(t.argmax())]))
     return loss, probs, grads

@@ -1,8 +1,15 @@
-"""Exception types raised by the library, and the integer and real checks its
-arguments share."""
+"""Exception types raised by the library, and the integer, real and array
+checks its arguments share. The array rule: a ragged nesting, or an array
+of strings (numeric ones included), booleans or objects, raises
+``InvalidParameterError``; integer and real arrays, and complex ones where
+complex values are taken, are converted. A dimension count the argument
+cannot have then raises ``DimensionMismatchError``, and a NaN or infinite
+entry ``NonFiniteInputError``."""
 
 import numbers
 import operator
+
+import numpy as np
 
 
 class WlmfError(Exception):
@@ -18,7 +25,7 @@ class EmptyInputError(WlmfError, ValueError):
 
 
 class NonFiniteInputError(WlmfError, ValueError):
-    """A matrix held a NaN or infinite entry."""
+    """An input held a NaN or infinite entry."""
 
 
 class NotHermitianError(WlmfError, ValueError):
@@ -82,3 +89,21 @@ def _as_float(name: str, value) -> float:
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise InvalidParameterError(f"{name} must be a real number, got {value!r}")
     return float(value)
+
+
+def _as_array(name: str, value, ndim, finite: bool = True, dtype=complex) -> np.ndarray:
+    """``value`` as an array of ``dtype`` under the array rule, with a
+    dimension count in ``ndim`` (any when None), finite unless ``finite`` is
+    False. The dtype is checked first: the conversion reads ``"1"`` as 1."""
+    try:
+        array = np.asarray(value)
+    except ValueError:
+        raise InvalidParameterError(f"{name} must be a rectangular array") from None
+    if array.dtype.kind not in ("iufc" if np.dtype(dtype).kind == "c" else "iuf"):
+        raise InvalidParameterError(f"{name} must hold numbers, got dtype {array.dtype}")
+    array = array.astype(dtype, copy=False)
+    if ndim is not None and array.ndim not in ndim:
+        raise DimensionMismatchError(f"{name} must have ndim in {ndim}, got shape {array.shape}")
+    if finite and not np.isfinite(array).all():
+        raise NonFiniteInputError(f"{name} contains non-finite entries")
+    return array

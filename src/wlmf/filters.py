@@ -25,6 +25,7 @@ from .errors import (
     EmptyInputError,
     NonFiniteInputError,
     NumericalConsistencyError,
+    _as_array,
 )
 from .linalg import _real_form, _refined_solve
 from .noise import CovariancePair, sliding_windows
@@ -40,18 +41,14 @@ __all__ = [
 ]
 
 
-def _as_columns(x, dim: int, check_finite: bool = True) -> tuple[np.ndarray, bool]:
-    """Coerce to an (L, K) column matrix, finite unless ``check_finite`` is
-    False; report whether input was a vector."""
-    x = np.asarray(x, dtype=complex)
-    if x.ndim not in (1, 2):
-        raise DimensionMismatchError(f"x must be 1- or 2-dimensional, got ndim={x.ndim}")
+def _as_columns(x, dim: int, finite: bool = True) -> tuple[np.ndarray, bool]:
+    """Coerce to an (L, K) column matrix, finite unless ``finite`` is False;
+    report whether input was a vector."""
+    x = _as_array("x", x, (1, 2), finite)
     if x.shape[0] != dim:
         raise DimensionMismatchError(f"x has length {x.shape[0]}, expected {dim}")
     if x.ndim == 2 and x.shape[1] == 0:
         raise EmptyInputError("x has no columns")
-    if check_finite and not np.isfinite(x).all():
-        raise NonFiniteInputError("x contains non-finite entries")
     return (x[:, None], True) if x.ndim == 1 else (x, False)
 
 
@@ -70,7 +67,7 @@ def _real_map_squared_norms(real_map: np.ndarray, cols: np.ndarray, was_vector: 
     BLAS rounds a product's last few columns by its width, so there a value
     can move by an ulp or two, as it does between any two batch widths.
 
-    ``cols`` comes from ``_as_columns(..., check_finite=False)``: a NaN or
+    ``cols`` comes from ``_as_columns(..., finite=False)``: a NaN or
     infinite entry makes its column's value NaN or infinite (``0 * inf`` is
     NaN), so the input is scanned for one only when a value is not finite. A
     finite input that overflows returns ``inf``.
@@ -165,7 +162,7 @@ def snr_slmf(x: np.ndarray, cov: CovariancePair):
     evaluated as ``||L^{-1} x||^2`` with the pair's cached inverse Cholesky
     factor, ``R = L L^H``: the real form of ``L^{-1}`` on ``[Re x; Im x]``
     runs through the same column-block kernel as :func:`snr_gain`."""
-    cols, was_vector = _as_columns(x, cov.dim, check_finite=False)
+    cols, was_vector = _as_columns(x, cov.dim, finite=False)
     return _real_map_squared_norms(_real_form(cov.inverse_cholesky), cols, was_vector)
 
 
@@ -209,7 +206,7 @@ def snr_gain(x: np.ndarray, cov: CovariancePair):
     NotPositiveDefiniteError
         If ``R`` or ``S`` is not positive definite.
     """
-    cols, was_vector = _as_columns(x, cov.dim, check_finite=False)
+    cols, was_vector = _as_columns(x, cov.dim, finite=False)
     return _real_map_squared_norms(cov._gain_map, cols, was_vector)
 
 
@@ -226,15 +223,13 @@ def apply_filter_sequence(
     filter runs along every sequence, and the output is ``(stack axes, bank
     axes, K)``. The taps are summed in one order whatever the shapes, so a
     bank on a stack agrees bit for bit with each filter on each sequence
-    alone. 0-d taps raise ``DimensionMismatchError``, and a NaN or infinite
-    sample or tap ``NonFiniteInputError``.
+    alone. The sequence and taps follow the array rule of
+    :mod:`wlmf.errors`, and 0-d taps raise ``DimensionMismatchError``.
     """
-    sequence = np.asarray(sequence, dtype=complex)
-    taps = [np.asarray(t, dtype=complex) for t in ((f,) if f_conj is None else (f, f_conj))]
+    sequence = _as_array("sequence", sequence, None)
+    taps = [_as_array("taps", t, None) for t in ((f,) if f_conj is None else (f, f_conj))]
     if taps[0].ndim == 0 or taps[-1].shape != taps[0].shape:
         raise DimensionMismatchError("taps must be at least 1-D, and f_conj of the shape of f")
-    if not all(np.isfinite(a).all() for a in (sequence, *taps)):
-        raise NonFiniteInputError("sequence or taps contain non-finite entries")
     return _filter_windows(sliding_windows(sequence, taps[0].shape[-1]), *taps)
 
 
@@ -279,12 +274,14 @@ def template_to_feature(template: np.ndarray) -> np.ndarray:
     designed on the newest-first window ``feature[::-1]`` (that is,
     ``conj(template)``) responds coherently where the running sequence
     contains the feature in time order.
+
+    Raises
+    ------
+    InvalidParameterError, DimensionMismatchError, NonFiniteInputError
+        If ``template`` breaks the array rule of :mod:`wlmf.errors` for a
+        1-D array; ``EmptyInputError`` if it is empty.
     """
-    template = np.asarray(template, dtype=complex)
+    template = _as_array("template", template, (1,))
     if template.size == 0:
         raise EmptyInputError("template is empty")
-    if template.ndim != 1:
-        raise DimensionMismatchError(f"template must be 1-D, got shape {template.shape}")
-    if not np.isfinite(template).all():
-        raise NonFiniteInputError("template contains non-finite entries")
     return np.conj(template[::-1])

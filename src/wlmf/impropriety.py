@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateWindowError, DimensionMismatchError, InvalidImproprietyError
-from .errors import InvalidParameterError, SingularAtOneError, _as_float
+from .errors import SingularAtOneError, _as_array, _as_float
 from .filters import _as_columns, _real_map_squared_norms, snr_gain
 from .linalg import _real_form, hermitian_eig, takagi
 from .noise import CovariancePair, sliding_windows
@@ -192,27 +192,6 @@ def impropriety_profile(aut: AutDecomposition, rotated: np.ndarray) -> Improprie
     return ImproprietyProfile(epsilon=eps, rho=_clamped_rho(aut), zero_mask=zero)
 
 
-def _validate_rho_eps(rho, epsilon):
-    rho, epsilon = np.asarray(rho), np.asarray(epsilon)
-    # Checked before the float conversion, which would read a string or a
-    # bool as the number it spells.
-    if rho.dtype.kind not in "iuf" or epsilon.dtype.kind not in "iuf":
-        raise InvalidParameterError(
-            f"rho and epsilon must be real numbers, got dtypes {rho.dtype}, {epsilon.dtype}"
-        )
-    rho = np.asarray(rho, dtype=float)
-    epsilon = np.asarray(epsilon, dtype=float)
-    if not (np.all(np.isfinite(rho)) and np.all(np.isfinite(epsilon))):
-        raise InvalidImproprietyError("rho and epsilon must be finite")
-    if np.any(rho < 0):
-        raise InvalidImproprietyError("rho must be nonnegative")
-    if np.any(rho >= 1):
-        raise SingularAtOneError("g(rho; eps) is singular at rho = 1")
-    if np.any(np.abs(epsilon) > 1):
-        raise InvalidImproprietyError("epsilon must lie in [-1, 1]")
-    return rho, epsilon
-
-
 def g_of_rho(rho, epsilon):
     """Component gain factor ``(1 + rho^2 - 2 eps rho) / (1 - rho^2)``.
 
@@ -224,7 +203,16 @@ def g_of_rho(rho, epsilon):
     whose terms are all nonnegative: no digit is lost as ``(rho, eps) -> (1, 1)``.
     """
     scalar = np.isscalar(rho) and np.isscalar(epsilon)
-    rho, epsilon = _validate_rho_eps(rho, epsilon)
+    rho = _as_array("rho", rho, None, finite=False, dtype=float)
+    epsilon = _as_array("epsilon", epsilon, None, finite=False, dtype=float)
+    if not (np.isfinite(rho).all() and np.isfinite(epsilon).all()):
+        raise InvalidImproprietyError("rho and epsilon must be finite")
+    if np.any(rho < 0):
+        raise InvalidImproprietyError("rho must be nonnegative")
+    if np.any(rho >= 1):
+        raise SingularAtOneError("g(rho; eps) is singular at rho = 1")
+    if np.any(np.abs(epsilon) > 1):
+        raise InvalidImproprietyError("epsilon must lie in [-1, 1]")
     value = ((1.0 - rho) ** 2 + 2.0 * rho * (1.0 - epsilon)) / ((1.0 - rho) * (1.0 + rho))
     return float(value) if scalar else value
 
@@ -271,7 +259,7 @@ def approx_snr_gain(x: np.ndarray, aut: AutDecomposition):
         slack; the message names the component, its quotient, the
         off-diagonal residual and the largest noise-power quotient.
     """
-    cols, was_vector = _as_columns(x, aut.dim, check_finite=False)
+    cols, was_vector = _as_columns(x, aut.dim, finite=False)
     rho = _clamped_rho(aut)
     weights = np.concatenate([(1.0 - rho) / (1.0 + rho), (1.0 + rho) / (1.0 - rho)])
     scale = np.sqrt(weights / np.tile(aut.lambda_r, 2))
@@ -299,7 +287,7 @@ def normalized_snr_bias(signal: np.ndarray, cov: CovariancePair, aut: AutDecompo
         If some window's exact surplus falls below 1e-14, making the
         normalization meaningless.
     """
-    windows = sliding_windows(np.asarray(signal, dtype=complex), cov.dim)
+    windows = sliding_windows(_as_array("signal", signal, (1,)), cov.dim)
     exact = snr_gain(windows, cov)
     if np.any(exact < 1e-14):
         raise DegenerateWindowError("a window has numerically zero exact SNR surplus")

@@ -18,11 +18,11 @@ import numpy as np
 from .errors import (
     DimensionMismatchError,
     EmptyInputError,
-    NonFiniteInputError,
     NotHermitianError,
     NotPositiveDefiniteError,
     NotSymmetricError,
     NumericalConsistencyError,
+    _as_array,
 )
 
 __all__ = [
@@ -104,13 +104,11 @@ def _blas_threads(n: int):
 
 
 def _as_square_matrix(a: np.ndarray, name: str) -> np.ndarray:
-    a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    a = _as_array(name, a, (2,))
+    if a.shape[0] != a.shape[1]:
         raise DimensionMismatchError(f"{name} must be square, got shape {a.shape}")
     if a.shape[0] == 0:
         raise EmptyInputError(f"{name} must have at least one row")
-    if not np.all(np.isfinite(a.view(float))):
-        raise NonFiniteInputError(f"{name} contains non-finite entries")
     return a
 
 
@@ -172,21 +170,17 @@ def hermitian_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     Raises
     ------
+    InvalidParameterError, DimensionMismatchError, NonFiniteInputError
+        If ``a`` or ``b`` breaks the array rule of :mod:`wlmf.errors`.
     NotPositiveDefiniteError
         If the Cholesky factorization fails or a squared pivot falls below
         ``1e-12 * max(diag(a))``.
-    NonFiniteInputError
-        If ``a`` or ``b`` holds a NaN or infinite entry.
     """
     a = _as_square_matrix(a, "a")
     _check_hermitian(a, "a")
-    b = np.asarray(b, dtype=complex)
-    if b.ndim not in (1, 2) or b.shape[0] != a.shape[0]:
-        raise DimensionMismatchError(
-            f"b has shape {b.shape}, expected ({a.shape[0]},) or ({a.shape[0]}, k)"
-        )
-    if not np.all(np.isfinite(b.view(float))):
-        raise NonFiniteInputError("b contains non-finite entries")
+    b = _as_array("b", b, (1, 2))
+    if b.shape[0] != a.shape[0]:
+        raise DimensionMismatchError(f"b has {b.shape[0]} rows, expected {a.shape[0]}")
     return _refined_solve(a, _lower_inverse(_pd_cholesky(a)), b)
 
 

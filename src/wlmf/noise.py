@@ -28,7 +28,7 @@ from .errors import (
     InsufficientSamplesError,
     InvalidImproprietyError,
     InvalidParameterError,
-    NonFiniteInputError,
+    _as_array,
     _as_float,
     _as_int,
 )
@@ -68,7 +68,7 @@ class NoiseModel:
     sigma2_u : float
         Power of the driving noise, positive and finite.
 
-    Taps that are not 1-D raise ``DimensionMismatchError``.
+    Taps follow the array rule of :mod:`wlmf.errors` for a 1-D array.
     """
 
     taps: tuple[complex, ...]
@@ -76,13 +76,9 @@ class NoiseModel:
     sigma2_u: float = 1.0
 
     def __post_init__(self):
-        if np.ndim(self.taps) != 1:
-            raise DimensionMismatchError(f"taps must be 1-D, got shape {np.shape(self.taps)}")
-        taps = tuple(complex(t) for t in self.taps)
+        taps = tuple(_as_array("taps", self.taps, (1,)).tolist())
         if len(taps) == 0:
             raise EmptyInputError("taps must be nonempty")
-        if not all(np.isfinite(t.real) and np.isfinite(t.imag) for t in taps):
-            raise NonFiniteInputError("taps contain non-finite entries")
         if all(t == 0 for t in taps):
             raise InvalidParameterError("at least one tap must be nonzero")
         object.__setattr__(self, "taps", taps)
@@ -221,20 +217,17 @@ def ma_filter(u: np.ndarray, taps) -> np.ndarray:
     """Apply the moving-average filter with zero initial state.
 
     Returns a sequence of the same length as ``u``; the first ``len(taps)``
-    outputs (where the filter is still filling) are kept. An input or taps
-    that are not 1-D raise ``DimensionMismatchError``, and a NaN or infinite
-    sample or tap ``NonFiniteInputError``.
+    outputs (where the filter is still filling) are kept.
+
+    Raises
+    ------
+    InvalidParameterError, DimensionMismatchError, NonFiniteInputError
+        If ``u`` or ``taps`` breaks the array rule of :mod:`wlmf.errors` for
+        1-D arrays; ``EmptyInputError`` if either is empty.
     """
-    u = np.asarray(u, dtype=complex)
-    if u.size == 0:
-        raise EmptyInputError("input sequence is empty")
-    taps = np.asarray(taps, dtype=complex)
-    if taps.size == 0:
-        raise EmptyInputError("taps must be nonempty")
-    if u.ndim != 1 or taps.ndim != 1:
-        raise DimensionMismatchError(f"ma_filter takes 1-D u and taps, got {u.shape}, {taps.shape}")
-    if not (np.isfinite(u).all() and np.isfinite(taps).all()):
-        raise NonFiniteInputError("input sequence or taps contain non-finite entries")
+    u, taps = _as_array("u", u, (1,)), _as_array("taps", taps, (1,))
+    if u.size == 0 or taps.size == 0:
+        raise EmptyInputError("ma_filter needs a nonempty input and taps")
     return np.convolve(u, taps)[: u.size]
 
 
@@ -306,10 +299,8 @@ def empirical_covariances(v: np.ndarray, filter_len: int) -> CovariancePair:
     conj(w))`` vectors and inherits positive semidefiniteness by
     construction.
     """
-    v = np.asarray(v, dtype=complex)
+    v = _as_array("noise record", v, (1,))
     filter_len = _as_int("filter_len", filter_len, None)
-    if v.ndim != 1:
-        raise DimensionMismatchError(f"noise record must be 1-D, got shape {v.shape}")
     if v.size < 10 * filter_len:
         raise InsufficientSamplesError(
             f"need at least {10 * filter_len} samples for filter_len={filter_len}, got {v.size}"

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from wlmf import (
+    CnnConfig,
     CovariancePair,
     DegenerateWindowError,
     DimensionMismatchError,
     InvalidImproprietyError,
+    InvalidParameterError,
     NonFiniteInputError,
     NotPositiveDefiniteError,
     SingularAtOneError,
@@ -22,19 +24,24 @@ from wlmf import (
     design_matched_sequence,
     empirical_covariances,
     g_of_rho,
+    hermitian_eig,
+    hermitian_solve,
     impropriety_profile,
     lower_bound_rho,
     ma_filter,
     normalized_snr_bias,
+    predict_proba,
     rotated_input,
     sample_improper_white,
     slmf_solve,
     snr_gain,
     snr_slmf,
     snr_wlmf,
+    takagi,
     template_to_feature,
     wlmf_solve,
 )
+from wlmf import cnn
 from wlmf.impropriety import AutDecomposition
 from wlmf.noise import NoiseModel
 
@@ -481,6 +488,9 @@ def test_edge_sweep_ends_in_values_or_typed_errors(rho_u):
                 _finite_or_typed_error(lambda: design_matched_sequence(aut, rng=1))
 
 
+CNN_PARAMS = cnn.init_params(CnnConfig("wl"), 0)
+
+
 def _with_first_entry(values, bad):
     values = np.array(values, dtype=complex)
     values.flat[0] = bad
@@ -507,6 +517,13 @@ NON_FINITE_CALLS = {
     "template_to_feature": lambda cov, aut, bad: template_to_feature(
         _with_first_entry(np.ones(3), bad)
     ),
+    "predict_proba": lambda cov, aut, bad: predict_proba(
+        _with_first_entry(np.ones(8), bad), CNN_PARAMS
+    ),
+    "cnn.forward": lambda cov, aut, bad: cnn.forward(_with_first_entry(np.ones(8), bad), CNN_PARAMS),
+    "cnn.backward": lambda cov, aut, bad: cnn.backward(
+        _with_first_entry(np.ones(8), bad), np.array([1.0, 0.0]), CNN_PARAMS
+    ),
 }
 
 
@@ -520,3 +537,46 @@ def test_non_finite_input_raises_typed_error(name, bad):
     cov = analytic_covariances(demo_model(0.5), 4)
     with pytest.raises(NonFiniteInputError):
         NON_FINITE_CALLS[name](cov, aut_decompose(cov), bad)
+
+
+NON_NUMERIC_INPUTS = {
+    "string": np.array(["a", "b", "c"]),
+    "object": np.array([1.0, 2.0, 3.0], dtype=object),
+    "ragged": [[1.0, 2.0], [3.0]],
+    "numeric-string": np.array(["1", "2", "3"]),
+    "bool": np.array([True, False, True]),
+}
+
+NON_NUMERIC_CALLS = {
+    "CovariancePair": lambda cov, aut, bad: CovariancePair(bad, cov.c),
+    "takagi": lambda cov, aut, bad: takagi(bad),
+    "hermitian_eig": lambda cov, aut, bad: hermitian_eig(bad),
+    "hermitian_solve": lambda cov, aut, bad: hermitian_solve(cov.r, bad),
+    "snr_gain": lambda cov, aut, bad: snr_gain(bad, cov),
+    "snr_slmf": lambda cov, aut, bad: snr_slmf(bad, cov),
+    "snr_wlmf": lambda cov, aut, bad: snr_wlmf(bad, cov),
+    "slmf_solve": lambda cov, aut, bad: slmf_solve(bad, cov),
+    "wlmf_solve": lambda cov, aut, bad: wlmf_solve(bad, cov),
+    "ma_filter": lambda cov, aut, bad: ma_filter(bad, (1.0, 0.5)),
+    "NoiseModel": lambda cov, aut, bad: NoiseModel(taps=bad, rho_u=0.5),
+    "empirical_covariances": lambda cov, aut, bad: empirical_covariances(bad, 1),
+    "apply_filter_sequence": lambda cov, aut, bad: apply_filter_sequence(np.ones(6), bad),
+    "template_to_feature": lambda cov, aut, bad: template_to_feature(bad),
+    "rotated_input": lambda cov, aut, bad: rotated_input(aut, bad),
+    "approx_snr_gain": lambda cov, aut, bad: approx_snr_gain(bad, aut),
+    "normalized_snr_bias": lambda cov, aut, bad: normalized_snr_bias(bad, cov, aut),
+    "predict_proba": lambda cov, aut, bad: predict_proba(bad, CNN_PARAMS),
+    "cnn.backward": lambda cov, aut, bad: cnn.backward(bad, np.array([1.0, 0.0]), CNN_PARAMS),
+}
+
+
+@pytest.mark.parametrize("bad", list(NON_NUMERIC_INPUTS.values()), ids=list(NON_NUMERIC_INPUTS))
+@pytest.mark.parametrize("name", sorted(NON_NUMERIC_CALLS))
+def test_non_numeric_array_raises_invalid_parameter(name, bad):
+    """A ragged nesting, or an array of strings (numeric ones included),
+    objects or booleans, ends in InvalidParameterError at every root entry
+    point that takes an array: not in a numpy error, and not in a value
+    read from the strings or booleans."""
+    cov = analytic_covariances(demo_model(0.5), 4)
+    with pytest.raises(InvalidParameterError):
+        NON_NUMERIC_CALLS[name](cov, aut_decompose(cov), bad)

@@ -198,6 +198,18 @@ def test_hermitian_eig_rejects_nonhermitian():
         hermitian_eig(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
+def test_strided_complex_operands_are_accepted():
+    """A Fortran-ordered complex matrix and a strided complex right-hand
+    side, whose last axes are not contiguous, give the results of their
+    C-ordered copies."""
+    cov = analytic_covariances(demo_model(0.5), 4)
+    r, c = np.asfortranarray(cov.r), np.asfortranarray(cov.c)
+    b = (np.arange(8.0) + 1j).reshape(4, 2)[:, 0]
+    np.testing.assert_allclose(hermitian_eig(r)[0], hermitian_eig(cov.r)[0], rtol=1e-12)
+    np.testing.assert_allclose(takagi(c).p, takagi(cov.c).p, rtol=1e-12)
+    np.testing.assert_allclose(hermitian_solve(r, b), hermitian_solve(cov.r, b.copy()), rtol=1e-12)
+
+
 class FakeBlas:
     """Stands in for an OpenBLAS's (set, get) thread-count pair."""
 
