@@ -34,7 +34,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import DimensionMismatchError, DivergenceDetectedError, EmptyInputError
+from .errors import DimensionMismatchError, DivergenceDetectedError
 from .errors import InvalidParameterError, _as_array, _as_int
 from .filters import _filter_windows
 from .noise import sliding_windows
@@ -49,9 +49,6 @@ __all__ = [
     "TrainResult",
     "make_dataset",
     "init_params",
-    "split_relu",
-    "max_modulus_pool",
-    "head_forward",
     "forward",
     "backward",
     "predict_proba",
@@ -141,8 +138,9 @@ def _draw_signals(
     the loop, which is how numpy draws ``uniform(0.0, CLUTTER_HIGH)``: ``0.0
     + CLUTTER_HIGH * random()``, the same values from the same stream. The
     pattern add, the noise add and the scaling then run once on the whole
-    stack, with the values a per-sample loop computes; each row is divided
-    by its own ``np.linalg.norm``.
+    stack, with the values a per-sample loop computes; the row norms are
+    ``np.linalg.norm``'s bit for bit: one batched ``matmul`` takes the same
+    ``dot`` of each row's real and imaginary parts that it takes.
     """
     pattern_len = len(PATTERN_ONE)
     labels = np.empty(count, dtype=np.intp)
@@ -172,7 +170,8 @@ def _draw_signals(
     noise += normal[0]
     noise *= NOISE_STD
     x += noise
-    x /= np.array([np.linalg.norm(row) for row in x])[:, None]
+    re, im = x.real[:, None], x.imag[:, None]
+    x /= np.sqrt(re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2))[:, 0]
     return x, labels, starts
 
 
@@ -225,7 +224,7 @@ def init_params(config: CnnConfig, rng: np.random.Generator | int | None = None)
     )
 
 
-def split_relu(y: np.ndarray, bias_re: np.ndarray, bias_im: np.ndarray) -> np.ndarray:
+def _split_relu(y: np.ndarray, bias_re: np.ndarray, bias_im: np.ndarray) -> np.ndarray:
     """Rectify real and imaginary parts separately after adding real biases."""
     a = np.empty(y.shape, dtype=complex)
     np.maximum(y.real + bias_re[..., None], 0.0, out=a.real)
@@ -233,32 +232,28 @@ def split_relu(y: np.ndarray, bias_re: np.ndarray, bias_im: np.ndarray) -> np.nd
     return a
 
 
-def max_modulus_pool(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _max_modulus_pool(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Keep the largest-modulus activation per channel (first index on ties).
 
-    Pools over the last axis, so ``a`` may carry leading batch axes; 0-d
-    activations raise ``DimensionMismatchError``.
+    Pools over the last axis, so ``a`` may carry leading batch axes.
     """
-    if a.ndim == 0:
-        raise DimensionMismatchError("max_modulus_pool needs activations of at least 1-D")
-    if a.size == 0:
-        raise EmptyInputError("max_modulus_pool needs a nonempty sequence")
     idx = np.abs(a).argmax(axis=-1)
     # Each pooled entry's flat index: the start of its row plus its argmax.
     pooled = a.reshape(-1)[idx + np.arange(0, a.size, a.shape[-1]).reshape(idx.shape)]
     return pooled, idx
 
 
-def head_forward(
+def _head_forward(
     pooled: np.ndarray, head_w: np.ndarray, head_b: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Affine head over interleaved real/imaginary features, then softmax.
 
     Works on the last axis, so ``pooled`` may carry leading batch axes. Head
     parameters with a leading network axis meet the network axis of
-    ``pooled``, which sits behind its batch axes.
+    ``pooled``, which sits behind its batch axes. ``pooled`` is the fresh
+    complex gather of :func:`_max_modulus_pool`, so its float view is contiguous.
     """
-    feat = np.ascontiguousarray(pooled, dtype=complex).view(float)
+    feat = pooled.view(float)
     # One matrix-vector product per feature vector, batched or not, so a
     # batch rounds exactly as its rows would alone.
     logits = (head_w @ feat[..., None])[..., 0] + head_b
@@ -278,9 +273,9 @@ def _forward(windows: np.ndarray, params: CnnParams) -> tuple[np.ndarray, dict]:
     one network or for a stack of them, whose arrays carry a leading network
     axis (behind a batch's axes)."""
     y = _filter_windows(windows, params.conv1, params.conv2)
-    a = split_relu(y, params.bias_re, params.bias_im)
-    pooled, idx = max_modulus_pool(a)
-    feat, logits, probs = head_forward(pooled, params.head_w, params.head_b)
+    a = _split_relu(y, params.bias_re, params.bias_im)
+    pooled, idx = _max_modulus_pool(a)
+    feat, logits, probs = _head_forward(pooled, params.head_w, params.head_b)
     return probs, {"y": y, "a": a, "idx": idx, "feat": feat, "probs": probs}
 
 
@@ -368,12 +363,11 @@ def _holdout_means(
 ) -> list[tuple[float, float]]:
     """Mean true-class probability over held-out signals ``x`` (B, N) with
     class ``labels`` (B,), per pattern, for each network of a stack, from
-    one ``predict_proba`` call whose probabilities are (B, networks, 2). A
-    class with no signals reads 1.0.
+    one ``predict_proba`` call whose probabilities are (B, networks, 2).
     """
     true_class = predict_proba(x, params)[np.arange(len(labels)), :, labels].T
     return [
-        tuple(float(np.mean(p)) if p.size else 1.0 for p in (net[labels == 0], net[labels == 1]))
+        tuple(float(np.mean(p)) for p in (net[labels == 0], net[labels == 1]))
         for net in true_class
     ]
 

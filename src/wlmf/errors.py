@@ -1,10 +1,11 @@
 """Exception types raised by the library, and the integer, real and array
-checks its arguments share. The array rule: a ragged nesting, or an array
-of strings (numeric ones included), booleans or objects, raises
-``InvalidParameterError``; integer and real arrays, and complex ones where
-complex values are taken, are converted. A dimension count the argument
-cannot have then raises ``DimensionMismatchError``, and a NaN or infinite
-entry ``NonFiniteInputError``."""
+checks its arguments share. The array rule: a ragged nesting, an array of
+strings (numeric ones included), booleans or objects, or a list with a bool
+anywhere in it, raises ``InvalidParameterError``; integer and real arrays,
+and complex ones where complex values are taken, are converted. A
+dimension count the argument cannot have then raises
+``DimensionMismatchError``, and a NaN or infinite entry
+``NonFiniteInputError``."""
 
 import numbers
 import operator
@@ -101,6 +102,10 @@ def _as_array(name: str, value, ndim, finite: bool = True, dtype=complex) -> np.
         raise InvalidParameterError(f"{name} must be a rectangular array") from None
     if array.dtype.kind not in ("iufc" if np.dtype(dtype).kind == "c" else "iuf"):
         raise InvalidParameterError(f"{name} must hold numbers, got dtype {array.dtype}")
+    if not isinstance(value, np.ndarray) and any(
+        isinstance(v, (bool, np.bool_)) for v in np.asarray(value, dtype=object).flat
+    ):
+        raise InvalidParameterError(f"{name} must hold numbers, got a bool entry")
     array = array.astype(dtype, copy=False)
     if ndim is not None and array.ndim not in ndim:
         raise DimensionMismatchError(f"{name} must have ndim in {ndim}, got shape {array.shape}")

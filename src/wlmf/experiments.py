@@ -210,20 +210,11 @@ class RunManifest:
     digests: dict = field(default_factory=dict)
 
 
-def _format_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return "%.12e" % float(value)
-
-
-# The formats of the cell types the experiments write most, keyed by exact
-# type and equal to _format_cell's; every other type (None, bool, numpy
-# scalars) goes through _format_cell.
-_CELL_FORMATS = {float: "%.12e".__mod__, int: str, str: str}
+# The format of each cell type, keyed by exact type. The runners build their
+# rows from ``tolist()`` columns, ``range`` indices, spec values and ``None``
+# pads, so a cell of any other type (a bool, a numpy scalar) is a runner bug
+# and raises ``KeyError``.
+_CELL_FORMATS = {float: "%.12e".__mod__, int: str, str: str, type(None): lambda _: ""}
 
 
 def _file_bytes(name: str, content) -> bytes:
@@ -233,9 +224,8 @@ def _file_bytes(name: str, content) -> bytes:
     if not name.endswith(".csv"):
         return (json.dumps(content, indent=2, sort_keys=True) + "\n").encode()
     header, rows = content
-    cell_format = _CELL_FORMATS.get
     lines = [",".join(header) + "\n"]
-    lines += [",".join([cell_format(type(v), _format_cell)(v) for v in row]) + "\n" for row in rows]
+    lines += [",".join([_CELL_FORMATS[type(v)](v) for v in row]) + "\n" for row in rows]
     return "".join(lines).encode()
 
 

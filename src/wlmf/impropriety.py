@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -102,6 +103,19 @@ class AutDecomposition:
     @property
     def dim(self) -> int:
         return self.q.shape[0]
+
+    @cached_property
+    def _approx_map(self) -> np.ndarray:
+        """The real map of :func:`approx_snr_gain`, built on first access and
+        cached, so a clamped quotient logs once per decomposition."""
+        rho = _clamped_rho(self)
+        weights = np.concatenate([(1.0 - rho) / (1.0 + rho), (1.0 + rho) / (1.0 - rho)])
+        scale = np.sqrt(weights / np.tile(self.lambda_r, 2))
+        # Fortran order, the layout of the transposed Q parts: a one-window
+        # product is a matrix-vector product, whose rounding follows the layout.
+        real_map = np.asfortranarray(_real_form(self.q.conj().T))
+        real_map *= scale[:, None]
+        return real_map
 
 
 @dataclass(frozen=True)
@@ -260,14 +274,7 @@ def approx_snr_gain(x: np.ndarray, aut: AutDecomposition):
         off-diagonal residual and the largest noise-power quotient.
     """
     cols, was_vector = _as_columns(x, aut.dim, finite=False)
-    rho = _clamped_rho(aut)
-    weights = np.concatenate([(1.0 - rho) / (1.0 + rho), (1.0 + rho) / (1.0 - rho)])
-    scale = np.sqrt(weights / np.tile(aut.lambda_r, 2))
-    # Fortran order, the layout of the transposed Q parts: a one-window
-    # product is a matrix-vector product, whose rounding follows the layout.
-    real_map = np.asfortranarray(_real_form(aut.q.conj().T))
-    real_map *= scale[:, None]
-    return _real_map_squared_norms(real_map, cols, was_vector)
+    return _real_map_squared_norms(aut._approx_map, cols, was_vector)
 
 
 def normalized_snr_bias(signal: np.ndarray, cov: CovariancePair, aut: AutDecomposition) -> float:

@@ -41,15 +41,16 @@ from wlmf import (
     train,
     wlmf_solve,
 )
-from wlmf.cnn import init_params, make_dataset, max_modulus_pool
+from wlmf.cnn import init_params, make_dataset
 from wlmf.experiments import (
     _STREAM_GAIN_BIAS,
     _STREAM_GAIN_SURFACE,
+    _CELL_FORMATS,
+    _RUNNERS,
     DEFAULT_RHO_GRID,
     EXPERIMENTS,
     ExperimentSpec,
     _file_bytes,
-    _format_cell,
     _gain_bias_cell,
     _gain_surface_point,
     _map_tasks,
@@ -214,7 +215,6 @@ TYPED_ARGUMENT_ERRORS = {
     "ma_filter-2d-taps": (DimensionMismatchError, lambda: ma_filter(np.ones(3), np.ones((2, 2)))),
     "NoiseModel-2d-taps": (DimensionMismatchError, lambda: NoiseModel(np.ones((2, 2)), 0.5)),
     "NoiseModel-scalar-taps": (DimensionMismatchError, lambda: NoiseModel(5, 0.5)),
-    "max_modulus_pool-0d": (DimensionMismatchError, lambda: max_modulus_pool(np.array(1.0))),
     "sample_improper_white-inf-power": (
         InvalidParameterError, lambda: sample_improper_white(5, 0.5, sigma2_u=np.inf)
     ),
@@ -277,17 +277,19 @@ def small_gain_bias_spec(out_dir, workers=1):
     )
 
 
-def test_csv_cells_are_format_cell_bytes(tmp_path):
-    """Every cell type a row can hold is written as ``_format_cell`` writes it."""
-    row = (None, True, False, np.int64(-3), 7, np.float64(0.1), 0.1, -0.0, math.inf,
-           -math.inf, 2.5e-300, np.float32(1.5), "sl")
+def test_csv_cells_are_written_by_type():
+    """Each cell type a runner writes has one format: None is empty, an int
+    its digits, a float ``%.12e`` and a string itself; any other type, such
+    as a bool or a numpy scalar, raises KeyError."""
+    row = (None, 7, -3, 0.1, -0.0, math.inf, -math.inf, 2.5e-300, "sl")
+    cells = ["", "7", "-3", "1.000000000000e-01", "-0.000000000000e+00", "inf", "-inf",
+             "2.500000000000e-300", "sl"]
     header = tuple(f"c{i}" for i in range(len(row)))
-    path = tmp_path / "cells.csv"
-    path.write_bytes(_file_bytes(path.name, (header, [row, row[::-1]])))
-    want = [",".join(header)] + [",".join(_format_cell(v) for v in r) for r in (row, row[::-1])]
-    assert path.read_bytes() == ("\n".join(want) + "\n").encode()
-    assert want[1].split(",")[:8] == ["", "1", "0", "-3", "7", "1.000000000000e-01",
-                                      "1.000000000000e-01", "-0.000000000000e+00"]
+    want = [",".join(header), ",".join(cells), ",".join(cells[::-1])]
+    assert _file_bytes("cells.csv", (header, [row, row[::-1]])) == ("\n".join(want) + "\n").encode()
+    for cell in (True, np.int64(-3), np.float64(0.1)):
+        with pytest.raises(KeyError):
+            _file_bytes("cells.csv", (("c0",), [(cell,)]))
 
 
 def test_gain_bias_output_and_manifest(tmp_path):
@@ -323,6 +325,16 @@ SMALL_SPECS = {
     "cnn-train": {},
     "design-sequence": {},
 }
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_runners_write_only_formatted_cell_types(experiment):
+    """Every CSV cell a runner returns has a type the writer formats."""
+    spec = ExperimentSpec.with_defaults(experiment, **SMALL_SPECS[experiment])
+    for name, content in _RUNNERS[experiment](spec).items():
+        if name.endswith(".csv"):
+            rows = content[1]
+            assert rows and {type(v) for row in rows for v in row} <= _CELL_FORMATS.keys()
 
 
 @pytest.mark.parametrize("experiment", EXPERIMENTS)

@@ -1,4 +1,5 @@
 import dataclasses
+import logging
 import math
 from decimal import Decimal, localcontext
 
@@ -454,6 +455,18 @@ def test_rho_clamp_and_singularity():
         impropriety_profile(aut_decompose(far_over), np.ones(dim, dtype=complex))
 
 
+def test_clamped_quotient_logs_once_per_decomposition(caplog):
+    """approx_snr_gain builds its map once per decomposition, so a clamped
+    quotient logs one warning however many calls score it."""
+    dim = 3
+    aut = aut_decompose(CovariancePair(r=np.eye(dim), c=(1 + 5e-10) * np.eye(dim)))
+    x = np.ones(dim, dtype=complex)
+    with caplog.at_level(logging.WARNING, logger="wlmf.impropriety"):
+        values = [approx_snr_gain(x, aut) for _ in range(3)]
+    assert values[0] == values[1] == values[2]
+    assert len(caplog.records) == 1 and "clamping" in caplog.records[0].getMessage()
+
+
 def _finite_or_typed_error(compute):
     """Run ``compute``: it returns a finite value (a dataclass of finite
     fields counts) or raises a WlmfError. A raw LinAlgError, another
@@ -545,6 +558,7 @@ NON_NUMERIC_INPUTS = {
     "ragged": [[1.0, 2.0], [3.0]],
     "numeric-string": np.array(["1", "2", "3"]),
     "bool": np.array([True, False, True]),
+    "bool-in-list": [0.5, True, 0.0],
 }
 
 NON_NUMERIC_CALLS = {
