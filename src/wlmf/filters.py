@@ -13,7 +13,9 @@ the augmented matrix.
 
 All SNR functions accept a single window (shape ``(L,)``) or a batch of
 windows as columns (shape ``(L, K)``), returning a scalar or a length-K
-vector accordingly. A NaN or infinite entry raises ``NonFiniteInputError``.
+vector accordingly. The solvers take exactly one window: any 2-D input, a
+single ``(L, 1)`` column included, raises ``DimensionMismatchError``. A NaN
+or infinite entry raises ``NonFiniteInputError``.
 """
 
 from __future__ import annotations
@@ -41,12 +43,20 @@ __all__ = [
 ]
 
 
+def _as_window(x, dim: int, ndim=(1,), finite: bool = True) -> np.ndarray:
+    """Coerce to one window, a vector of length ``dim``, or with ``ndim``
+    (1, 2) to a window or a batch of them as columns; finite unless
+    ``finite`` is False."""
+    x = _as_array("x", x, ndim, finite)
+    if x.shape[0] != dim:
+        raise DimensionMismatchError(f"x has length {x.shape[0]}, expected {dim}")
+    return x
+
+
 def _as_columns(x, dim: int, finite: bool = True) -> tuple[np.ndarray, bool]:
     """Coerce to an (L, K) column matrix, finite unless ``finite`` is False;
     report whether input was a vector."""
-    x = _as_array("x", x, (1, 2), finite)
-    if x.shape[0] != dim:
-        raise DimensionMismatchError(f"x has length {x.shape[0]}, expected {dim}")
+    x = _as_window(x, dim, (1, 2), finite)
     if x.ndim == 2 and x.shape[1] == 0:
         raise EmptyInputError("x has no columns")
     return (x[:, None], True) if x.ndim == 1 else (x, False)
@@ -57,8 +67,9 @@ def _as_columns(x, dim: int, finite: bool = True) -> tuple[np.ndarray, bool]:
 _BLOCK_WIDTH = 2048
 
 
-def _real_map_squared_norms(real_map: np.ndarray, cols: np.ndarray, was_vector: bool):
-    """Squared column norms of ``real_map @ [Re x; Im x]`` for complex columns ``x``.
+def _real_map_squared_norms(real_map: np.ndarray, x):
+    """Squared column norms of ``real_map @ [Re x; Im x]`` for a complex
+    window or column batch ``x``, a scalar or a vector accordingly.
 
     The batch is walked in blocks of ``_BLOCK_WIDTH`` columns through two
     buffers allocated once per call, so the temporaries do not grow with the
@@ -67,11 +78,12 @@ def _real_map_squared_norms(real_map: np.ndarray, cols: np.ndarray, was_vector: 
     BLAS rounds a product's last few columns by its width, so there a value
     can move by an ulp or two, as it does between any two batch widths.
 
-    ``cols`` comes from ``_as_columns(..., finite=False)``: a NaN or
+    ``x`` is converted by ``_as_columns(..., finite=False)``: a NaN or
     infinite entry makes its column's value NaN or infinite (``0 * inf`` is
     NaN), so the input is scanned for one only when a value is not finite. A
     finite input that overflows returns ``inf``.
     """
+    cols, was_vector = _as_columns(x, real_map.shape[1] // 2, finite=False)
     rows, count = cols.shape
     size = 2 * rows
     width = min(count, _BLOCK_WIDTH)
@@ -100,10 +112,7 @@ def slmf_solve(x: np.ndarray, cov: CovariancePair) -> np.ndarray:
     """Taps ``f = R^{-1} x`` of the strictly linear matched filter (the
     paper's ``f = alpha R^{-1} x`` at ``alpha = 1``), solved through the
     pair's cached inverse Cholesky factor of ``R`` with one refinement step."""
-    cols, _ = _as_columns(x, cov.dim)
-    if cols.shape[1] != 1:
-        raise DimensionMismatchError("slmf_solve expects a single window")
-    return _refined_solve(cov.r, cov.inverse_cholesky, cols[:, 0])
+    return _refined_solve(cov.r, cov.inverse_cholesky, _as_window(x, cov.dim))
 
 
 def wlmf_solve(x: np.ndarray, cov: CovariancePair) -> tuple[np.ndarray, np.ndarray]:
@@ -130,10 +139,7 @@ def wlmf_solve(x: np.ndarray, cov: CovariancePair) -> tuple[np.ndarray, np.ndarr
         ||z||)`` exceeds 1e-12, which for positive definite inputs indicates
         severe ill-conditioning.
     """
-    cols, _ = _as_columns(x, cov.dim)
-    if cols.shape[1] != 1:
-        raise DimensionMismatchError("wlmf_solve expects a single window")
-    xv = cols[:, 0]
+    xv = _as_window(x, cov.dim)
     a, white = cov.whitening
 
     def conjugate_branch(rhs):
@@ -162,8 +168,7 @@ def snr_slmf(x: np.ndarray, cov: CovariancePair):
     evaluated as ``||L^{-1} x||^2`` with the pair's cached inverse Cholesky
     factor, ``R = L L^H``: the real form of ``L^{-1}`` on ``[Re x; Im x]``
     runs through the same column-block kernel as :func:`snr_gain`."""
-    cols, was_vector = _as_columns(x, cov.dim, finite=False)
-    return _real_map_squared_norms(_real_form(cov.inverse_cholesky), cols, was_vector)
+    return _real_map_squared_norms(_real_form(cov.inverse_cholesky), x)
 
 
 def snr_wlmf(x: np.ndarray, cov: CovariancePair):
@@ -206,8 +211,7 @@ def snr_gain(x: np.ndarray, cov: CovariancePair):
     NotPositiveDefiniteError
         If ``R`` or ``S`` is not positive definite.
     """
-    cols, was_vector = _as_columns(x, cov.dim, finite=False)
-    return _real_map_squared_norms(cov._gain_map, cols, was_vector)
+    return _real_map_squared_norms(cov._gain_map, x)
 
 
 def apply_filter_sequence(

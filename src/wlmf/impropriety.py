@@ -42,10 +42,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DegenerateWindowError, DimensionMismatchError, InvalidImproprietyError
+from .errors import DegenerateWindowError, InvalidImproprietyError
 from .errors import SingularAtOneError, _as_array, _as_float
-from .filters import _as_columns, _real_map_squared_norms, snr_gain
-from .linalg import _real_form, hermitian_eig, takagi
+from .filters import _as_columns, _as_window, _real_map_squared_norms, snr_gain
+from .linalg import _read_only, _real_form, hermitian_eig, takagi
 from .noise import CovariancePair, sliding_windows
 from .seeding import as_generator
 
@@ -73,7 +73,9 @@ _RHO_SLACK = 1e-6
 
 @dataclass(frozen=True)
 class AutDecomposition:
-    """Approximate joint diagonalization of a covariance pair.
+    """Approximate joint diagonalization of a covariance pair. The arrays
+    :func:`aut_decompose` returns, and the cached map of
+    :func:`approx_snr_gain`, are read-only.
 
     Attributes
     ----------
@@ -115,7 +117,7 @@ class AutDecomposition:
         # product is a matrix-vector product, whose rounding follows the layout.
         real_map = np.asfortranarray(_real_form(self.q.conj().T))
         real_map *= scale[:, None]
-        return real_map
+        return _read_only(real_map)
 
 
 @dataclass(frozen=True)
@@ -153,7 +155,7 @@ def aut_decompose(cov: CovariancePair) -> AutDecomposition:
     diagonal = np.diag(rotated)
     off = rotated - np.diag(diagonal)
     residual = float(np.linalg.norm(off) / max(np.linalg.norm(cov.r), 1e-300))
-    return AutDecomposition(q, factor.p, lambda_r, diagonal.real, residual)
+    return AutDecomposition(*map(_read_only, (q, factor.p, lambda_r, diagonal.real)), residual)
 
 
 def rotated_input(aut: AutDecomposition, x: np.ndarray) -> np.ndarray:
@@ -196,10 +198,7 @@ def impropriety_profile(aut: AutDecomposition, rotated: np.ndarray) -> Improprie
     coefficient of the input. Zero components get epsilon 0 and a raised
     ``zero_mask`` flag instead of an exception.
     """
-    cols, was_vector = _as_columns(rotated, aut.dim)
-    if not was_vector:
-        raise DimensionMismatchError("impropriety_profile expects a single window")
-    xt = cols[:, 0]
+    xt = _as_window(rotated, aut.dim)
     power = np.abs(xt) ** 2
     zero = power == 0.0
     eps = np.where(zero, 0.0, np.real(xt * xt) / np.where(zero, 1.0, power))
@@ -273,8 +272,7 @@ def approx_snr_gain(x: np.ndarray, aut: AutDecomposition):
         slack; the message names the component, its quotient, the
         off-diagonal residual and the largest noise-power quotient.
     """
-    cols, was_vector = _as_columns(x, aut.dim, finite=False)
-    return _real_map_squared_norms(aut._approx_map, cols, was_vector)
+    return _real_map_squared_norms(aut._approx_map, x)
 
 
 def normalized_snr_bias(signal: np.ndarray, cov: CovariancePair, aut: AutDecomposition) -> float:

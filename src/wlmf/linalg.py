@@ -3,7 +3,9 @@ Takagi factorization of complex symmetric matrices.
 
 All matrices are plain numpy arrays. Functions validate structure (shape,
 finiteness, Hermitian/symmetric character, positive definiteness) and raise
-the library's typed errors instead of letting LAPACK failures float up.
+the library's typed errors instead of letting LAPACK failures float up. A
+matrix within tolerance of its structure is taken as its exact Hermitian or
+symmetric part, ``(a + a^H) / 2`` or ``(a + a^T) / 2``.
 """
 
 from __future__ import annotations
@@ -103,28 +105,35 @@ def _blas_threads(n: int):
             _set_blas_threads(prior)
 
 
-def _as_square_matrix(a: np.ndarray, name: str) -> np.ndarray:
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """``array`` with its write flag cleared, so nothing derived from it goes stale."""
+    array.flags.writeable = False
+    return array
+
+
+def _as_structured(a: np.ndarray, name: str, hermitian: bool) -> np.ndarray:
+    """The exact Hermitian part ``(a + a^H) / 2`` of a square ``a`` within
+    tolerance of Hermitian, or with ``hermitian`` False the exact symmetric
+    part ``(a + a^T) / 2`` of one within tolerance of complex symmetric, as a
+    new read-only array."""
     a = _as_array(name, a, (2,))
     if a.shape[0] != a.shape[1]:
         raise DimensionMismatchError(f"{name} must be square, got shape {a.shape}")
     if a.shape[0] == 0:
         raise EmptyInputError(f"{name} must have at least one row")
-    return a
-
-
-def _check_hermitian(a: np.ndarray, name: str) -> None:
-    if np.linalg.norm(a - a.conj().T) > _STRUCTURE_RTOL * np.linalg.norm(a):
-        raise NotHermitianError(f"{name} is not Hermitian")
-
-
-def _check_symmetric(a: np.ndarray, name: str) -> None:
-    if np.linalg.norm(a - a.T) > _STRUCTURE_RTOL * np.linalg.norm(a):
+    mirror = a.conj().T if hermitian else a.T
+    if np.linalg.norm(a - mirror) > _STRUCTURE_RTOL * np.linalg.norm(a):
+        if hermitian:
+            raise NotHermitianError(f"{name} is not Hermitian")
         raise NotSymmetricError(f"{name} is not complex symmetric")
+    return _read_only((a + mirror) / 2.0)
 
 
-def _pd_cholesky(a: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor of a finite Hermitian ``a`` whose squared pivots
-    all exceed ``1e-12 * max(diag(a))``."""
+def _inverse_cholesky(a: np.ndarray) -> np.ndarray:
+    """Read-only inverse ``L^{-1}`` of the lower Cholesky factor ``a = L L^H``
+    of a finite Hermitian ``a`` whose squared pivots all exceed ``1e-12 *
+    max(diag(a))``, by forward substitution row by row, so it is exactly
+    lower triangular."""
     try:
         chol = np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
@@ -132,17 +141,11 @@ def _pd_cholesky(a: np.ndarray) -> np.ndarray:
     tol = 1e-12 * max(float(np.max(np.real(np.diag(a)))), 0.0)
     if not np.all(np.real(np.diag(chol)) ** 2 > tol):
         raise NotPositiveDefiniteError("matrix has a pivot below tolerance")
-    return chol
-
-
-def _lower_inverse(chol: np.ndarray) -> np.ndarray:
-    """Inverse of a nonsingular lower triangular ``chol`` by forward
-    substitution, row by row, so the result is exactly lower triangular."""
     inv = np.zeros_like(chol)
     for i in range(chol.shape[0]):
         inv[i, :i] = -(chol[i, :i] @ inv[:i, :i]) / chol[i, i]
         inv[i, i] = 1.0 / chol[i, i]
-    return inv
+    return _read_only(inv)
 
 
 def _real_form(m: np.ndarray) -> np.ndarray:
@@ -172,16 +175,17 @@ def hermitian_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     ------
     InvalidParameterError, DimensionMismatchError, NonFiniteInputError
         If ``a`` or ``b`` breaks the array rule of :mod:`wlmf.errors`.
+    NotHermitianError
+        If ``a`` departs from Hermitian by more than 1e-10 relative.
     NotPositiveDefiniteError
         If the Cholesky factorization fails or a squared pivot falls below
         ``1e-12 * max(diag(a))``.
     """
-    a = _as_square_matrix(a, "a")
-    _check_hermitian(a, "a")
+    a = _as_structured(a, "a", hermitian=True)
     b = _as_array("b", b, (1, 2))
     if b.shape[0] != a.shape[0]:
         raise DimensionMismatchError(f"b has {b.shape[0]} rows, expected {a.shape[0]}")
-    return _refined_solve(a, _lower_inverse(_pd_cholesky(a)), b)
+    return _refined_solve(a, _inverse_cholesky(a), b)
 
 
 def _refined_solve(a: np.ndarray, inv_chol: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -198,9 +202,7 @@ def _refined_solve(a: np.ndarray, inv_chol: np.ndarray, b: np.ndarray) -> np.nda
 
 def hermitian_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (descending, real) and matching eigenvectors of Hermitian ``a``."""
-    a = _as_square_matrix(a, "a")
-    _check_hermitian(a, "a")
-    vals, vecs = np.linalg.eigh(a)
+    vals, vecs = np.linalg.eigh(_as_structured(a, "a", hermitian=True))
     return vals[::-1], vecs[:, ::-1]
 
 
@@ -247,13 +249,12 @@ def takagi(c: np.ndarray) -> TakagiResult:
     Raises
     ------
     NotSymmetricError
-        If ``c`` is not complex symmetric.
+        If ``c`` departs from complex symmetric by more than 1e-10 relative.
     NumericalConsistencyError
         If the phase matrix has no invertible eigenbasis, the factors fail
         to reconstruct ``c`` or ``q`` is not unitary.
     """
-    c = _as_square_matrix(c, "c")
-    _check_symmetric(c, "c")
+    c = _as_structured(c, "c", hermitian=False)
     n = c.shape[0]
 
     c_norm = float(np.linalg.norm(c))

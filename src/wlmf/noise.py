@@ -32,15 +32,7 @@ from .errors import (
     _as_float,
     _as_int,
 )
-from .linalg import (
-    _as_square_matrix,
-    _check_hermitian,
-    _check_symmetric,
-    _lower_inverse,
-    _pd_cholesky,
-    _real_form,
-    _refined_solve,
-)
+from .linalg import _as_structured, _inverse_cholesky, _read_only, _real_form, _refined_solve
 from .seeding import as_generator
 
 __all__ = [
@@ -97,34 +89,32 @@ class CovariancePair:
     inverse Cholesky factor of ``r`` and the whitening map of the Schur
     complement of the augmented covariance ``[[R, C], [C^*, R^*]]``.
 
+    ``r`` and ``c`` are the exact Hermitian and symmetric parts of the
+    inputs; they and every cached factor are read-only.
+
     Raises
     ------
     DimensionMismatchError
-        If ``r`` and ``c`` are not square matrices of one shape.
+        If ``r`` or ``c`` is not square, or (after the structure checks) the
+        two differ in shape.
     NonFiniteInputError
         If an entry is NaN or infinite.
     NotHermitianError, NotSymmetricError
-        If ``r`` is not Hermitian or ``c`` not complex symmetric.
+        If ``r`` is not Hermitian or ``c`` not complex symmetric (1e-10 relative).
     """
 
     r: np.ndarray
     c: np.ndarray
 
     def __post_init__(self):
-        r = _as_square_matrix(self.r, "covariance r")
-        c = _as_square_matrix(self.c, "complementary covariance c")
+        r = _as_structured(self.r, "covariance r", hermitian=True)
+        c = _as_structured(self.c, "complementary covariance c", hermitian=False)
         if r.shape != c.shape:
             raise DimensionMismatchError(
                 f"covariances must have equal shapes, got {r.shape} and {c.shape}"
             )
-        _check_hermitian(r, "covariance r")
-        _check_symmetric(c, "complementary covariance c")
-        r = (r + r.conj().T) / 2.0
-        c = (c + c.T) / 2.0
-        # Read-only, so the cached factors derived from them cannot go stale.
-        for name, value in (("r", r), ("c", c)):
-            value.flags.writeable = False
-            object.__setattr__(self, name, value)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "c", c)
 
     @property
     def dim(self) -> int:
@@ -142,9 +132,7 @@ class CovariancePair:
             If ``R`` is not positive definite or a squared pivot falls below
             ``1e-12 * max(diag(R))``.
         """
-        inv_chol = _lower_inverse(_pd_cholesky(self.r))
-        inv_chol.flags.writeable = False
-        return inv_chol
+        return _inverse_cholesky(self.r)
 
     @cached_property
     def whitening(self) -> tuple[np.ndarray, np.ndarray]:
@@ -165,9 +153,9 @@ class CovariancePair:
         """
         # R^{-1} C is the conjugate transpose of A because R is Hermitian and
         # C symmetric.
-        a = _refined_solve(self.r, self.inverse_cholesky, self.c).conj().T
+        a = _read_only(_refined_solve(self.r, self.inverse_cholesky, self.c).conj().T)
         schur = np.conj(self.r) - a @ self.c
-        return a, _lower_inverse(_pd_cholesky((schur + schur.conj().T) / 2.0))
+        return a, _inverse_cholesky((schur + schur.conj().T) / 2.0)
 
     @cached_property
     def _gain_map(self) -> np.ndarray:
@@ -176,7 +164,7 @@ class CovariancePair:
         a, white = self.whitening
         # conj(x) is diag(I, -I) on [Re x; Im x].
         conjugate = np.diag(np.repeat([1.0, -1.0], self.dim))
-        return _real_form(white) @ (_real_form(-a) + conjugate)
+        return _read_only(_real_form(white) @ (_real_form(-a) + conjugate))
 
 
 def demo_model(rho_u: float) -> NoiseModel:

@@ -1,6 +1,7 @@
 """The package root exports exactly what README documents, and every module's
 ``__all__`` lists distinct names that resolve."""
 
+import ast
 import importlib
 import pkgutil
 import re
@@ -48,3 +49,28 @@ def test_star_import_yields_exactly_all():
 def test_readme_documents_every_root_name():
     undocumented = sorted(set(wlmf.__all__) - readme_code_names())
     assert undocumented == []
+
+
+def unused_imports(path):
+    """Names a module imports but neither uses nor lists in a literal
+    ``__all__``; ``from __future__`` imports are directives, not names."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported, used, exported = set(), set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(alias.asname or alias.name for alias in node.names)
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            exported.update(ast.literal_eval(node.value))
+    return sorted(imported - used - exported)
+
+
+def test_no_module_imports_an_unused_name():
+    package = Path(wlmf.__file__).resolve().parent
+    unused = {path.name: unused_imports(path) for path in sorted(package.glob("*.py"))}
+    assert {name: names for name, names in unused.items() if names} == {}

@@ -29,6 +29,7 @@ from wlmf import (
     empirical_covariances,
     g_of_rho,
     hermitian_solve,
+    impropriety_profile,
     linalg,
     lower_bound_rho,
     ma_filter,
@@ -146,6 +147,7 @@ def test_spec_rejects_grids_the_experiment_does_not_sweep(experiment, key, value
 
 
 DEMO_PAIR = analytic_covariances(demo_model(0.5), 4)
+DEMO_AUT = aut_decompose(DEMO_PAIR)
 
 TYPED_ARGUMENT_ERRORS = {
     # Integer arguments: a bool or a non-integer is an invalid parameter.
@@ -230,6 +232,12 @@ TYPED_ARGUMENT_ERRORS = {
     ),
     "slmf_solve-batch": (DimensionMismatchError, lambda: slmf_solve(np.ones((4, 2)), DEMO_PAIR)),
     "wlmf_solve-batch": (DimensionMismatchError, lambda: wlmf_solve(np.ones((4, 2)), DEMO_PAIR)),
+    # A single window is a vector: one (L, 1) column is a batch too.
+    "slmf_solve-column": (DimensionMismatchError, lambda: slmf_solve(np.ones((4, 1)), DEMO_PAIR)),
+    "wlmf_solve-column": (DimensionMismatchError, lambda: wlmf_solve(np.ones((4, 1)), DEMO_PAIR)),
+    "impropriety_profile-column": (
+        DimensionMismatchError, lambda: impropriety_profile(DEMO_AUT, np.ones((4, 1)))
+    ),
     "snr_gain-3d": (DimensionMismatchError, lambda: snr_gain(np.ones((4, 2, 2)), DEMO_PAIR)),
     "snr_gain-no-columns": (EmptyInputError, lambda: snr_gain(np.ones((4, 0)), DEMO_PAIR)),
     "CovariancePair-non-square": (

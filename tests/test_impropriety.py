@@ -112,6 +112,35 @@ def test_aut_imaginary_tap_noise():
         assert np.linalg.norm(aut.q.conj().T @ aut.q - np.eye(length)) <= 1e-10, length
 
 
+CACHED_ARRAYS = {
+    "r": lambda cov, aut: cov.r,
+    "whitening-A": lambda cov, aut: cov.whitening[0],
+    "whitening-W": lambda cov, aut: cov.whitening[1],
+    "gain_map": lambda cov, aut: cov._gain_map,
+    "q": lambda cov, aut: aut.q,
+    "lambda_c": lambda cov, aut: aut.lambda_c,
+    "lambda_r": lambda cov, aut: aut.lambda_r,
+    "noise_power": lambda cov, aut: aut.noise_power,
+    "approx_map": lambda cov, aut: aut._approx_map,
+}
+
+
+@pytest.mark.parametrize("rho_u", [0.0, 0.5], ids=["proper", "improper"])
+@pytest.mark.parametrize("name", sorted(CACHED_ARRAYS))
+def test_pair_and_aut_arrays_are_read_only(name, rho_u):
+    """A write in place to a pair's ``r``, its cached whitening or gain map,
+    or an array of its AUT raises, so nothing derived from it goes stale: a
+    doubled ``W`` would leave ``snr_gain`` on its old cached map and make
+    ``wlmf_solve`` fail its backward-error check. (``test_snr_gain_reuses_
+    cached_whitening`` checks ``c`` and ``inverse_cholesky``.) A proper pair
+    takes its AUT basis from ``R``'s eigenvectors, an improper one from
+    Takagi."""
+    cov = analytic_covariances(demo_model(rho_u), 4)
+    array = CACHED_ARRAYS[name](cov, aut_decompose(cov))
+    with pytest.raises(ValueError, match="read-only"):
+        array[...] *= 2.0
+
+
 def test_aut_rejects_indefinite_covariance():
     with pytest.raises(NotPositiveDefiniteError):
         aut_decompose(CovariancePair(r=-np.eye(3), c=np.zeros((3, 3))))

@@ -9,6 +9,7 @@ from wlmf import (
     NotHermitianError,
     NotPositiveDefiniteError,
     NotSymmetricError,
+    CovariancePair,
     analytic_covariances,
     demo_model,
     hermitian_eig,
@@ -16,7 +17,7 @@ from wlmf import (
     linalg,
     takagi,
 )
-from helpers import random_hermitian_pd, random_unitary
+from helpers import random_hermitian_pd, random_improper_pair, random_unitary
 
 
 def test_hermitian_solve_identity():
@@ -208,6 +209,45 @@ def test_strided_complex_operands_are_accepted():
     np.testing.assert_allclose(hermitian_eig(r)[0], hermitian_eig(cov.r)[0], rtol=1e-12)
     np.testing.assert_allclose(takagi(c).p, takagi(cov.c).p, rtol=1e-12)
     np.testing.assert_allclose(hermitian_solve(r, b), hermitian_solve(cov.r, b.copy()), rtol=1e-12)
+
+
+def near_structured_pair(seed, dim=5, rtol=1e-12):
+    """A random pair ``(r, c)`` with each matrix moved off its structure by
+    a perturbation of relative size ``rtol``, within the 1e-10 tolerance, and
+    the exact Hermitian and symmetric parts ``(r + r^H) / 2`` and ``(c +
+    c^T) / 2`` of the perturbed matrices."""
+    rng = np.random.default_rng(seed)
+    pair = random_improper_pair(rng, dim)
+    r, c = (
+        m + rtol * np.linalg.norm(m) * (rng.standard_normal((dim, dim)) + 1j)
+        for m in (pair.r, pair.c)
+    )
+    return r, c, (r + r.conj().T) / 2.0, (c + c.T) / 2.0
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_near_hermitian_input_is_taken_as_its_hermitian_part(seed):
+    """``hermitian_solve`` and ``hermitian_eig`` act on the exact Hermitian
+    part of an input within tolerance, bit for bit, as ``CovariancePair``
+    stores it; a result that read the raw triangles would differ."""
+    r, c, r_part, _ = near_structured_pair(seed)
+    assert not np.array_equal(r, r_part)
+    np.testing.assert_array_equal(CovariancePair(r, c).r, r_part)
+    b = np.random.default_rng(seed).standard_normal((5, 3)) + 0j
+    np.testing.assert_array_equal(hermitian_solve(r, b), hermitian_solve(r_part, b))
+    for got, want in zip(hermitian_eig(r), hermitian_eig(r_part)):
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_near_symmetric_input_is_taken_as_its_symmetric_part(seed):
+    """``takagi`` acts on the exact symmetric part of an input within
+    tolerance, bit for bit, as ``CovariancePair`` stores it."""
+    r, c, _, c_part = near_structured_pair(seed)
+    assert not np.array_equal(c, c_part)
+    np.testing.assert_array_equal(CovariancePair(r, c).c, c_part)
+    for got, want in zip(takagi(c), takagi(c_part)):
+        np.testing.assert_array_equal(got, want)
 
 
 class FakeBlas:
