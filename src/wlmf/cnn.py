@@ -11,6 +11,13 @@ so each channel is a matched filter on the same newest-first windows: every
 filter meets every window, and a batch of signals, its windows folded into
 one block, is filtered in one contraction that agrees bit for bit with its
 signals filtered one at a time.
+
+Every pass runs one private step, :class:`_Step`, or with the backward pass
+:class:`_BackwardStep`, on the parameters in the layout it reads,
+:class:`_Layers`. The step allocates its buffers once and then runs each
+pass as a fixed sequence of numpy calls into them; :func:`forward`,
+:func:`backward` and :func:`predict_proba` build one per call, and
+:func:`train` one for all its steps.
 :func:`train` trains the strictly and widely linear networks as the two rows
 of one widely linear network, the strictly linear row keeping a zero
 conjugate branch: one forward and backward pass per step, one update over
@@ -36,7 +43,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, DivergenceDetectedError
 from .errors import InvalidParameterError, _as_array, _as_int
-from .filters import _filter_windows
+from .filters import _filter_bank
 from .noise import sliding_windows
 from .seeding import as_generator, derive_rng
 
@@ -132,8 +139,11 @@ def _draw_signals(
     """The signals of :func:`make_dataset` as arrays: ``x`` (count, input_len),
     class labels (count,) in {0, 1} and pattern starts (count,).
 
-    Each sample makes six generator calls, in this order: label, start, real
-    and imaginary uniform noise, real and imaginary Gaussian noise. The
+    Each sample draws, in this order: its label, its start, real and
+    imaginary uniform noise, and real and imaginary Gaussian noise. Each
+    noise pair is one generator call that fills the real part and then the
+    imaginary part: it draws the values one call per part would, in the
+    same order, so the stream is that of six calls per sample. The
     uniform draws are ``random()`` values scaled by ``CLUTTER_HIGH`` after
     the loop, which is how numpy draws ``uniform(0.0, CLUTTER_HIGH)``: ``0.0
     + CLUTTER_HIGH * random()``, the same values from the same stream. The
@@ -145,29 +155,29 @@ def _draw_signals(
     pattern_len = len(PATTERN_ONE)
     labels = np.empty(count, dtype=np.intp)
     starts = np.empty(count, dtype=np.intp)
-    clutter = np.empty((2, count, input_len))
-    normal = np.empty((2, count, input_len))
+    # (sample, part, position): each sample's real and imaginary parts are
+    # one contiguous block that one generator call fills.
+    clutter = np.empty((count, 2, input_len))
+    normal = np.empty((count, 2, input_len))
     for i in range(count):
         labels[i] = gen.integers(2)
         starts[i] = gen.integers(0, input_len - pattern_len + 1)
-        gen.random(out=clutter[0, i])
-        gen.random(out=clutter[1, i])
-        gen.standard_normal(out=normal[0, i])
-        gen.standard_normal(out=normal[1, i])
+        gen.random(out=clutter[i])
+        gen.standard_normal(out=normal[i])
     clutter *= CLUTTER_HIGH
     # u_re + 1j * u_im is exactly (u_re, u_im): the clutter is never -0, and
     # every other term of that complex sum is an exact zero.
     x = np.empty((count, input_len), dtype=complex)
-    x.real = clutter[0]
-    x.imag = clutter[1]
+    x.real = clutter[:, 0]
+    x.imag = clutter[:, 1]
     pattern_cols = starts[:, None] + np.arange(pattern_len)
     x[np.arange(count)[:, None], pattern_cols] += np.where(
         labels[:, None] == 0, PATTERN_ONE, PATTERN_TWO
     )
     # In place, with the per-sample expression's operations: a + b == b + a
     # and a * b == b * a hold exactly in IEEE arithmetic.
-    noise = 1j * normal[1]
-    noise += normal[0]
+    noise = 1j * normal[:, 1]
+    noise += normal[:, 0]
     noise *= NOISE_STD
     x += noise
     re, im = x.real[:, None], x.imag[:, None]
@@ -224,43 +234,180 @@ def init_params(config: CnnConfig, rng: np.random.Generator | int | None = None)
     )
 
 
-def _split_relu(y: np.ndarray, bias_re: np.ndarray, bias_im: np.ndarray) -> np.ndarray:
-    """Rectify real and imaginary parts separately after adding real biases."""
-    a = np.empty(y.shape, dtype=complex)
-    np.maximum(y.real + bias_re[..., None], 0.0, out=a.real)
-    np.maximum(y.imag + bias_im[..., None], 0.0, out=a.imag)
+@dataclass
+class _Layers:
+    """A network, or a stack of them behind a leading network axis, in the
+    layout the step reads: ``bank`` (branches, ..., C, L) holds ``conj(conv1)``
+    and, in widely linear mode, ``conv2``, so one contraction convolves both
+    branches (see :func:`wlmf.filters._filter_bank`); ``bias`` (..., C)
+    interleaves the real biases as ``bias_re + 1j bias_im``."""
+
+    bank: np.ndarray
+    bias: np.ndarray
+    head_w: np.ndarray
+    head_b: np.ndarray
+
+
+def _layers(params: CnnParams) -> _Layers:
+    """``params`` in the step's layout, as new arrays but for the head."""
+    branches = 1 if params.conv2 is None else 2
+    bank = np.empty((branches,) + np.shape(params.conv1), dtype=complex)
+    np.conj(params.conv1, out=bank[0])
+    if params.conv2 is not None:
+        bank[1] = params.conv2
+    bias = np.empty(np.shape(params.bias_re), dtype=complex)
+    bias.real, bias.imag = params.bias_re, params.bias_im
+    return _Layers(bank, bias, np.asarray(params.head_w), np.asarray(params.head_b))
+
+
+def _split_relu(y: np.ndarray, bias: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Rectify real and imaginary parts separately after adding real biases,
+    ``bias`` (..., C, 1) carrying ``bias_re + 1j bias_im`` per channel: a
+    complex add is the two real adds, and one maximum on the float view
+    rectifies both parts."""
+    a = np.add(y, bias, out=out)
+    parts = a.view(float)
+    np.maximum(parts, 0.0, out=parts)
     return a
 
 
-def _max_modulus_pool(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _pool_buffers(a: np.ndarray) -> tuple:
+    """The buffers of :func:`_max_modulus_pool` for inputs shaped like ``a``:
+    the moduli, the argmax, each row's start in ``a``'s flat order, the
+    pooled entries' flat indices, and the pooled entries."""
+    lead = a.shape[:-1]
+    starts = np.arange(0, a.size, a.shape[-1]).reshape(lead)
+    return (np.empty(a.shape), np.empty(lead, dtype=np.intp), starts,
+            np.empty(lead, dtype=np.intp), np.empty(lead, dtype=a.dtype))
+
+
+def _max_modulus_pool(a: np.ndarray, out: tuple | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Keep the largest-modulus activation per channel (first index on ties).
 
-    Pools over the last axis, so ``a`` may carry leading batch axes.
+    Pools over the last axis, so ``a`` may carry leading batch axes. ``out``,
+    from :func:`_pool_buffers`, receives the results.
     """
-    idx = np.abs(a).argmax(axis=-1)
-    # Each pooled entry's flat index: the start of its row plus its argmax.
-    pooled = a.reshape(-1)[idx + np.arange(0, a.size, a.shape[-1]).reshape(idx.shape)]
+    modulus, idx, starts, flat, pooled = _pool_buffers(a) if out is None else out
+    np.abs(a, out=modulus).argmax(axis=-1, out=idx)
+    # Each pooled entry's index in a's flat order: its row's start plus its
+    # argmax.
+    a.take(np.add(idx, starts, out=flat), out=pooled)
     return pooled, idx
 
 
+def _head_buffers(pooled: np.ndarray, head_b: np.ndarray) -> tuple:
+    """The buffers of :func:`_head_forward` for pooled values shaped like
+    ``pooled``: the logits and their column view, a column for each row's
+    maximum and then its sum, and the probabilities."""
+    rows = pooled.shape[:-1]
+    logits = np.empty(rows + head_b.shape[-1:])
+    return logits, logits[..., None], np.empty(rows + (1,)), np.empty(logits.shape)
+
+
 def _head_forward(
-    pooled: np.ndarray, head_w: np.ndarray, head_b: np.ndarray
+    pooled: np.ndarray, head_w: np.ndarray, head_b: np.ndarray, out: tuple | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Affine head over interleaved real/imaginary features, then softmax.
 
     Works on the last axis, so ``pooled`` may carry leading batch axes. Head
     parameters with a leading network axis meet the network axis of
-    ``pooled``, which sits behind its batch axes. ``pooled`` is the fresh
-    complex gather of :func:`_max_modulus_pool`, so its float view is contiguous.
+    ``pooled``, which sits behind its batch axes. ``pooled`` is a contiguous
+    complex array, so its float view is the features. ``out``, from
+    :func:`_head_buffers`, receives the results.
     """
     feat = pooled.view(float)
+    logits, logits_col, column, probs = _head_buffers(pooled, head_b) if out is None else out
     # One matrix-vector product per feature vector, batched or not, so a
     # batch rounds exactly as its rows would alone.
-    logits = (head_w @ feat[..., None])[..., 0] + head_b
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    exp = np.exp(shifted)
-    probs = exp / exp.sum(axis=-1, keepdims=True)
+    np.matmul(head_w, feat[..., None], out=logits_col)
+    np.add(logits, head_b, out=logits)
+    np.subtract(logits, np.maximum.reduce(logits, axis=-1, keepdims=True, out=column), out=probs)
+    np.exp(probs, out=probs)
+    np.divide(probs, np.add.reduce(probs, axis=-1, keepdims=True, out=column), out=probs)
     return feat, logits, probs
+
+
+class _Step:
+    """The forward pass of ``layers`` on windows of one ``shape``, (L, K) or
+    (B, L, K), through buffers allocated once, so a pass is a fixed sequence
+    of numpy calls that allocates nothing."""
+
+    def __init__(self, layers: _Layers, shape: tuple):
+        self.layers = layers
+        self.bias = layers.bias[..., None]
+        bank = layers.bank
+        self.a = np.empty(shape[:-2] + bank.shape[1:-1] + shape[-1:], dtype=complex)
+        # A batch's contraction is faster into an array einsum lays out itself.
+        self.sums = None if len(shape) > 2 else np.empty(bank.shape[:1] + self.a.shape, complex)
+        self.pool = _pool_buffers(self.a)
+        self.idx, self.pooled = self.pool[1], self.pool[-1]
+        self.head = _head_buffers(self.pooled, layers.head_b)
+        self.feat = self.pooled.view(float)
+
+    def forward(self, windows: np.ndarray) -> np.ndarray:
+        """Class probabilities of ``windows``; every layer's output stays in
+        its buffer until the next pass."""
+        layers = self.layers
+        self.y = _filter_bank(windows, layers.bank, out=self.sums)
+        _split_relu(self.y, self.bias, out=self.a)
+        _max_modulus_pool(self.a, out=self.pool)
+        return _head_forward(self.pooled, layers.head_w, layers.head_b, out=self.head)[2]
+
+
+class _BackwardStep(_Step):
+    """A :class:`_Step` on one signal's windows (L, K) that also runs the
+    backward pass, writing the gradients into ``grads``, laid out like
+    ``layers`` (new buffers unless given).
+
+    Max-modulus pooling passes each channel's gradient through its pooled
+    window alone: of the sum over windows that makes a bias or tap
+    gradient, every other term is an exact zero, so the gradient is the one
+    pooled term. ``grads.bank[0]`` is the gradient of the bank's first
+    branch, ``conj`` of the ``conv1`` gradient, so one update of the bank
+    updates ``conj(conv1)``.
+    """
+
+    def __init__(self, layers: _Layers, shape: tuple, grads: _Layers | None = None):
+        super().__init__(layers, shape)
+        bank = layers.bank
+        if grads is None:
+            grads = _Layers(*map(np.empty_like, vars(layers).values()))
+        self.grads = grads
+        self.feat_row = self.feat[..., None, :]
+        self.dlogits = self.grads.head_b[..., None]
+        self.head_w_t = np.swapaxes(layers.head_w, -1, -2)
+        self.dfeat = np.empty(self.feat.shape)
+        self.dfeat_col = self.dfeat[..., None]
+        self.passes = np.empty(self.feat.shape, dtype=bool)
+        self.gate = np.empty(self.pooled.shape, dtype=complex)
+        self.gate_parts = self.gate.view(float)
+        self.gate_col = self.gate[..., None]
+        self.tap_gate = np.empty(self.gate_col.shape, dtype=complex)
+        # The pooled windows, and for a conjugate branch their conjugates.
+        self.pooled_windows = np.empty(bank.shape, dtype=complex)
+        self.conj_windows = self.pooled_windows[1] if len(bank) == 2 else None
+        self.first_grad = self.grads.bank[0]
+
+    def backward(self, windows: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """Class probabilities of ``windows``, with the gradients of the
+        cross-entropy against the one-hot ``t`` in :attr:`grads`."""
+        probs = self.forward(windows)
+        grads, dlogits = self.grads, self.dlogits
+        np.subtract(probs, t, out=grads.head_b)
+        np.multiply(dlogits, self.feat_row, out=grads.head_w)
+        np.matmul(self.head_w_t, dlogits, out=self.dfeat_col)
+        # The rectifier passes a part exactly where its pooled output part is
+        # positive; the features interleave real and imaginary parts.
+        np.multiply(self.dfeat, np.greater(self.feat, 0.0, out=self.passes), out=self.gate_parts)
+        # + 0.0 as in the sum over windows, which is +0 where the gate is closed.
+        np.add(self.gate, 0.0, out=grads.bias)
+        tap_gate, pooled = np.conj(self.gate_col, out=self.tap_gate), self.pooled_windows
+        windows.T.take(self.idx, axis=0, out=pooled[0])
+        if self.conj_windows is not None:
+            np.conj(pooled[0], out=self.conj_windows)
+        np.multiply(tap_gate, pooled, out=grads.bank)
+        np.conj(self.first_grad, out=self.first_grad)
+        return probs
 
 
 def _windows(x, params: CnnParams, ndim=(1, 2)) -> np.ndarray:
@@ -272,11 +419,9 @@ def _forward(windows: np.ndarray, params: CnnParams) -> tuple[np.ndarray, dict]:
     """Forward pass on the windows of one signal or a batch of signals, for
     one network or for a stack of them, whose arrays carry a leading network
     axis (behind a batch's axes)."""
-    y = _filter_windows(windows, params.conv1, params.conv2)
-    a = _split_relu(y, params.bias_re, params.bias_im)
-    pooled, idx = _max_modulus_pool(a)
-    feat, logits, probs = _head_forward(pooled, params.head_w, params.head_b)
-    return probs, {"y": y, "a": a, "idx": idx, "feat": feat, "probs": probs}
+    step = _Step(_layers(params), windows.shape)
+    probs = step.forward(windows)
+    return probs, {"y": step.y, "a": step.a, "idx": step.idx, "feat": step.feat, "probs": probs}
 
 
 def forward(x: np.ndarray, params: CnnParams) -> tuple[np.ndarray, dict]:
@@ -291,41 +436,18 @@ def predict_proba(x: np.ndarray, params: CnnParams) -> np.ndarray:
     return _forward(_windows(x, params), params)[0]
 
 
-def _backward(
-    windows: np.ndarray, t: np.ndarray, params: CnnParams, out: dict | None = None
-) -> tuple:
-    """Probabilities and gradients of one signal's windows (L, K), which its
-    forward pass reuses, for one network or a stack (see :func:`_forward`).
-
-    Max-modulus pooling passes each channel's gradient through its pooled
-    window alone: of the sum over windows that makes a bias or tap
-    gradient, every other term is an exact zero, so the gradient is the one
-    pooled term. The gradients are written into the arrays of ``out``,
-    keyed by field name, when it is given.
-    """
-    out = {} if out is None else out
-    probs, cache = _forward(windows, params)
-    feat = cache["feat"]
-    dlogits = np.subtract(probs, t, out=out.get("head_b"))
-    grads = {
-        "head_w": np.multiply(dlogits[..., None], feat[..., None, :], out=out.get("head_w")),
-        "head_b": dlogits,
-    }
-    dfeat = (np.swapaxes(params.head_w, -1, -2) @ dlogits[..., None])[..., 0]
-    # The rectifier passes a part exactly where its pooled output part is
-    # positive; the features interleave real and imaginary parts.
-    gate = (dfeat * (feat > 0)).view(complex)
-    # + 0.0 as in the sum over windows, which is +0 where the gate is closed.
-    grads["bias_re"] = np.add(gate.real, 0.0, out=out.get("bias_re"))
-    grads["bias_im"] = np.add(gate.imag, 0.0, out=out.get("bias_im"))
-
-    gate = np.conj(gate)[..., None]
-    pooled_windows = windows.T[cache["idx"]]
-    grads["conv1"] = np.multiply(gate, pooled_windows, out=out.get("conv1"))
+def _backward(windows: np.ndarray, t: np.ndarray, params: CnnParams) -> tuple:
+    """Probabilities and gradients, keyed by field name, of one signal's
+    windows (L, K) for one network or a stack (see :func:`_forward`)."""
+    step = _BackwardStep(_layers(params), windows.shape)
+    probs = step.backward(windows, t)
+    grads = step.grads
+    conv = np.conj(step.first_grad, out=step.first_grad)
+    named = {"head_w": grads.head_w, "head_b": grads.head_b,
+             "bias_re": grads.bias.real, "bias_im": grads.bias.imag, "conv1": conv}
     if params.conv2 is not None:
-        np.conj(pooled_windows, out=pooled_windows)
-        grads["conv2"] = np.multiply(gate, pooled_windows, out=out.get("conv2"))
-    return probs, grads
+        named["conv2"] = grads.bank[1]
+    return probs, named
 
 
 def backward(x: np.ndarray, t: np.ndarray, params: CnnParams) -> tuple[float, np.ndarray, dict]:
@@ -359,17 +481,18 @@ def _flat_views(buffer: np.ndarray, like: dict) -> dict:
 
 
 def _holdout_means(
-    x: np.ndarray, labels: np.ndarray, params: CnnParams
+    x: np.ndarray, classes: list[np.ndarray], params: CnnParams
 ) -> list[tuple[float, float]]:
-    """Mean true-class probability over held-out signals ``x`` (B, N) with
-    class ``labels`` (B,), per pattern, for each network of a stack, from
-    one ``predict_proba`` call whose probabilities are (B, networks, 2).
-    """
-    true_class = predict_proba(x, params)[np.arange(len(labels)), :, labels].T
-    return [
-        tuple(float(np.mean(p)) for p in (net[labels == 0], net[labels == 1]))
-        for net in true_class
-    ]
+    """Mean true-class probability over held-out signals ``x`` (B, N) whose
+    ``classes`` list each class's rows, per class, for each network of a
+    stack, from one ``predict_proba`` call whose probabilities are (B,
+    networks, 2)."""
+    probs = predict_proba(x, params)
+    # Each mean sums one contiguous row and divides by its length, as
+    # np.mean of that row alone does.
+    means = [np.add.reduce(probs[rows, :, label].T.copy(), axis=1) / len(rows)
+             for label, rows in enumerate(classes)]
+    return list(zip(*(m.tolist() for m in means)))
 
 
 def _first_sustained(evals: list[tuple[int, float, float]]) -> int | None:
@@ -393,13 +516,20 @@ def train(
     from the same strictly linear function. They are the rows of one widely
     linear stack, the strictly linear row's conjugate branch held at zero;
     each step runs one forward and backward pass for both, and each
-    evaluation one ``predict_proba`` call on the holdout signals. The
-    stack's fields are views of one float buffer and the backward pass
-    writes its gradients into views of a second, so each step's update is
-    one operation over the whole buffer.
-    Each network's result is, bit for bit, that of training it alone.
-    Returns the strictly and the widely linear :class:`TrainResult`; their
-    ``params`` are views of the stack.
+    evaluation one ``predict_proba`` call on the holdout signals.
+
+    The stack is held in the step's layout, :class:`_Layers`: the taps as
+    one bank ``(branch, network, channel, L)`` of ``conj(conv1)`` and
+    ``conv2``, and the biases interleaved as ``(network, channel, [re,
+    im])``, all views of one float buffer. One :class:`_BackwardStep`,
+    allocated before the first step, writes the gradients into views of a
+    second buffer with the same layout, so a step allocates nothing and its
+    update is one operation over the whole buffer; the true-class
+    probabilities go into one (steps, 2) array. After the last step the
+    bank's first branch is conjugated back in place, so the results'
+    ``params`` are views of the stack. Each network's result is, bit for
+    bit, that of training it alone. Returns the strictly and the widely
+    linear :class:`TrainResult`.
 
     Raises
     ------
@@ -422,40 +552,53 @@ def train(
     # branch held at exactly +0, which leaves its responses bit-identical.
     nets[0].conv2 = np.zeros_like(nets[0].conv1)
     names = [f.name for f in fields(CnnParams)]
-    stacked = {name: np.stack([getattr(net, name) for net in nets]) for name in names}
+    packed = vars(_layers(CnnParams(**{
+        name: np.stack([getattr(net, name) for net in nets]) for name in names
+    })))
     # On a complex field the buffer's update is the complex update, bit for
     # bit: lr * (re + 1j im) is (lr * re, lr * im) up to the sign of a zero,
-    # and p - (+0) == p - (-0) for every parameter p, none being -0.
-    flat = np.concatenate([array.ravel().view(float) for array in stacked.values()])
+    # and p - (+0) == p - (-0) for every parameter p, none being -0. The
+    # update of conj(conv1) is likewise conj of the update of conv1.
+    flat = np.concatenate([array.ravel().view(float) for array in packed.values()])
     grad_flat = np.empty_like(flat)
-    params = CnnParams(**_flat_views(flat, stacked))
-    grads = _flat_views(grad_flat, stacked)
+    update = np.empty_like(flat)
+    layers = _Layers(**_flat_views(flat, packed))
+    bank = layers.bank
+    params = CnnParams(bank[0], bank[1], layers.bias.real, layers.bias.imag,
+                       layers.head_w, layers.head_b)
     views = [CnnParams(**{name: getattr(params, name)[i] for name in names}) for i in range(2)]
     views[0].conv2 = None
     windows = _windows(stream_x, params)
     targets = np.eye(2)[stream_labels]
+    step = _BackwardStep(layers, windows.shape[1:], _Layers(**_flat_views(grad_flat, packed)))
+    held_branch = step.grads.bank[1, 0]
+    classes = [np.flatnonzero(holdout_labels == label) for label in range(2)]
 
-    traces: list[list[tuple[int, int, float]]] = [[] for _ in configs]
+    p_true = np.empty((total, len(configs)))
     evals: list[list[tuple[int, float, float]]] = [[] for _ in configs]
-    samples = zip(windows, targets, stream_labels.tolist())
-    for step, (sample_windows, t, label) in enumerate(samples, start=1):
-        probs, _ = _backward(sample_windows, t, params, out=grads)
-        grads["conv2"][0] = 0.0
-        p_true = probs[:, label].tolist()
+    samples = zip(windows, targets, stream_labels.tolist(), p_true)
+    for iteration, (sample_windows, t, label, p_row) in enumerate(samples, start=1):
+        probs = step.backward(sample_windows, t)
+        held_branch.fill(0.0)
         # Exactly where the loss -log(p) is not finite: p 0 or NaN.
-        diverged = [c.mode for c, p in zip(configs, p_true) if not p > 0]
+        p = probs.take(label, axis=1, out=p_row).tolist()
+        diverged = [c.mode for c, p_net in zip(configs, p) if not p_net > 0]
         if diverged:
             raise DivergenceDetectedError(
-                f"non-finite loss of the {diverged[0]!r} network at iteration {step}"
+                f"non-finite loss of the {diverged[0]!r} network at iteration {iteration}"
             )
-        for trace, p in zip(traces, p_true):
-            trace.append((step, label + 1, p))
-        flat -= config.learning_rate * grad_flat
-        if step % config.eval_every == 0:
-            means = _holdout_means(holdout_x, holdout_labels, params)
+        np.subtract(flat, np.multiply(grad_flat, config.learning_rate, out=update), out=flat)
+        if iteration % config.eval_every == 0:
+            # The holdout is scored on the public parameters, conv1 itself.
+            np.conj(bank[0], out=bank[0])
+            means = _holdout_means(holdout_x, classes, params)
+            np.conj(bank[0], out=bank[0])
             for net_evals, net_means in zip(evals, means):
-                net_evals.append((step, *net_means))
+                net_evals.append((iteration, *net_means))
+    np.conj(bank[0], out=bank[0])
+    steps, patterns = range(1, total + 1), (stream_labels + 1).tolist()
     return tuple(
-        TrainResult(view, trace, net_evals, first_sustained=_first_sustained(net_evals))
-        for view, trace, net_evals in zip(views, traces, evals)
+        TrainResult(view, list(zip(steps, patterns, trace)), net_evals,
+                    first_sustained=_first_sustained(net_evals))
+        for view, trace, net_evals in zip(views, p_true.T.tolist(), evals)
     )

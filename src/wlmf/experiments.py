@@ -217,16 +217,36 @@ class RunManifest:
 _CELL_FORMATS = {float: "%.12e".__mod__, int: str, str: str, type(None): lambda _: ""}
 
 
+def _column_cells(column: tuple) -> list[str]:
+    """The CSV cells of one column, each formatted by its type's rule in
+    ``_CELL_FORMATS``; a column of one type maps that rule over it."""
+    kinds = set(map(type, column))
+    if len(kinds) == 1:
+        return list(map(_CELL_FORMATS[kinds.pop()], column))
+    return [_CELL_FORMATS[type(v)](v) for v in column]
+
+
+# Rows per block of a CSV: only one block's cells are alive at a time.
+_CSV_BLOCK_ROWS = 512
+
+
 def _file_bytes(name: str, content) -> bytes:
     """The bytes of output file ``name``: ``(header, rows)`` as CSV for a
     ``.csv`` name, else a summary as sorted, indented JSON. Lines end in
-    ``\n`` on every platform."""
+    ``\n`` on every platform. The rows, which must all have the header's
+    length, are written in blocks, each formatted column by column and then
+    joined."""
     if not name.endswith(".csv"):
         return (json.dumps(content, indent=2, sort_keys=True) + "\n").encode()
     header, rows = content
-    lines = [",".join(header) + "\n"]
-    lines += [",".join([_CELL_FORMATS[type(v)](v) for v in row]) + "\n" for row in rows]
-    return "".join(lines).encode()
+    chunks = [",".join(header)]
+    for start in range(0, len(rows), _CSV_BLOCK_ROWS):
+        block = rows[start : start + _CSV_BLOCK_ROWS]
+        columns = [_column_cells(column) for column in zip(*block, strict=True)]
+        if len(columns) != len(header):
+            raise ValueError(f"{name}: rows of {len(columns)} cells under {len(header)} names")
+        chunks.append("\n".join(map(",".join, zip(*columns))))
+    return ("\n".join(chunks) + "\n").encode()
 
 
 def _complex_pairs(values: np.ndarray) -> list:

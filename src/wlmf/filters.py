@@ -29,7 +29,7 @@ from .errors import (
     NumericalConsistencyError,
     _as_array,
 )
-from .linalg import _real_form, _refined_solve
+from .linalg import _refined_solve
 from .noise import CovariancePair, sliding_windows
 
 __all__ = [
@@ -166,9 +166,10 @@ def wlmf_solve(x: np.ndarray, cov: CovariancePair) -> tuple[np.ndarray, np.ndarr
 def snr_slmf(x: np.ndarray, cov: CovariancePair):
     """Output SNR of the strictly linear matched filter, ``x^H R^{-1} x``,
     evaluated as ``||L^{-1} x||^2`` with the pair's cached inverse Cholesky
-    factor, ``R = L L^H``: the real form of ``L^{-1}`` on ``[Re x; Im x]``
-    runs through the same column-block kernel as :func:`snr_gain`."""
-    return _real_map_squared_norms(_real_form(cov.inverse_cholesky), x)
+    factor, ``R = L L^H``: the real form of ``L^{-1}`` on ``[Re x; Im x]``,
+    cached on the pair, runs through the same column-block kernel as
+    :func:`snr_gain`."""
+    return _real_map_squared_norms(cov._slmf_map, x)
 
 
 def snr_wlmf(x: np.ndarray, cov: CovariancePair):
@@ -240,34 +241,53 @@ def apply_filter_sequence(
 def _filter_windows(
     windows: np.ndarray, f: np.ndarray, f_conj: np.ndarray | None = None
 ) -> np.ndarray:
-    """Responses of every filter of ``f`` (..., L) to every window of
-    ``windows`` (..., L, K): shape ``windows.shape[:-2] + f.shape[:-1] +
-    (K,)``. A conjugate branch ``f_conj`` unless None has the shape of
-    ``f``; a zero branch leaves the responses bit-identical.
+    """Responses of every filter of ``f`` (..., L), with a conjugate branch
+    ``f_conj`` of the same shape unless None, to every window of ``windows``
+    (..., L, K): :func:`_filter_bank` on the bank of ``conj(f)`` and
+    ``f_conj``."""
+    return _filter_bank(windows, np.stack([np.conj(f), *(() if f_conj is None else (f_conj,))]))
+
+
+def _filter_bank(windows: np.ndarray, bank: np.ndarray, out: np.ndarray | None = None):
+    """Responses of every filter of a bank to every window of ``windows``
+    (..., L, K), of shape ``windows.shape[:-2] + bank.shape[1:-1] + (K,)``.
+
+    ``bank`` (branches, ..., L) holds the conjugated taps ``conj(f)`` and,
+    as a second branch, the conjugate-branch taps ``f_conj``; the response
+    ``f^H w + f_conj^H conj(w)`` is ``r0 + conj(r1)`` for the two branches'
+    plain sums ``r = bank . w``, and a zero second branch leaves it
+    bit-identical. On one sequence's windows the branches' sums land in
+    ``out`` (branches, *response shape*) when it is given, and the response
+    in ``out[0]``, so a caller that owns ``out`` allocates nothing.
 
     One sequence's windows (L, K) are contracted in place; the windows of
     several sequences are folded into one contiguous (L, B, K) block that
-    every filter meets in one contraction. Each response is the same sum
-    over L in the same order either way, so folding changes no bit."""
+    every filter meets in one contraction, the branches as more filters, into
+    an array that einsum lays out itself (into a given one it runs up to 4x
+    slower). Each response is the same sum over L in the same order either
+    way, and einsum, unlike a matmul, rounds each filter of a bank as it
+    rounds that filter alone, so neither folding nor banking changes a
+    bit."""
     length, count = windows.shape[-2:]
     if windows.ndim == 2:
-        shape = None
-        subscripts = "...l,lk->...k"
+        sums = np.einsum("...l,lk->...k", bank, windows, out=out)
     else:
-        shape = windows.shape[:-2] + f.shape[:-1] + (count,)
-        windows = np.ascontiguousarray(np.moveaxis(windows.reshape(-1, length, count), 1, 0))
-        f, f_conj = (None if t is None else t.reshape(-1, length) for t in (f, f_conj))
-        subscripts = "cl,lbk->bck"
-    # einsum, unlike a (C, L) @ (L, K) matmul, rounds a bank like its rows.
-    y = np.einsum(subscripts, np.conj(f), windows)
-    if f_conj is not None:
-        # Conjugates the K outputs instead of the L x K windows. conj(f2ᵀ w)
-        # and conj(f2)ᵀ conj(w) differ at most in the sign of an exactly zero
-        # imaginary part, and einsum sums from +0, so adding the strictly
-        # linear part, which is never -0, makes the two sums bit-identical;
-        # for the same reason, adding a zero branch's ±0 changes nothing.
-        y += np.conj(np.einsum(subscripts, f_conj, windows))
-    return y if shape is None else y.reshape(shape)
+        shape = windows.shape[:-2] + bank.shape[:-1] + (count,)
+        folded = np.ascontiguousarray(np.moveaxis(windows.reshape(-1, length, count), 1, 0))
+        sums = np.einsum("cl,lbk->bck", bank.reshape(-1, length), folded).reshape(shape)
+        sums = np.moveaxis(sums, windows.ndim - 2, 0)
+    if len(sums) == 2:
+        # conj(f2ᵀ w) and conj(f2)ᵀ conj(w) differ at most in the sign of an
+        # exactly zero imaginary part, and einsum sums from +0, so adding the
+        # strictly linear part, which is never -0, makes the two sums
+        # bit-identical; for the same reason, adding a zero branch's ±0
+        # changes nothing.
+        # Without ``out`` the response is a new array, so it does not keep
+        # the second branch's sums alive.
+        y, conj_sums = sums
+        np.conj(conj_sums, out=conj_sums)
+        return np.add(y, conj_sums, out=None if out is None else y)
+    return sums[0]
 
 
 def template_to_feature(template: np.ndarray) -> np.ndarray:

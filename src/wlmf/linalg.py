@@ -150,8 +150,15 @@ def _inverse_cholesky(a: np.ndarray) -> np.ndarray:
 
 def _real_form(m: np.ndarray) -> np.ndarray:
     """Real ``2n x 2n`` form ``[[Re m, -Im m], [Im m, Re m]]`` of a complex
-    ``m``: it maps ``[Re x; Im x]`` to ``[Re(m x); Im(m x)]``."""
-    return np.block([[m.real, -m.imag], [m.imag, m.real]])
+    ``m``: it maps ``[Re x; Im x]`` to ``[Re(m x); Im(m x)]``. Written by
+    slice assignment, which equals ``np.block`` bit for bit, signs of zeros
+    included."""
+    n = m.shape[0]
+    out = np.empty((2 * n, 2 * n))
+    out[:n, :n] = out[n:, n:] = m.real
+    np.negative(m.imag, out=out[:n, n:])
+    out[n:, :n] = m.imag
+    return out
 
 
 def hermitian_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:

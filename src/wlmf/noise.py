@@ -158,6 +158,12 @@ class CovariancePair:
         return a, _inverse_cholesky((schur + schur.conj().T) / 2.0)
 
     @cached_property
+    def _slmf_map(self) -> np.ndarray:
+        """Real ``2L x 2L`` form of ``x -> L^{-1} x`` on ``[Re x; Im x]``,
+        built from :attr:`inverse_cholesky` on first access and cached."""
+        return _read_only(_real_form(self.inverse_cholesky))
+
+    @cached_property
     def _gain_map(self) -> np.ndarray:
         """Real ``2L x 2L`` form of ``x -> W (conj(x) - A x)`` on ``[Re x; Im
         x]``, built from :attr:`whitening` on first access and cached."""

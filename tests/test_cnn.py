@@ -127,11 +127,12 @@ def test_conv_channels_are_matched_filters(mode):
 
 
 def test_split_relu_examples():
-    out = _split_relu(np.array([[1.0 + 1.0j]]), np.zeros(1), np.zeros(1))
+    """The biases come interleaved, ``bias_re + 1j bias_im``, one per channel."""
+    out = _split_relu(np.array([[1.0 + 1.0j]]), np.zeros((1, 1), dtype=complex))
     assert out[0, 0] == 1.0 + 1.0j
-    out = _split_relu(np.array([[-1.0 - 1.0j]]), np.zeros(1), np.zeros(1))
+    out = _split_relu(np.array([[-1.0 - 1.0j]]), np.zeros((1, 1), dtype=complex))
     assert out[0, 0] == 0.0
-    out = _split_relu(np.array([[-0.5 + 0.5j]]), np.array([1.0]), np.array([-1.0]))
+    out = _split_relu(np.array([[-0.5 + 0.5j]]), np.array([[1.0 - 1.0j]]))
     assert out[0, 0] == 0.5 + 0.0j
 
 
@@ -407,6 +408,49 @@ def test_train_is_the_public_per_sample_path(trained_pair, modes):
         for name in ("conv1", "conv2", "bias_re", "bias_im", "head_w", "head_b"):
             got, want = getattr(result.params, name), getattr(params, name)
             assert got is want is None or np.array_equal(got, want), (mode, name)
+
+
+def _public_per_sample_run(seed, mode, input_len, filter_len):
+    """The trace, evaluations and parameters of one network trained alone
+    by a loop over public ``backward`` and ``predict_proba`` on the streams
+    ``train`` draws from ``seed``."""
+    config = CnnConfig(mode=mode, input_len=input_len, filter_len=filter_len)
+    steps = config.epochs * config.realizations_per_epoch
+    stream = make_dataset(steps, derive_rng(seed, 0), input_len=input_len)
+    holdout = make_dataset(config.holdout_size, derive_rng(seed, 2), input_len=input_len)
+    holdout_x = np.array([sample.x for sample in holdout])
+    labels = np.array([sample.pattern - 1 for sample in holdout])
+    params = init_params(config, derive_rng(seed, 1))
+    trace, evals = [], []
+    for step, sample in enumerate(stream, start=1):
+        _, probs, grads = backward(sample.x, sample.t, params)
+        trace.append((step, sample.pattern, float(probs[sample.pattern - 1])))
+        for name, grad in grads.items():
+            value = getattr(params, name)
+            value -= config.learning_rate * grad
+        if step % config.eval_every == 0:
+            true_class = predict_proba(holdout_x, params)[np.arange(len(labels)), labels]
+            evals.append((step, *(float(np.mean(true_class[labels == c])) for c in (0, 1))))
+    return trace, evals, params
+
+
+@pytest.mark.parametrize("input_len, filter_len", [(10, 4), (8, 1)])
+def test_train_is_the_public_per_sample_path_at_other_shapes(input_len, filter_len):
+    """At other signal and filter lengths too, each network of the pair gets
+    from ``train`` the public per-sample loop's results bit for bit."""
+    seed = 23
+    results = train(seed, input_len=input_len, filter_len=filter_len)
+    for mode, result in zip(("sl", "wl"), results):
+        trace, evals, params = _public_per_sample_run(seed, mode, input_len, filter_len)
+        assert result.trace == trace, mode
+        assert result.evals == evals and len(evals) == 200, mode
+        for name in ("conv1", "conv2", "bias_re", "bias_im", "head_w", "head_b"):
+            got, want = getattr(result.params, name), getattr(params, name)
+            if got is want is None:
+                continue
+            assert got.shape == want.shape and got.dtype == want.dtype, (mode, name)
+            # The bytes, so signs of zeros count too.
+            assert np.ascontiguousarray(got).tobytes() == want.tobytes(), (mode, name)
 
 
 def test_train_scores_the_holdout_once_per_evaluation(monkeypatch):

@@ -300,6 +300,30 @@ def test_csv_cells_are_written_by_type():
             _file_bytes("cells.csv", (("c0",), [(cell,)]))
 
 
+def test_csv_columns_of_mixed_types_are_written_per_cell():
+    """A column that mixes cell types, as ``mf-demo``'s None pads do, gives
+    each cell its own type's format, the bytes a per-cell writer gives; a
+    bool anywhere in a column raises KeyError, and rows of unequal length
+    raise ValueError."""
+    rows = [(1, "a", 0.5, None), (None, 2, "b", 0.25), (3.0, None, 7, "c"), (4, "d", None, -1.5)]
+    header = ("c0", "c1", "c2", "c3")
+    want = [",".join(header)]
+    want += [",".join(_CELL_FORMATS[type(v)](v) for v in row) for row in rows]
+    assert want[1:] == ["1,a,5.000000000000e-01,", ",2,b,2.500000000000e-01",
+                        "3.000000000000e+00,,7,c", "4,d,,-1.500000000000e+00"]
+    assert _file_bytes("mixed.csv", (header, rows)) == ("\n".join(want) + "\n").encode()
+    # Many blocks of rows, one column of one type per block in some blocks.
+    many = [(i, "s", i / 7, None) for i in range(700)] + rows * 200
+    want = [",".join(header)] + [",".join(_CELL_FORMATS[type(v)](v) for v in row) for row in many]
+    assert _file_bytes("many.csv", (header, many)) == ("\n".join(want) + "\n").encode()
+    assert _file_bytes("empty.csv", (header, [])) == b"c0,c1,c2,c3\n"
+    for column in ([1, True], [0.5, False], [True, True]):
+        with pytest.raises(KeyError):
+            _file_bytes("bools.csv", (("c0",), [(cell,) for cell in column]))
+    with pytest.raises(ValueError):
+        _file_bytes("ragged.csv", (("c0", "c1"), [(1, 2), (3,)]))
+
+
 def test_gain_bias_output_and_manifest(tmp_path):
     manifest = run_experiment(small_gain_bias_spec(tmp_path))
     csv_path = tmp_path / "gain-bias.csv"

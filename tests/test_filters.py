@@ -23,7 +23,7 @@ from wlmf import (
     wlmf_solve,
 )
 from wlmf.experiments import DEMO_MATCHED_SEQUENCE
-from wlmf.filters import _filter_windows
+from wlmf.filters import _filter_windows, _real_map_squared_norms
 
 from helpers import (
     augmented,
@@ -300,6 +300,26 @@ def test_snr_gain_matches_sut_oracle_random_pairs():
         cov = random_improper_pair(rng, int(rng.integers(1, 9)))
         windows = rng.standard_normal((cov.dim, 50)) + 1j * rng.standard_normal((cov.dim, 50))
         assert_matches_sut_oracle(windows, cov)
+
+
+def test_snr_slmf_reads_the_cached_real_form():
+    """The pair builds the real form of its inverse Cholesky factor once and
+    keeps it read-only; ``snr_slmf`` on a window and on a batch gives, bit for
+    bit, the value of the real form built afresh by ``np.block``."""
+    rng = np.random.default_rng(51)
+    cov = random_improper_pair(rng, 5)
+    x = random_window(rng, 5)
+    batch = rng.standard_normal((5, 7)) + 1j * rng.standard_normal((5, 7))
+    got_window, got_batch = snr_slmf(x, cov), snr_slmf(batch, cov)
+    real_map = cov._slmf_map
+    assert cov._slmf_map is real_map
+    with pytest.raises(ValueError, match="read-only"):
+        real_map[0, 0] = 0.0
+    factor = cov.inverse_cholesky
+    block = np.block([[factor.real, -factor.imag], [factor.imag, factor.real]])
+    assert got_window == _real_map_squared_norms(block, x)
+    assert np.array_equal(got_batch, _real_map_squared_norms(block, batch))
+    assert snr_slmf(x, cov) == got_window
 
 
 def test_snr_gain_reuses_cached_whitening(monkeypatch):

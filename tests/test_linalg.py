@@ -324,3 +324,17 @@ def test_blas_threads_sets_the_loaded_openblas():
     with linalg._blas_threads(1):
         assert get_threads() == 1
     assert get_threads() == prior
+
+
+@pytest.mark.parametrize("n", [1, 4, 6, 8])
+def test_real_form_is_the_block_matrix(n):
+    """The real form written by slice assignment equals ``np.block`` of its
+    four blocks bit for bit, signs of zeros included."""
+    rng = np.random.default_rng(60 + n)
+    m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    m[0, 0] = complex(0.0, -0.0)
+    m[-1, 0] = complex(-0.0, 0.0)
+    got = linalg._real_form(m)
+    want = np.block([[m.real, -m.imag], [m.imag, m.real]])
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
