@@ -36,7 +36,7 @@ def _int_list(text: str) -> tuple[int, ...]:
 # help text. Flag values and config lines both arrive as text and go through
 # the same converter.
 _OPTIONS = {
-    "experiment": (str, "experiment to run"),
+    "experiment": (str, f"experiment to run: {', '.join(EXPERIMENTS)}"),
     "rho-u": (_float_list, "comma-separated driving-noise impropriety grid, values in [0, 1)"),
     "filter-len": (_int_list, "comma-separated filter lengths"),
     "signal-len": (
@@ -46,12 +46,12 @@ _OPTIONS = {
     ),
     "trials": (int, "Monte Carlo trials per grid cell"),
     "seed": (int, "master seed (default 1234)"),
-    "mode": (str, "covariance source for gain-surface (default: empirical)"),
+    "mode": (str, f"covariance source for gain-surface: {' or '.join(_MODES)} "
+             "(default: empirical)"),
     "out-dir": (str, f"output directory (default: ${ENV_OUT_DIR} or current directory)"),
     "workers": (int, "parallel workers, one grid point per task (default 1)"),
     "est-len": (int, "noise record length for empirical covariance estimates (default 5000)"),
 }
-_CHOICES = {"experiment": EXPERIMENTS, "mode": _MODES}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -64,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     for key, (_, help_text) in _OPTIONS.items():
-        parser.add_argument(f"--{key}", choices=_CHOICES.get(key), help=help_text)
+        parser.add_argument(f"--{key}", help=help_text)
     parser.add_argument("--config", help="flat key-value config file; flags override it")
     return parser
 

@@ -12,26 +12,20 @@ filter meets every window, and a batch of signals, its windows folded into
 one block, is filtered in one contraction that agrees bit for bit with its
 signals filtered one at a time.
 
-Every pass runs one private step, :class:`_Step`, or with the backward pass
-:class:`_BackwardStep`, on the parameters in the layout it reads,
-:class:`_Layers`. The step allocates its buffers once and then runs each
-pass as a fixed sequence of numpy calls into them; :func:`forward`,
-:func:`backward` and :func:`predict_proba` build one per call, and
-:func:`train` one for all its steps.
-:func:`train` trains the strictly and widely linear networks as the two rows
-of one widely linear network, the strictly linear row keeping a zero
-conjugate branch: one forward and backward pass per step, one update over
-one parameter buffer, and one ``predict_proba`` call on the holdout signals
-per evaluation serve both, and the stream, holdout and window stack are
-drawn and built once. Each network computes, bit for bit, what it computes
-alone.
+Each pass runs through a step, :class:`_Step` or :class:`_BackwardStep`,
+whose buffers are allocated once: the public calls build one per call, and
+:func:`train` one for all its steps. :func:`train` trains the strictly and
+widely linear networks as the two rows of one widely linear network, the
+strictly linear row keeping a zero conjugate branch: one forward and
+backward pass per step, one update over one parameter buffer, and one
+``predict_proba`` call on the holdout signals per evaluation serve both,
+and the stream, holdout and window stack are drawn and built once. Each
+network computes, bit for bit, what it computes alone.
 
 Gradients are taken with respect to the real and imaginary parts of every
 complex parameter; the complex carrier ``d(Re) + 1j d(Im)`` that the
 backward pass produces makes the plain SGD update one complex operation per
-parameter. Max-modulus pooling passes each channel's gradient through one
-window, its pooled one, so the backward pass takes each channel's gradient
-at that window alone, from the windows of its own forward pass.
+parameter.
 """
 
 from __future__ import annotations
@@ -260,98 +254,61 @@ def _layers(params: CnnParams) -> _Layers:
     return _Layers(bank, bias, np.asarray(params.head_w), np.asarray(params.head_b))
 
 
-def _split_relu(y: np.ndarray, bias: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Rectify real and imaginary parts separately after adding real biases,
-    ``bias`` (..., C, 1) carrying ``bias_re + 1j bias_im`` per channel: a
-    complex add is the two real adds, and one maximum on the float view
-    rectifies both parts."""
-    a = np.add(y, bias, out=out)
-    parts = a.view(float)
-    np.maximum(parts, 0.0, out=parts)
-    return a
-
-
-def _pool_buffers(a: np.ndarray) -> tuple:
-    """The buffers of :func:`_max_modulus_pool` for inputs shaped like ``a``:
-    the moduli, the argmax, each row's start in ``a``'s flat order, the
-    pooled entries' flat indices, and the pooled entries."""
-    lead = a.shape[:-1]
-    starts = np.arange(0, a.size, a.shape[-1]).reshape(lead)
-    return (np.empty(a.shape), np.empty(lead, dtype=np.intp), starts,
-            np.empty(lead, dtype=np.intp), np.empty(lead, dtype=a.dtype))
-
-
-def _max_modulus_pool(a: np.ndarray, out: tuple | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Keep the largest-modulus activation per channel (first index on ties).
-
-    Pools over the last axis, so ``a`` may carry leading batch axes. ``out``,
-    from :func:`_pool_buffers`, receives the results.
-    """
-    modulus, idx, starts, flat, pooled = _pool_buffers(a) if out is None else out
-    np.abs(a, out=modulus).argmax(axis=-1, out=idx)
-    # Each pooled entry's index in a's flat order: its row's start plus its
-    # argmax.
-    a.take(np.add(idx, starts, out=flat), out=pooled)
-    return pooled, idx
-
-
-def _head_buffers(pooled: np.ndarray, head_b: np.ndarray) -> tuple:
-    """The buffers of :func:`_head_forward` for pooled values shaped like
-    ``pooled``: the logits and their column view, a column for each row's
-    maximum and then its sum, and the probabilities."""
-    rows = pooled.shape[:-1]
-    logits = np.empty(rows + head_b.shape[-1:])
-    return logits, logits[..., None], np.empty(rows + (1,)), np.empty(logits.shape)
-
-
-def _head_forward(
-    pooled: np.ndarray, head_w: np.ndarray, head_b: np.ndarray, out: tuple | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Affine head over interleaved real/imaginary features, then softmax.
-
-    Works on the last axis, so ``pooled`` may carry leading batch axes. Head
-    parameters with a leading network axis meet the network axis of
-    ``pooled``, which sits behind its batch axes. ``pooled`` is a contiguous
-    complex array, so its float view is the features. ``out``, from
-    :func:`_head_buffers`, receives the results.
-    """
-    feat = pooled.view(float)
-    logits, logits_col, column, probs = _head_buffers(pooled, head_b) if out is None else out
-    # One matrix-vector product per feature vector, batched or not, so a
-    # batch rounds exactly as its rows would alone.
-    np.matmul(head_w, feat[..., None], out=logits_col)
-    np.add(logits, head_b, out=logits)
-    np.subtract(logits, np.maximum.reduce(logits, axis=-1, keepdims=True, out=column), out=probs)
-    np.exp(probs, out=probs)
-    np.divide(probs, np.add.reduce(probs, axis=-1, keepdims=True, out=column), out=probs)
-    return feat, logits, probs
-
-
 class _Step:
     """The forward pass of ``layers`` on windows of one ``shape``, (L, K) or
     (B, L, K), through buffers allocated once, so a pass is a fixed sequence
-    of numpy calls that allocates nothing."""
+    of numpy calls that allocates nothing. Every layer's output stays in its
+    buffer until the next pass."""
 
     def __init__(self, layers: _Layers, shape: tuple):
         self.layers = layers
         self.bias = layers.bias[..., None]
         bank = layers.bank
         self.a = np.empty(shape[:-2] + bank.shape[1:-1] + shape[-1:], dtype=complex)
+        self.a_parts = self.a.view(float)
         # A batch's contraction is faster into an array einsum lays out itself.
         self.sums = None if len(shape) > 2 else np.empty(bank.shape[:1] + self.a.shape, complex)
-        self.pool = _pool_buffers(self.a)
-        self.idx, self.pooled = self.pool[1], self.pool[-1]
-        self.head = _head_buffers(self.pooled, layers.head_b)
+        channels = self.a.shape[:-1]
+        self.modulus = np.empty(self.a.shape)
+        self.idx = np.empty(channels, dtype=np.intp)
+        # Each channel's row start in a's flat order, and then its pooled
+        # entry's flat index.
+        self.starts = np.arange(0, self.a.size, self.a.shape[-1]).reshape(channels)
+        self.flat = np.empty(channels, dtype=np.intp)
+        self.pooled = np.empty(channels, dtype=complex)
+        # The pooled values are contiguous, so their float view interleaves
+        # the real and imaginary features.
         self.feat = self.pooled.view(float)
+        self.feat_col = self.feat[..., None]
+        self.logits = np.empty(channels[:-1] + layers.head_b.shape[-1:])
+        self.logits_col = self.logits[..., None]
+        # Each row's largest logit, and then its sum of exponentials.
+        self.column = np.empty(channels[:-1] + (1,))
+        self.probs = np.empty(self.logits.shape)
 
     def forward(self, windows: np.ndarray) -> np.ndarray:
-        """Class probabilities of ``windows``; every layer's output stays in
-        its buffer until the next pass."""
-        layers = self.layers
+        """Class probabilities of ``windows``."""
+        layers, a, logits, column, probs = self.layers, self.a, self.logits, self.column, self.probs
         self.y = _filter_bank(windows, layers.bank, out=self.sums)
-        _split_relu(self.y, self.bias, out=self.a)
-        _max_modulus_pool(self.a, out=self.pool)
-        return _head_forward(self.pooled, layers.head_w, layers.head_b, out=self.head)[2]
+        # Split rectifier: adding the biases ``bias_re + 1j bias_im`` is the
+        # two real adds, and one maximum on the float view rectifies both
+        # parts.
+        np.add(self.y, self.bias, out=a)
+        np.maximum(self.a_parts, 0.0, out=self.a_parts)
+        # Max-modulus pooling, the first index on ties: each pooled entry's
+        # flat index is its row's start plus its argmax.
+        np.abs(a, out=self.modulus).argmax(axis=-1, out=self.idx)
+        a.take(np.add(self.idx, self.starts, out=self.flat), out=self.pooled)
+        # Affine head and softmax. One matrix-vector product per feature
+        # vector, batched or not, so a batch rounds exactly as its rows would
+        # alone; head parameters with a leading network axis meet the
+        # network axis of the features, which sits behind a batch's axis.
+        np.matmul(layers.head_w, self.feat_col, out=self.logits_col)
+        np.add(logits, layers.head_b, out=logits)
+        np.maximum.reduce(logits, axis=-1, keepdims=True, out=column)
+        np.exp(np.subtract(logits, column, out=probs), out=probs)
+        np.divide(probs, np.add.reduce(probs, axis=-1, keepdims=True, out=column), out=probs)
+        return probs
 
 
 class _BackwardStep(_Step):
@@ -415,39 +372,21 @@ def _windows(x, params: CnnParams, ndim=(1, 2)) -> np.ndarray:
     return sliding_windows(_as_array("x", x, ndim), params.conv1.shape[-1])
 
 
-def _forward(windows: np.ndarray, params: CnnParams) -> tuple[np.ndarray, dict]:
-    """Forward pass on the windows of one signal or a batch of signals, for
-    one network or for a stack of them, whose arrays carry a leading network
-    axis (behind a batch's axes)."""
+def forward(x: np.ndarray, params: CnnParams) -> tuple[np.ndarray, dict]:
+    """Full forward pass on one signal (N,) or a batch (B, N); returns class
+    probabilities, (2,) or (B, 2), and the layer cache. A stack of networks,
+    whose arrays carry a leading network axis, adds that axis behind a
+    batch's."""
+    windows = _windows(x, params)
     step = _Step(_layers(params), windows.shape)
     probs = step.forward(windows)
     return probs, {"y": step.y, "a": step.a, "idx": step.idx, "feat": step.feat, "probs": probs}
 
 
-def forward(x: np.ndarray, params: CnnParams) -> tuple[np.ndarray, dict]:
-    """Full forward pass on one signal (N,) or a batch (B, N); returns class
-    probabilities, (2,) or (B, 2), and the layer cache."""
-    return _forward(_windows(x, params), params)
-
-
 def predict_proba(x: np.ndarray, params: CnnParams) -> np.ndarray:
     """Class probabilities of one signal (N,) -> (2,), or of a batch (B, N) -> (B, 2);
     a stack of networks adds its axis in front of the classes."""
-    return _forward(_windows(x, params), params)[0]
-
-
-def _backward(windows: np.ndarray, t: np.ndarray, params: CnnParams) -> tuple:
-    """Probabilities and gradients, keyed by field name, of one signal's
-    windows (L, K) for one network or a stack (see :func:`_forward`)."""
-    step = _BackwardStep(_layers(params), windows.shape)
-    probs = step.backward(windows, t)
-    grads = step.grads
-    conv = np.conj(step.first_grad, out=step.first_grad)
-    named = {"head_w": grads.head_w, "head_b": grads.head_b,
-             "bias_re": grads.bias.real, "bias_im": grads.bias.imag, "conv1": conv}
-    if params.conv2 is not None:
-        named["conv2"] = grads.bank[1]
-    return probs, named
+    return forward(x, params)[0]
 
 
 def backward(x: np.ndarray, t: np.ndarray, params: CnnParams) -> tuple[float, np.ndarray, dict]:
@@ -463,10 +402,17 @@ def backward(x: np.ndarray, t: np.ndarray, params: CnnParams) -> tuple[float, np
     t = _as_array("t", t, (1,), dtype=float)
     if t.shape != (2,):
         raise DimensionMismatchError(f"backward takes t of shape (2,), got {t.shape}")
-    probs, grads = _backward(_windows(x, params, (1,)), t, params)
+    windows = _windows(x, params, (1,))
+    step = _BackwardStep(_layers(params), windows.shape)
+    probs = step.backward(windows, t)
+    grads = step.grads
+    named = {"head_w": grads.head_w, "head_b": grads.head_b, "bias_re": grads.bias.real,
+             "bias_im": grads.bias.imag, "conv1": np.conj(grads.bank[0], out=grads.bank[0])}
+    if params.conv2 is not None:
+        named["conv2"] = grads.bank[1]
     with np.errstate(divide="ignore"):
         loss = float(-np.log(probs[int(t.argmax())]))
-    return loss, probs, grads
+    return loss, probs, named
 
 
 def _flat_views(buffer: np.ndarray, like: dict) -> dict:

@@ -166,7 +166,9 @@ class ExperimentSpec:
 
     def __post_init__(self):
         if self.experiment not in EXPERIMENTS:
-            raise InvalidParameterError(f"unknown experiment {self.experiment!r}")
+            raise InvalidParameterError(
+                f"unknown experiment {self.experiment!r}, not one of {', '.join(EXPERIMENTS)}"
+            )
         for key in ("rho_u", "filter_len"):
             grid = getattr(self, key)
             if isinstance(grid, (str, bytes)) or not np.iterable(grid):

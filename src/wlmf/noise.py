@@ -47,6 +47,17 @@ __all__ = [
 ]
 
 
+def _driving_noise(rho_u, sigma2_u) -> tuple[float, float]:
+    """``rho_u`` and ``sigma2_u`` of the driving noise as plain floats, with
+    ``rho_u`` in [0, 1] and ``sigma2_u`` in (0, inf)."""
+    rho_u, sigma2_u = _as_float("rho_u", rho_u), _as_float("sigma2_u", sigma2_u)
+    if not 0.0 <= rho_u <= 1.0:
+        raise InvalidImproprietyError(f"rho_u must lie in [0, 1], got {rho_u}")
+    if not 0 < sigma2_u < np.inf:
+        raise InvalidParameterError(f"sigma2_u must lie in (0, inf), got {sigma2_u}")
+    return rho_u, sigma2_u
+
+
 @dataclass(frozen=True)
 class NoiseModel:
     """Moving-average noise model driven by doubly white improper Gaussians.
@@ -74,12 +85,9 @@ class NoiseModel:
         if all(t == 0 for t in taps):
             raise InvalidParameterError("at least one tap must be nonzero")
         object.__setattr__(self, "taps", taps)
-        for name in ("rho_u", "sigma2_u"):
-            object.__setattr__(self, name, _as_float(name, getattr(self, name)))
-        if not 0.0 <= self.rho_u <= 1.0:
-            raise InvalidImproprietyError(f"rho_u must lie in [0, 1], got {self.rho_u}")
-        if not 0 < self.sigma2_u < np.inf:
-            raise InvalidParameterError(f"sigma2_u must lie in (0, inf), got {self.sigma2_u}")
+        rho_u, sigma2_u = _driving_noise(self.rho_u, self.sigma2_u)
+        object.__setattr__(self, "rho_u", rho_u)
+        object.__setattr__(self, "sigma2_u", sigma2_u)
 
 
 @dataclass(frozen=True)
@@ -195,11 +203,7 @@ def sample_improper_white(
     n = _as_int("n", n, None)
     if n <= 0:
         raise EmptyInputError(f"sample count must be positive, got {n}")
-    rho_u, sigma2_u = _as_float("rho_u", rho_u), _as_float("sigma2_u", sigma2_u)
-    if not 0.0 <= rho_u <= 1.0:
-        raise InvalidImproprietyError(f"rho_u must lie in [0, 1], got {rho_u}")
-    if not 0 < sigma2_u < np.inf:
-        raise InvalidParameterError(f"sigma2_u must lie in (0, inf), got {sigma2_u}")
+    rho_u, sigma2_u = _driving_noise(rho_u, sigma2_u)
     gen = as_generator(rng)
     u = np.empty(n, dtype=complex)
     np.multiply(gen.standard_normal(n), np.sqrt(sigma2_u * (1.0 + rho_u) / 2.0), out=u.real)

@@ -11,7 +11,6 @@ from wlmf.cnn import (
     PATTERN_TWO,
     CnnParams,
     LabeledSignal,
-    _forward,
     backward,
     forward,
     make_dataset,
@@ -65,6 +64,30 @@ def jointly_diagonalizable_pair(rng, dim):
     return CovariancePair(r=0.5 * (r + r.conj().T), c=0.5 * (c + c.T))
 
 
+def whitened_complementary(cov):
+    """The Hermitian ``R^{-1/2}``, by eigh, and the complementary covariance
+    ``K = R^{-1/2} C R^{-T/2}`` it leaves, whose singular values are the
+    circularity coefficients of the noise."""
+    lam, vecs = np.linalg.eigh(cov.r)
+    r_inv_half = (vecs / np.sqrt(lam)) @ vecs.conj().T
+    return r_inv_half, r_inv_half @ cov.c @ r_inv_half.T
+
+
+def ma_principal_cosines(taps, length):
+    """Cosines of the principal angles between ``span(Tᴴ)`` and ``span(Tᵀ)``,
+    descending, for the ``L × (L+M−1)`` Toeplitz matrix ``T`` of the M
+    moving-average ``taps`` that maps the driving samples to a newest-first
+    window, ``w = T u`` with ``T[a, a + k] = taps[k]``: the singular values
+    of ``Q1ᴴ Q2`` for orthonormal bases ``Q1`` of ``Tᴴ`` and ``Q2`` of
+    ``Tᵀ`` from their QR factorizations (Björck & Golub, 1973)."""
+    taps = np.asarray(taps, dtype=complex)
+    t = np.zeros((length, length + len(taps) - 1), dtype=complex)
+    for a in range(length):
+        t[a, a : a + len(taps)] = taps
+    q1, q2 = np.linalg.qr(t.conj().T)[0], np.linalg.qr(t.T)[0]
+    return np.linalg.svd(q1.conj().T @ q2, compute_uv=False)
+
+
 def sut_snr_gain(cols, cov):
     """Widely linear SNR surplus through the strong uncorrelating transform
     (SUT), independent of the Schur-complement map behind ``snr_gain``.
@@ -78,9 +101,7 @@ def sut_snr_gain(cols, cov):
     Im(y_i)^2``. Returns the surpluses of the columns of ``cols`` and the
     largest coefficient ``k_max``.
     """
-    lam, vecs = np.linalg.eigh(cov.r)
-    r_inv_half = (vecs / np.sqrt(lam)) @ vecs.conj().T
-    k_mat = r_inv_half @ cov.c @ r_inv_half.T
+    r_inv_half, k_mat = whitened_complementary(cov)
     factor = takagi((k_mat + k_mat.T) / 2.0)
     y = factor.q.conj().T @ (r_inv_half @ cols)
     k = factor.p[:, None]
@@ -220,7 +241,7 @@ def dense_backward(x, t, params):
     for the biases, and multiplied by the whole (K, L) window matrix for the
     taps. ``params`` may be one network or a stack."""
     windows = sliding_windows(np.asarray(x, dtype=complex), params.conv1.shape[-1])
-    probs, cache = _forward(windows, params)
+    probs, cache = forward(x, params)
     dlogits = probs - t
     grads = {"head_w": dlogits[..., None] * cache["feat"][..., None, :], "head_b": dlogits}
     dfeat = (np.swapaxes(params.head_w, -1, -2) @ dlogits[..., None])[..., 0]

@@ -2,6 +2,7 @@
 ``__all__`` lists distinct names that resolve."""
 
 import ast
+import collections
 import importlib
 import pkgutil
 import re
@@ -74,3 +75,32 @@ def test_no_module_imports_an_unused_name():
     package = Path(wlmf.__file__).resolve().parent
     unused = {path.name: unused_imports(path) for path in sorted(package.glob("*.py"))}
     assert {name: names for name, names in unused.items() if names} == {}
+
+
+def referenced_names(node):
+    """Every name and attribute name that code under ``node`` reads or writes."""
+    for child in ast.walk(node):
+        if isinstance(child, ast.Name):
+            yield child.id
+        elif isinstance(child, ast.Attribute):
+            yield child.attr
+
+
+def test_every_private_definition_has_a_caller_in_the_package():
+    """A private module-level function or class is referenced somewhere in
+    the package outside its own definition: code whose only caller is a test
+    is deleted, not kept for the test."""
+    package = Path(wlmf.__file__).resolve().parent
+    references, private = collections.Counter(), []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        references.update(referenced_names(tree))
+        private += [
+            (path.name, node) for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name.startswith("_") and not node.name.startswith("__")
+        ]
+    assert private
+    uncalled = [f"{module}:{node.name}" for module, node in private
+                if references[node.name] == list(referenced_names(node)).count(node.name)]
+    assert uncalled == []

@@ -17,9 +17,6 @@ from wlmf import (
 )
 from wlmf.cnn import (
     _first_sustained,
-    _head_forward,
-    _max_modulus_pool,
-    _split_relu,
     backward,
     forward,
     init_params,
@@ -126,58 +123,89 @@ def test_conv_channels_are_matched_filters(mode):
             assert np.array_equal(out[index][c], single)
 
 
+def _unit_tap_params(conv1, bias_re=None, bias_im=None, head_b=None):
+    """A strictly linear network of one-tap channels ``conv1`` (C,), so that
+    channel c's pre-activation is ``conj(conv1[c])`` times the input, exactly;
+    with unit taps its activations ``a`` are the rectified input. Biases and
+    the head bias default to zero, the head weights are zero."""
+    channels = len(conv1)
+    return cnn.CnnParams(
+        conv1=np.asarray(conv1, dtype=complex)[:, None],
+        conv2=None,
+        bias_re=np.zeros(channels) if bias_re is None else np.asarray(bias_re, dtype=float),
+        bias_im=np.zeros(channels) if bias_im is None else np.asarray(bias_im, dtype=float),
+        head_w=np.zeros((2, 2 * channels)),
+        head_b=np.zeros(2) if head_b is None else np.asarray(head_b, dtype=float),
+    )
+
+
 def test_split_relu_examples():
-    """The biases come interleaved, ``bias_re + 1j bias_im``, one per channel."""
-    out = _split_relu(np.array([[1.0 + 1.0j]]), np.zeros((1, 1), dtype=complex))
-    assert out[0, 0] == 1.0 + 1.0j
-    out = _split_relu(np.array([[-1.0 - 1.0j]]), np.zeros((1, 1), dtype=complex))
-    assert out[0, 0] == 0.0
-    out = _split_relu(np.array([[-0.5 + 0.5j]]), np.array([[1.0 - 1.0j]]))
-    assert out[0, 0] == 0.5 + 0.0j
+    """The rectifier adds each channel's real biases to the real and
+    imaginary parts and rectifies each part alone; a rectified part is +0."""
+    x = np.array([1.0 + 1.0j, -1.0 - 1.0j, -0.5 + 0.5j])
+    a = forward(x, _unit_tap_params([1.0, 1.0, 1.0]))[1]["a"]
+    assert np.array_equal(a, np.tile([1.0 + 1.0j, 0.0, 0.5j], (3, 1)))
+    a = forward(x, _unit_tap_params([1.0, 1.0, 1.0], [0.0, 0.0, 1.0], [0.0, 0.0, -1.0]))[1]["a"]
+    assert np.array_equal(a[2], [2.0, 0.0, 0.5])
+    zeros = a.view(float) == 0.0
+    assert np.any(zeros) and not np.any(np.signbit(a.view(float))[zeros])
 
 
 def test_max_modulus_pool_examples():
-    pooled, idx = _max_modulus_pool(np.array([[1.0, 3.0j, -2.0]]))
-    assert pooled[0] == 3.0j
-    assert idx[0] == 1
-    pooled, idx = _max_modulus_pool(np.full((1, 4), 2.0 - 1.0j))
-    assert idx[0] == 0
-    extended, idx_ext = _max_modulus_pool(np.array([[1.0, 3.0j, -2.0, 0.5]]))
-    assert extended[0] == 3.0j and idx_ext[0] == 1
-    _, idx_scaled = _max_modulus_pool(2.0 * np.array([[1.0, 3.0j, -2.0]]))
-    assert np.array_equal(idx_scaled, idx_ext[:1])
+    """Each channel keeps its largest-modulus activation, the first index on
+    ties, and the choice does not change when the activations are scaled:
+    here channels 1 and 2 carry channel 0's activations times 2 and 0.5."""
+    params = _unit_tap_params([1.0, 2.0, 0.5])
+    for x, want_idx in (([1.0, 3.0j, 2.0], 1), (np.full(4, 2.0 + 1.0j), 0),
+                        ([1.0, 3.0j, 2.0, 0.5], 1)):
+        _, cache = forward(np.asarray(x, dtype=complex), params)
+        assert np.array_equal(cache["idx"], [want_idx] * 3)
+        pooled = cache["feat"].view(complex)
+        assert np.array_equal(pooled, cache["a"][:, want_idx])
+    assert np.array_equal(pooled, [3.0j, 6.0j, 1.5j])
 
 
 def test_max_modulus_pool_on_a_stack():
-    """A (B, C, K) stack pools like np.argmax and take_along_axis row by row:
-    the first index on ties, the same shapes and dtypes."""
+    """A (B, C, K) batch, and a (B, networks, C, K) stack of networks on it,
+    pool like np.argmax and take_along_axis row by row: the first index on
+    ties, the same shapes and dtypes."""
     rng = np.random.default_rng(81)
-    a = rng.standard_normal((4, 3, 6)) + 1j * rng.standard_normal((4, 3, 6))
-    a[0, 1] = 2.0 - 1.0j
-    a[1, 0, [1, 4]] = 5.0
-    a[2, 2, [2, 5]] = [3.0j, -3.0]
-    a[3, 0] = 0.0
-    for stack in (a, a.transpose(1, 0, 2), a[..., ::-1], a[1, 2]):
-        pooled, idx = _max_modulus_pool(stack)
-        rows = stack.reshape(-1, stack.shape[-1])
-        want_idx = np.array([np.argmax(np.abs(row)) for row in rows]).reshape(stack.shape[:-1])
-        want = np.take_along_axis(stack, want_idx[..., None], axis=-1)[..., 0]
+    x = 0.3 * (rng.standard_normal((4, 6)) + 1j * rng.standard_normal((4, 6)))
+    x[0] = 2.0 - 1.0j
+    x[1, [1, 4]] = 5.0
+    x[2, [2, 5]] = [3.0j, 3.0]
+    x[3] = 0.0
+    net = _unit_tap_params(np.exp(1j * np.array([0.0, 2.0, 4.0])))
+    other = _unit_tap_params(np.exp(1j * np.array([1.0, 3.0, 5.0])))
+    other.conv2 = 0.5j * other.conv1
+    for params in (net, _stack(net, other)):
+        _, cache = forward(x, params)
+        a, idx, pooled = cache["a"], cache["idx"], cache["feat"].view(complex)
+        rows = a.reshape(-1, a.shape[-1])
+        want_idx = np.array([np.argmax(np.abs(row)) for row in rows]).reshape(a.shape[:-1])
+        want = np.take_along_axis(a, want_idx[..., None], axis=-1)[..., 0]
         assert idx.shape == want_idx.shape and idx.dtype == want_idx.dtype
         assert pooled.shape == want.shape and pooled.dtype == want.dtype
         assert np.array_equal(idx, want_idx)
         assert np.array_equal(pooled, want)
-    _, idx = _max_modulus_pool(a)
-    assert idx[0, 1] == 0 and idx[1, 0] == 1 and idx[2, 2] == 2 and idx[3, 0] == 0
+        # Channel 0 of the first network has unit taps.
+        first = idx[:, 0, 0] if idx.ndim == 3 else idx[:, 0]
+        assert np.array_equal(first, [0, 1, 2, 0])
+        assert np.all(idx[3] == 0)
 
 
 def test_head_forward_examples():
-    pooled = np.array([0.2 + 0.1j, -0.4 + 0.5j, 0.0 + 1.0j])
-    feat, logits, probs = _head_forward(pooled, np.zeros((2, 6)), np.zeros(2))
-    assert np.array_equal(feat, [0.2, 0.1, -0.4, 0.5, 0.0, 1.0])
+    """The head reads the pooled values as interleaved real and imaginary
+    features; its softmax stays finite at logits of +-1000."""
+    pooled = np.array([0.2 + 0.1j, 0.4 + 0.5j, 0.0 + 1.0j])
+    # One sample, one window: each channel's activation is its conjugated tap.
+    x = np.ones(1, dtype=complex)
+    probs, cache = forward(x, _unit_tap_params(np.conj(pooled)))
+    assert np.array_equal(cache["feat"], [0.2, 0.1, 0.4, 0.5, 0.0, 1.0])
     assert np.allclose(probs, [0.5, 0.5], atol=1e-15)
-    _, _, probs = _head_forward(pooled, np.zeros((2, 6)), np.array([10.0, -10.0]))
+    probs = forward(x, _unit_tap_params(np.conj(pooled), head_b=[10.0, -10.0]))[0]
     assert abs(probs[0] - 1.0) <= 1e-8 and probs[1] <= 1e-8
-    _, _, probs = _head_forward(pooled, np.zeros((2, 6)), np.array([1000.0, -1000.0]))
+    probs = forward(x, _unit_tap_params(np.conj(pooled), head_b=[1000.0, -1000.0]))[0]
     assert np.all(np.isfinite(probs))
     assert abs(np.sum(probs) - 1.0) <= 1e-12
 
@@ -278,10 +306,15 @@ def _backward_cases(filter_len, count, ties=False):
 
 def _gradients(kind, x, t, params):
     """Public ``backward``'s gradients, or for a stack those of the
-    backward pass ``train`` runs."""
-    if kind == "stack":
-        return cnn._backward(cnn._windows(x, params), t, params)[1]
-    return backward(x, t, params)[2]
+    backward step ``train`` runs, named as ``backward`` names them."""
+    if kind != "stack":
+        return backward(x, t, params)[2]
+    windows = cnn._windows(x, params)
+    step = cnn._BackwardStep(cnn._layers(params), windows.shape)
+    step.backward(windows, t)
+    grads = step.grads
+    return {"head_w": grads.head_w, "head_b": grads.head_b, "bias_re": grads.bias.real,
+            "bias_im": grads.bias.imag, "conv1": np.conj(grads.bank[0]), "conv2": grads.bank[1]}
 
 
 def test_backward_is_the_dense_backward_bit_for_bit():

@@ -738,6 +738,25 @@ def test_cli_missing_experiment(capsys):
     assert payload["error"] == "ValueError"
 
 
+def test_cli_unknown_experiment_or_mode_is_one_spec_error(tmp_path, capsys):
+    """An unknown experiment or mode fails in ``ExperimentSpec`` alike as a
+    flag or a config line: one JSON line on stderr and exit 1, the message
+    naming the valid experiments."""
+    config = tmp_path / "bad.cfg"
+    for settings, named in (({"experiment": "nosuch"}, "cnn-train"),
+                            ({"experiment": "gain-surface", "mode": "nosuch"}, "empirical")):
+        config.write_text("".join(f"{key} = {value}\n" for key, value in settings.items()))
+        flags = [arg for key, value in settings.items() for arg in (f"--{key}", value)]
+        for argv in (flags, ["--config", str(config)]):
+            assert cli.main(argv + ["--out-dir", str(tmp_path / "never")]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == "" and len(captured.err.splitlines()) == 1
+            payload = json.loads(captured.err)
+            assert payload["error"] == "InvalidParameterError"
+            assert "nosuch" in payload["message"] and named in payload["message"]
+    assert not (tmp_path / "never").exists()
+
+
 def test_gain_surface_empirical_parallel_determinism(tmp_path, capsys):
     args = [
         "--experiment",

@@ -26,6 +26,8 @@ from wlmf import (
 )
 from wlmf.noise import NoiseModel
 
+from helpers import ma_principal_cosines, whitened_complementary
+
 
 def test_model_validation():
     with pytest.raises(InvalidImproprietyError):
@@ -254,3 +256,34 @@ def test_empirical_convergence_ladder():
                 np.max(np.abs(est.r - ref.r)), np.max(np.abs(est.c - ref.c))
             )
     assert errors[0] > errors[1] > errors[2]
+
+
+# The demo's taps, a complex and a random complex set, and a real set.
+SUT_TAP_SETS = {
+    "demo": (0.9, -0.1j),
+    "complex-3": (1.0, 0.3 + 0.4j, -0.2j),
+    "random-4": tuple([1.0, 1.0j] @ np.random.default_rng(86).standard_normal((2, 4))),
+    "real-3": (1.0, 0.5, 0.25),
+}
+
+
+@pytest.mark.parametrize("name", SUT_TAP_SETS)
+def test_sut_spectrum_of_ma_noise_in_closed_form(name):
+    """For moving-average noise ``w = T u`` driven by doubly white noise of
+    impropriety ``rho_u``, ``R = sigma2_u T Tᴴ`` and ``C = rho_u sigma2_u T
+    Tᵀ``, so the circularity coefficients, the singular values of ``R^{-1/2}
+    C R^{-T/2}``, are ``rho_u cos θᵢ`` for the principal angles ``θᵢ``
+    between ``span(Tᴴ)`` and ``span(Tᵀ)``. The two spans share at least
+    ``L − M + 1`` dimensions, so at least that many coefficients equal
+    ``rho_u``; for real taps they coincide and all of them do."""
+    taps = SUT_TAP_SETS[name]
+    for length in (4, 6, 9):
+        cosines = ma_principal_cosines(taps, length)
+        for rho_u in (0.3, 0.8):
+            cov = analytic_covariances(NoiseModel(taps=taps, rho_u=rho_u), length)
+            k = np.linalg.svd(whitened_complementary(cov)[1], compute_uv=False)
+            bound = 32 * np.finfo(float).eps * np.linalg.cond(cov.r)
+            assert np.max(np.abs(k - rho_u * cosines)) <= bound, (length, rho_u)
+            at_rho_u = int(np.sum(np.abs(k - rho_u) <= bound))
+            assert at_rho_u >= length - len(taps) + 1, (length, rho_u)
+            assert at_rho_u == length or np.iscomplexobj(np.array(taps)), (length, rho_u)
