@@ -231,10 +231,10 @@ def init_params(config: CnnConfig, rng: np.random.Generator | int | None = None)
 @dataclass
 class _Layers:
     """A network, or a stack of them behind a leading network axis, in the
-    layout the step reads: ``bank`` (branches, ..., C, L) holds ``conj(conv1)``
-    and, in widely linear mode, ``conv2``, so one contraction convolves both
-    branches (see :func:`wlmf.filters._filter_bank`); ``bias`` (..., C)
-    interleaves the real biases as ``bias_re + 1j bias_im``."""
+    layout the step reads: ``bank`` (2, ..., C, L) holds ``conj(conv1)`` and
+    ``conv2``, zero for a strictly linear network, so one contraction
+    convolves both branches (see :func:`wlmf.filters._filter_bank`); ``bias``
+    (..., C) interleaves the real biases as ``bias_re + 1j bias_im``."""
 
     bank: np.ndarray
     bias: np.ndarray
@@ -242,16 +242,34 @@ class _Layers:
     head_b: np.ndarray
 
 
-def _layers(params: CnnParams) -> _Layers:
-    """``params`` in the step's layout, as new arrays but for the head."""
-    branches = 1 if params.conv2 is None else 2
-    bank = np.empty((branches,) + np.shape(params.conv1), dtype=complex)
-    np.conj(params.conv1, out=bank[0])
+def _as_shaped(name: str, value, shape: tuple, finite: bool, dtype=float) -> np.ndarray:
+    """``value`` under the array rule, of exactly ``shape``."""
+    array = _as_array(name, value, None, finite, dtype)
+    if array.shape != shape:
+        raise DimensionMismatchError(f"{name} must have shape {shape}, got {array.shape}")
+    return array
+
+
+def _layers(params: CnnParams, finite: bool = True) -> _Layers:
+    """``params`` in the step's layout, as new arrays but for the head.
+
+    Every array follows the array rule of :mod:`wlmf.errors`, the biases and
+    the head real ones, and is finite unless ``finite`` is False. ``conv1``
+    is (C, L), or (networks, C, L) for a stack, and the others carry the
+    same network axis and fit its C channels: ``conv2`` (C, L), the biases
+    (C,), ``head_w`` (2, 2C) and ``head_b`` (2,); another shape raises
+    ``DimensionMismatchError``."""
+    conv1 = _as_array("conv1", params.conv1, (2, 3), finite)
+    nets, channels = conv1.shape[:-2], conv1.shape[-2]
+    bank = np.zeros((2,) + conv1.shape, dtype=complex)
+    np.conj(conv1, out=bank[0])
     if params.conv2 is not None:
-        bank[1] = params.conv2
-    bias = np.empty(np.shape(params.bias_re), dtype=complex)
-    bias.real, bias.imag = params.bias_re, params.bias_im
-    return _Layers(bank, bias, np.asarray(params.head_w), np.asarray(params.head_b))
+        bank[1] = _as_shaped("conv2", params.conv2, conv1.shape, finite, complex)
+    bias = np.empty(nets + (channels,), dtype=complex)
+    bias.real = _as_shaped("bias_re", params.bias_re, bias.shape, finite)
+    bias.imag = _as_shaped("bias_im", params.bias_im, bias.shape, finite)
+    head_w = _as_shaped("head_w", params.head_w, nets + (2, 2 * channels), finite)
+    return _Layers(bank, bias, head_w, _as_shaped("head_b", params.head_b, nets + (2,), finite))
 
 
 class _Step:
@@ -340,9 +358,8 @@ class _BackwardStep(_Step):
         self.gate_parts = self.gate.view(float)
         self.gate_col = self.gate[..., None]
         self.tap_gate = np.empty(self.gate_col.shape, dtype=complex)
-        # The pooled windows, and for a conjugate branch their conjugates.
+        # The pooled windows, and for the conjugate branch their conjugates.
         self.pooled_windows = np.empty(bank.shape, dtype=complex)
-        self.conj_windows = self.pooled_windows[1] if len(bank) == 2 else None
         self.first_grad = self.grads.bank[0]
 
     def backward(self, windows: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -360,16 +377,15 @@ class _BackwardStep(_Step):
         np.add(self.gate, 0.0, out=grads.bias)
         tap_gate, pooled = np.conj(self.gate_col, out=self.tap_gate), self.pooled_windows
         windows.T.take(self.idx, axis=0, out=pooled[0])
-        if self.conj_windows is not None:
-            np.conj(pooled[0], out=self.conj_windows)
+        np.conj(pooled[0], out=pooled[1])
         np.multiply(tap_gate, pooled, out=grads.bank)
         np.conj(self.first_grad, out=self.first_grad)
         return probs
 
 
-def _windows(x, params: CnnParams, ndim=(1, 2)) -> np.ndarray:
+def _windows(x, layers: _Layers, ndim=(1, 2)) -> np.ndarray:
     """Newest-first windows of one signal (L, K) or of a batch (B, L, K)."""
-    return sliding_windows(_as_array("x", x, ndim), params.conv1.shape[-1])
+    return sliding_windows(_as_array("x", x, ndim), layers.bank.shape[-1])
 
 
 def forward(x: np.ndarray, params: CnnParams) -> tuple[np.ndarray, dict]:
@@ -377,8 +393,9 @@ def forward(x: np.ndarray, params: CnnParams) -> tuple[np.ndarray, dict]:
     probabilities, (2,) or (B, 2), and the layer cache. A stack of networks,
     whose arrays carry a leading network axis, adds that axis behind a
     batch's."""
-    windows = _windows(x, params)
-    step = _Step(_layers(params), windows.shape)
+    layers = _layers(params)
+    windows = _windows(x, layers)
+    step = _Step(layers, windows.shape)
     probs = step.forward(windows)
     return probs, {"y": step.y, "a": step.a, "idx": step.idx, "feat": step.feat, "probs": probs}
 
@@ -402,8 +419,9 @@ def backward(x: np.ndarray, t: np.ndarray, params: CnnParams) -> tuple[float, np
     t = _as_array("t", t, (1,), dtype=float)
     if t.shape != (2,):
         raise DimensionMismatchError(f"backward takes t of shape (2,), got {t.shape}")
-    windows = _windows(x, params, (1,))
-    step = _BackwardStep(_layers(params), windows.shape)
+    layers = _layers(params)
+    windows = _windows(x, layers, (1,))
+    step = _BackwardStep(layers, windows.shape)
     probs = step.backward(windows, t)
     grads = step.grads
     named = {"head_w": grads.head_w, "head_b": grads.head_b, "bias_re": grads.bias.real,
@@ -493,14 +511,13 @@ def train(
     holdout_x, holdout_labels, _ = _draw_signals(
         config.holdout_size, derive_rng(seed, 2), config.input_len
     )
-    nets = [init_params(c, derive_rng(seed, 1)) for c in configs]
-    # The strictly linear network is the widely linear one with a conjugate
-    # branch held at exactly +0, which leaves its responses bit-identical.
-    nets[0].conv2 = np.zeros_like(nets[0].conv1)
-    names = [f.name for f in fields(CnnParams)]
-    packed = vars(_layers(CnnParams(**{
-        name: np.stack([getattr(net, name) for net in nets]) for name in names
-    })))
+    # The strictly linear network's layers carry a conjugate branch of
+    # exactly +0, which leaves its responses bit-identical; each network's
+    # layers stack on a network axis, behind the bank's branch axis. A
+    # non-finite parameter is left to the divergence check of the first step.
+    nets = [vars(_layers(init_params(c, derive_rng(seed, 1)), finite=False)) for c in configs]
+    packed = {name: np.stack([net[name] for net in nets], axis=int(name == "bank"))
+              for name in nets[0]}
     # On a complex field the buffer's update is the complex update, bit for
     # bit: lr * (re + 1j im) is (lr * re, lr * im) up to the sign of a zero,
     # and p - (+0) == p - (-0) for every parameter p, none being -0. The
@@ -512,9 +529,10 @@ def train(
     bank = layers.bank
     params = CnnParams(bank[0], bank[1], layers.bias.real, layers.bias.imag,
                        layers.head_w, layers.head_b)
+    names = [f.name for f in fields(CnnParams)]
     views = [CnnParams(**{name: getattr(params, name)[i] for name in names}) for i in range(2)]
     views[0].conv2 = None
-    windows = _windows(stream_x, params)
+    windows = _windows(stream_x, layers)
     targets = np.eye(2)[stream_labels]
     step = _BackwardStep(layers, windows.shape[1:], _Layers(**_flat_views(grad_flat, packed)))
     held_branch = step.grads.bank[1, 0]

@@ -218,8 +218,8 @@ def snr_gain(x: np.ndarray, cov: CovariancePair):
 def apply_filter_sequence(
     sequence: np.ndarray, f: np.ndarray, f_conj: np.ndarray | None = None
 ) -> np.ndarray:
-    """Run taps ``f``, and a conjugate branch ``f_conj`` unless None, along a
-    sequence: one output ``f^H w + f_conj^H conj(w)`` per full window ``w``.
+    """Run taps ``f`` and conjugate-branch taps ``f_conj``, zero when None, along
+    a sequence: one output ``f^H w + f_conj^H conj(w)`` per full window ``w``.
 
     Output ``k`` (0-based) is the response to the newest-first window ending
     at sample ``k + L - 1``, so a sequence of N samples yields N - L + 1
@@ -231,34 +231,24 @@ def apply_filter_sequence(
     alone. The sequence and taps follow the array rule of
     :mod:`wlmf.errors`, and 0-d taps raise ``DimensionMismatchError``.
     """
-    sequence = _as_array("sequence", sequence, None)
-    taps = [_as_array("taps", t, None) for t in ((f,) if f_conj is None else (f, f_conj))]
-    if taps[0].ndim == 0 or taps[-1].shape != taps[0].shape:
+    f = _as_array("taps", f, None)
+    f_conj = np.zeros_like(f) if f_conj is None else _as_array("taps", f_conj, None)
+    if f.ndim == 0 or f_conj.shape != f.shape:
         raise DimensionMismatchError("taps must be at least 1-D, and f_conj of the shape of f")
-    return _filter_windows(sliding_windows(sequence, taps[0].shape[-1]), *taps)
-
-
-def _filter_windows(
-    windows: np.ndarray, f: np.ndarray, f_conj: np.ndarray | None = None
-) -> np.ndarray:
-    """Responses of every filter of ``f`` (..., L), with a conjugate branch
-    ``f_conj`` of the same shape unless None, to every window of ``windows``
-    (..., L, K): :func:`_filter_bank` on the bank of ``conj(f)`` and
-    ``f_conj``."""
-    return _filter_bank(windows, np.stack([np.conj(f), *(() if f_conj is None else (f_conj,))]))
+    return _filter_bank(sliding_windows(sequence, f.shape[-1]), np.stack([np.conj(f), f_conj]))
 
 
 def _filter_bank(windows: np.ndarray, bank: np.ndarray, out: np.ndarray | None = None):
     """Responses of every filter of a bank to every window of ``windows``
     (..., L, K), of shape ``windows.shape[:-2] + bank.shape[1:-1] + (K,)``.
 
-    ``bank`` (branches, ..., L) holds the conjugated taps ``conj(f)`` and,
-    as a second branch, the conjugate-branch taps ``f_conj``; the response
-    ``f^H w + f_conj^H conj(w)`` is ``r0 + conj(r1)`` for the two branches'
-    plain sums ``r = bank . w``, and a zero second branch leaves it
-    bit-identical. On one sequence's windows the branches' sums land in
-    ``out`` (branches, *response shape*) when it is given, and the response
-    in ``out[0]``, so a caller that owns ``out`` allocates nothing.
+    ``bank`` (2, ..., L) holds two branches: the conjugated taps ``conj(f)``
+    and the conjugate-branch taps ``f_conj``, zero for a strictly linear
+    filter. The response ``f^H w + f_conj^H conj(w)`` is ``r0 + conj(r1)``
+    for the two branches' plain sums ``r = bank . w``. On one sequence's
+    windows the branches' sums land in ``out`` (2, *response shape*) when it
+    is given, and the response in ``out[0]``, so a caller that owns ``out``
+    allocates nothing.
 
     One sequence's windows (L, K) are contracted in place; the windows of
     several sequences are folded into one contiguous (L, B, K) block that
@@ -276,18 +266,16 @@ def _filter_bank(windows: np.ndarray, bank: np.ndarray, out: np.ndarray | None =
         folded = np.ascontiguousarray(np.moveaxis(windows.reshape(-1, length, count), 1, 0))
         sums = np.einsum("cl,lbk->bck", bank.reshape(-1, length), folded).reshape(shape)
         sums = np.moveaxis(sums, windows.ndim - 2, 0)
-    if len(sums) == 2:
-        # conj(f2ᵀ w) and conj(f2)ᵀ conj(w) differ at most in the sign of an
-        # exactly zero imaginary part, and einsum sums from +0, so adding the
-        # strictly linear part, which is never -0, makes the two sums
-        # bit-identical; for the same reason, adding a zero branch's ±0
-        # changes nothing.
-        # Without ``out`` the response is a new array, so it does not keep
-        # the second branch's sums alive.
-        y, conj_sums = sums
-        np.conj(conj_sums, out=conj_sums)
-        return np.add(y, conj_sums, out=None if out is None else y)
-    return sums[0]
+    # conj(f2ᵀ w) and conj(f2)ᵀ conj(w) differ at most in the sign of an
+    # exactly zero imaginary part, and einsum sums from +0, so adding the
+    # strictly linear part, which is never -0, makes the two sums
+    # bit-identical; for the same reason, adding a zero branch's ±0 changes
+    # nothing.
+    # Without ``out`` the response is a new array, so it does not keep the
+    # second branch's sums alive.
+    y, conj_sums = sums
+    np.conj(conj_sums, out=conj_sums)
+    return np.add(y, conj_sums, out=None if out is None else y)
 
 
 def template_to_feature(template: np.ndarray) -> np.ndarray:

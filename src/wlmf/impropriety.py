@@ -74,8 +74,8 @@ _RHO_SLACK = 1e-6
 @dataclass(frozen=True)
 class AutDecomposition:
     """Approximate joint diagonalization of a covariance pair. The arrays
-    :func:`aut_decompose` returns, and the cached map of
-    :func:`approx_snr_gain`, are read-only.
+    :func:`aut_decompose` returns, the cached quotients :attr:`rho` and the
+    cached map of :func:`approx_snr_gain` are read-only.
 
     Attributes
     ----------
@@ -107,10 +107,38 @@ class AutDecomposition:
         return self.q.shape[0]
 
     @cached_property
+    def rho(self) -> np.ndarray:
+        """Circularity quotients ``lambda_c / lambda_r``, kept strictly below
+        one, read-only. Computed on first access and cached, so a clamped
+        quotient logs once per decomposition; a quotient at or past one
+        raises ``SingularAtOneError`` on every access."""
+        rho = self.lambda_c / self.lambda_r
+        index = int(np.argmax(rho)) if rho.size else 0
+        worst = float(rho[index]) if rho.size else 0.0
+        if worst >= 1.0 + _RHO_SLACK:
+            raise SingularAtOneError(
+                f"component {index}: rank-paired circularity quotient {worst:.6f} >= 1 "
+                "(the Takagi value of C over the eigenvalue of R of equal rank) makes "
+                "the AUT gain expansion singular; the AUT basis leaves off-diagonal "
+                f"residual {self.offdiag_residual:.3f} in Q^H R Q, so this pairing is "
+                "inexact; the largest noise-power quotient p_i / (Q^H R Q)_ii is "
+                f"{np.max(self.lambda_c / self.noise_power):.6f}, and the exact surplus "
+                "snr_gain is still defined for the pair"
+            )
+        if worst > _RHO_CEILING:
+            logger.warning(
+                "clamping circularity quotient %.12f to %.12f (finite-sample excursion)",
+                worst,
+                _RHO_CEILING,
+            )
+            rho = np.minimum(rho, _RHO_CEILING)
+        return _read_only(np.maximum(rho, 0.0))
+
+    @cached_property
     def _approx_map(self) -> np.ndarray:
         """The real map of :func:`approx_snr_gain`, built on first access and
-        cached, so a clamped quotient logs once per decomposition."""
-        rho = _clamped_rho(self)
+        cached."""
+        rho = self.rho
         weights = np.concatenate([(1.0 - rho) / (1.0 + rho), (1.0 + rho) / (1.0 - rho)])
         scale = np.sqrt(weights / np.tile(self.lambda_r, 2))
         # Fortran order, the layout of the transposed Q parts: a one-window
@@ -165,31 +193,6 @@ def rotated_input(aut: AutDecomposition, x: np.ndarray) -> np.ndarray:
     return rotated[:, 0] if was_vector else rotated
 
 
-def _clamped_rho(aut: AutDecomposition) -> np.ndarray:
-    """Circularity quotients ``p_i / lambda_i`` kept strictly below one."""
-    rho = aut.lambda_c / aut.lambda_r
-    index = int(np.argmax(rho)) if rho.size else 0
-    worst = float(rho[index]) if rho.size else 0.0
-    if worst >= 1.0 + _RHO_SLACK:
-        raise SingularAtOneError(
-            f"component {index}: rank-paired circularity quotient {worst:.6f} >= 1 "
-            "(the Takagi value of C over the eigenvalue of R of equal rank) makes "
-            "the AUT gain expansion singular; the AUT basis leaves off-diagonal "
-            f"residual {aut.offdiag_residual:.3f} in Q^H R Q, so this pairing is "
-            "inexact; the largest noise-power quotient p_i / (Q^H R Q)_ii is "
-            f"{np.max(aut.lambda_c / aut.noise_power):.6f}, and the exact surplus "
-            "snr_gain is still defined for the pair"
-        )
-    if worst > _RHO_CEILING:
-        logger.warning(
-            "clamping circularity quotient %.12f to %.12f (finite-sample excursion)",
-            worst,
-            _RHO_CEILING,
-        )
-        rho = np.minimum(rho, _RHO_CEILING)
-    return np.maximum(rho, 0.0)
-
-
 def impropriety_profile(aut: AutDecomposition, rotated: np.ndarray) -> ImproprietyProfile:
     """Circularity measures of one already-rotated input (see rotated_input).
 
@@ -202,7 +205,7 @@ def impropriety_profile(aut: AutDecomposition, rotated: np.ndarray) -> Improprie
     power = np.abs(xt) ** 2
     zero = power == 0.0
     eps = np.where(zero, 0.0, np.real(xt * xt) / np.where(zero, 1.0, power))
-    return ImproprietyProfile(epsilon=eps, rho=_clamped_rho(aut), zero_mask=zero)
+    return ImproprietyProfile(epsilon=eps, rho=aut.rho, zero_mask=zero)
 
 
 def g_of_rho(rho, epsilon):
@@ -312,7 +315,7 @@ def design_matched_sequence(
     The bound condition fixes only these phases and leaves the magnitudes
     free: they are absolute values of standard normal draws from ``rng``.
     """
-    rho = _clamped_rho(aut)
+    rho = aut.rho
     eps_target = 2.0 * rho / (1.0 + rho**2)
     magnitudes = np.abs(as_generator(rng).standard_normal(aut.dim))
     theta = 0.5 * np.arccos(eps_target)

@@ -267,9 +267,10 @@ def sliding_windows(sequence: np.ndarray, window_len: int) -> np.ndarray:
     Column ``k`` is the window ending at sample ``k + window_len - 1``
     (0-based), i.e. positions L..N in 1-based terms, K = N - L + 1 columns.
     A stack of sequences, shape ``(..., N)``, gives one such matrix per
-    sequence, shape ``(..., L, K)``.
+    sequence, shape ``(..., L, K)``. The sequence follows the array rule of
+    :mod:`wlmf.errors`, so the windows are complex.
     """
-    sequence = np.asarray(sequence)
+    sequence = _as_array("sequence", sequence, None)
     window_len = _as_int("window_len", window_len, None)
     if window_len < 1:
         raise EmptyInputError(f"window_len must be >= 1, got {window_len}")

@@ -23,7 +23,6 @@ from wlmf import (
 )
 from wlmf.filters import _BLOCK_WIDTH
 from wlmf.linalg import _blas_threads
-from wlmf.impropriety import _clamped_rho
 
 WIDTH = _BLOCK_WIDTH
 
@@ -47,7 +46,7 @@ def gain_real_map(cov):
 
 
 def approx_real_map(aut):
-    rho = _clamped_rho(aut)
+    rho = aut.rho
     qr, qi = aut.q.real.T, aut.q.imag.T
     weights = np.concatenate([(1.0 - rho) / (1.0 + rho), (1.0 + rho) / (1.0 - rho)])
     scale = np.sqrt(weights / np.tile(aut.lambda_r, 2))

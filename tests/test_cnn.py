@@ -10,6 +10,7 @@ from wlmf import (
     DimensionMismatchError,
     DivergenceDetectedError,
     InvalidParameterError,
+    NonFiniteInputError,
     WlmfError,
     derive_rng,
     predict_proba,
@@ -23,6 +24,7 @@ from wlmf.cnn import (
     make_dataset,
 )
 from wlmf.filters import apply_filter_sequence
+from wlmf.noise import sliding_windows
 
 from helpers import (
     dense_backward,
@@ -74,6 +76,9 @@ def test_dataset_matches_per_sample_reference(count, input_len):
 
 
 def test_conv_wl_zero_branch_matches_sl():
+    """A zero conjugate branch, and a strictly linear network's missing one,
+    give the plain contraction of ``conj(conv1)`` with the windows bit for
+    bit, signs of zeros included."""
     rng = np.random.default_rng(72)
     config = CnnConfig(mode="wl")
     params_wl = random_cnn_params(rng, config)
@@ -81,7 +86,11 @@ def test_conv_wl_zero_branch_matches_sl():
     params_sl = copy.deepcopy(params_wl)
     params_sl.conv2 = None
     x = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-    assert np.array_equal(forward(x, params_wl)[1]["y"], forward(x, params_sl)[1]["y"])
+    windows = sliding_windows(x, config.filter_len)
+    want = np.einsum("cl,lk->ck", np.conj(params_wl.conv1), windows).view(float)
+    for params in (params_wl, params_sl):
+        got = forward(x, params)[1]["y"].view(float)
+        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_conv_single_tap_reproduces_input():
@@ -309,8 +318,9 @@ def _gradients(kind, x, t, params):
     backward step ``train`` runs, named as ``backward`` names them."""
     if kind != "stack":
         return backward(x, t, params)[2]
-    windows = cnn._windows(x, params)
-    step = cnn._BackwardStep(cnn._layers(params), windows.shape)
+    layers = cnn._layers(params)
+    windows = cnn._windows(x, layers)
+    step = cnn._BackwardStep(layers, windows.shape)
     step.backward(windows, t)
     grads = step.grads
     return {"head_w": grads.head_w, "head_b": grads.head_b, "bias_re": grads.bias.real,
@@ -618,3 +628,45 @@ def test_backward_rejects_bad_shapes():
                       (batch[0], t[None, :]), (batch[0, 0], t)):
         with pytest.raises(DimensionMismatchError):
             backward(x, target, params)
+
+
+def _stacked_head_b(params):
+    """A two-network stack whose head biases lack the network axis."""
+    stack = cnn.CnnParams(**{name: np.stack([v, v]) for name, v in vars(params).items()})
+    stack.head_b = params.head_b
+    return stack
+
+
+MALFORMED_PARAMS = {
+    "conv1-nan": (NonFiniteInputError, lambda p: p.conv1.__setitem__((0, 0), np.nan)),
+    "conv1-1d": (DimensionMismatchError, lambda p: setattr(p, "conv1", p.conv1[0])),
+    "conv1-strings": (InvalidParameterError, lambda p: setattr(p, "conv1", p.conv1.astype(str))),
+    "conv2-short": (DimensionMismatchError, lambda p: setattr(p, "conv2", p.conv2[:2])),
+    "conv2-inf": (NonFiniteInputError, lambda p: p.conv2.__setitem__((1, 0), np.inf)),
+    "bias_re-short": (DimensionMismatchError, lambda p: setattr(p, "bias_re", p.bias_re[:2])),
+    "bias_im-complex": (InvalidParameterError, lambda p: setattr(p, "bias_im", p.bias_im + 1j)),
+    "head_w-transposed": (DimensionMismatchError, lambda p: setattr(p, "head_w", p.head_w.T)),
+    "head_w-strings": (InvalidParameterError, lambda p: setattr(p, "head_w", p.head_w.astype(str))),
+    "head_b-long": (DimensionMismatchError, lambda p: setattr(p, "head_b", np.zeros(3))),
+    "head_b-bool": (InvalidParameterError, lambda p: setattr(p, "head_b", np.array([True, False]))),
+    "head_b-no-network-axis": (DimensionMismatchError, _stacked_head_b),
+}
+
+
+@pytest.mark.parametrize("call", ["predict_proba", "forward", "backward"])
+@pytest.mark.parametrize("case", sorted(MALFORMED_PARAMS))
+def test_malformed_params_raise_typed_errors(case, call):
+    """A parameter that breaks the array rule, is not finite, or does not fit
+    conv1's channels and length, a stack's network axis included, ends in a
+    typed error at every public CNN call: not in a numpy error or a NaN."""
+    error, edit = MALFORMED_PARAMS[case]
+    params = random_cnn_params(np.random.default_rng(83), CnnConfig(mode="wl"))
+    params = edit(params) or params
+    x = 0.3 * np.ones(8, dtype=complex)
+    run = {
+        "predict_proba": lambda: predict_proba(x, params),
+        "forward": lambda: forward(x, params),
+        "backward": lambda: backward(x, np.array([1.0, 0.0]), params),
+    }[call]
+    with pytest.raises(error):
+        run()

@@ -15,6 +15,7 @@ from wlmf import (
     demo_model,
     hermitian_solve,
     ma_filter,
+    sliding_windows,
     slmf_solve,
     snr_gain,
     snr_slmf,
@@ -23,7 +24,7 @@ from wlmf import (
     wlmf_solve,
 )
 from wlmf.experiments import DEMO_MATCHED_SEQUENCE
-from wlmf.filters import _filter_windows, _real_map_squared_norms
+from wlmf.filters import _filter_bank, _real_map_squared_norms
 
 from helpers import (
     augmented,
@@ -523,9 +524,10 @@ def _signed_zero_mix(rng, shape):
 def test_conjugate_branch_matches_conjugated_windows(length, bank, stack):
     """The conjugate branch, taken as conj(f2ᵀ w), gives the responses of
     conj(f2)ᵀ conj(w) bit for bit, signs of zeros included, and a zero
-    branch gives the strictly linear responses bit for bit. Every filter
-    meets every window: a stack of banks (S, C, L) on a window stack
-    (B, L, K) gives (B, S, C, K)."""
+    branch, like apply_filter_sequence without one, gives the plain strictly
+    linear contraction conj(f)ᵀ w bit for bit. Every filter meets every
+    window: a stack of banks (S, C, L) on a window stack (B, L, K) gives
+    (B, S, C, K)."""
 
     def assert_bits(got, want):
         assert got.shape == want.shape
@@ -542,11 +544,14 @@ def test_conjugate_branch_matches_conjugated_windows(length, bank, stack):
         for _ in range(50):
             f, f2 = (_signed_zero_mix(rng, f_shape) for _ in range(2))
             windows = _signed_zero_mix(rng, w_shape)
-            want = np.einsum(subscripts, np.conj(f), windows) + np.einsum(
-                subscripts, np.conj(f2), np.conj(windows)
-            )
-            assert_bits(_filter_windows(windows, f, f2), want)
-            assert_bits(_filter_windows(windows, f, np.zeros_like(f)), _filter_windows(windows, f))
+            strictly_linear = np.einsum(subscripts, np.conj(f), windows)
+            want = strictly_linear + np.einsum(subscripts, np.conj(f2), np.conj(windows))
+            assert_bits(_filter_bank(windows, np.stack([np.conj(f), f2])), want)
+            zero_branch = np.stack([np.conj(f), np.zeros_like(f)])
+            assert_bits(_filter_bank(windows, zero_branch), strictly_linear)
+            sequence = _signed_zero_mix(rng, w_shape[:-2] + (length + 8,))
+            plain = np.einsum(subscripts, np.conj(f), sliding_windows(sequence, length))
+            assert_bits(apply_filter_sequence(sequence, f), plain)
 
 
 def test_apply_filter_rejects_short_sequence():

@@ -34,6 +34,7 @@ from wlmf import (
     predict_proba,
     rotated_input,
     sample_improper_white,
+    sliding_windows,
     slmf_solve,
     snr_gain,
     snr_slmf,
@@ -496,6 +497,33 @@ def test_clamped_quotient_logs_once_per_decomposition(caplog):
     assert len(caplog.records) == 1 and "clamping" in caplog.records[0].getMessage()
 
 
+def test_clamped_quotients_log_once_across_their_consumers(caplog):
+    """The clamped quotients are computed once per decomposition and shared,
+    read-only, by approx_snr_gain's map, impropriety_profile and
+    design_matched_sequence: one warning across all three, at lambda_c /
+    lambda_r = 1 - 1e-10. A quotient past one raises on every access."""
+    dim = 3
+    aut = aut_decompose(CovariancePair(r=np.eye(dim), c=(1 - 1e-10) * np.eye(dim)))
+    x = np.ones(dim, dtype=complex)
+    with caplog.at_level(logging.WARNING, logger="wlmf.impropriety"):
+        for _ in range(2):
+            approx_snr_gain(x, aut)
+            profile = impropriety_profile(aut, x)
+            design_matched_sequence(aut, rng=1)
+    assert len(caplog.records) == 1 and "clamping" in caplog.records[0].getMessage()
+    assert profile.rho is aut.rho and not aut.rho.flags.writeable
+    assert np.all(aut.rho == 1.0 - 1e-9)
+    far_over = aut_decompose(CovariancePair(r=np.eye(dim), c=(1 + 2e-5) * np.eye(dim)))
+    for compute in (
+        lambda: far_over.rho,
+        lambda: approx_snr_gain(x, far_over),
+        lambda: impropriety_profile(far_over, x),
+        lambda: design_matched_sequence(far_over, rng=1),
+    ):
+        with pytest.raises(SingularAtOneError):
+            compute()
+
+
 def _finite_or_typed_error(compute):
     """Run ``compute``: it returns a finite value (a dataclass of finite
     fields counts) or raises a WlmfError. A raw LinAlgError, another
@@ -549,6 +577,9 @@ NON_FINITE_CALLS = {
     "slmf_solve": lambda cov, aut, bad: slmf_solve(_with_first_entry(np.ones(4), bad), cov),
     "apply_filter_sequence": lambda cov, aut, bad: apply_filter_sequence(
         _with_first_entry(np.ones(6), bad), np.ones(4)
+    ),
+    "sliding_windows": lambda cov, aut, bad: sliding_windows(
+        _with_first_entry(np.ones(6), bad), 2
     ),
     "ma_filter": lambda cov, aut, bad: ma_filter(np.ones(6), _with_first_entry((1.0, 0.5), bad)),
     "wlmf_solve": lambda cov, aut, bad: wlmf_solve(_with_first_entry(np.ones(4), bad), cov),
@@ -604,6 +635,7 @@ NON_NUMERIC_CALLS = {
     "NoiseModel": lambda cov, aut, bad: NoiseModel(taps=bad, rho_u=0.5),
     "empirical_covariances": lambda cov, aut, bad: empirical_covariances(bad, 1),
     "apply_filter_sequence": lambda cov, aut, bad: apply_filter_sequence(np.ones(6), bad),
+    "sliding_windows": lambda cov, aut, bad: sliding_windows(bad, 2),
     "template_to_feature": lambda cov, aut, bad: template_to_feature(bad),
     "rotated_input": lambda cov, aut, bad: rotated_input(aut, bad),
     "approx_snr_gain": lambda cov, aut, bad: approx_snr_gain(bad, aut),

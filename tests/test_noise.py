@@ -216,6 +216,9 @@ def test_sliding_windows_newest_first():
     assert np.array_equal(stacked[1][:, 0], [12, 10])
     with pytest.raises(InsufficientSamplesError):
         sliding_windows(np.arange(3, dtype=complex), 4)
+    # A real sequence follows the array rule: its windows are complex.
+    real = sliding_windows([1, 2, 3], 2)
+    assert real.dtype == complex and np.array_equal(real, [[2, 3], [1, 2]])
 
 
 def test_empirical_matches_analytic():
