@@ -242,14 +242,6 @@ class _Layers:
     head_b: np.ndarray
 
 
-def _as_shaped(name: str, value, shape: tuple, finite: bool, dtype=float) -> np.ndarray:
-    """``value`` under the array rule, of exactly ``shape``."""
-    array = _as_array(name, value, None, finite, dtype)
-    if array.shape != shape:
-        raise DimensionMismatchError(f"{name} must have shape {shape}, got {array.shape}")
-    return array
-
-
 def _layers(params: CnnParams, finite: bool = True) -> _Layers:
     """``params`` in the step's layout, as new arrays but for the head.
 
@@ -264,12 +256,15 @@ def _layers(params: CnnParams, finite: bool = True) -> _Layers:
     bank = np.zeros((2,) + conv1.shape, dtype=complex)
     np.conj(conv1, out=bank[0])
     if params.conv2 is not None:
-        bank[1] = _as_shaped("conv2", params.conv2, conv1.shape, finite, complex)
+        bank[1] = _as_array("conv2", params.conv2, (conv1.ndim,), finite, lead=conv1.shape)
     bias = np.empty(nets + (channels,), dtype=complex)
-    bias.real = _as_shaped("bias_re", params.bias_re, bias.shape, finite)
-    bias.imag = _as_shaped("bias_im", params.bias_im, bias.shape, finite)
-    head_w = _as_shaped("head_w", params.head_w, nets + (2, 2 * channels), finite)
-    return _Layers(bank, bias, head_w, _as_shaped("head_b", params.head_b, nets + (2,), finite))
+    bias.real = _as_array("bias_re", params.bias_re, (bias.ndim,), finite, float, bias.shape)
+    bias.imag = _as_array("bias_im", params.bias_im, (bias.ndim,), finite, float, bias.shape)
+    head_w = _as_array(
+        "head_w", params.head_w, (conv1.ndim,), finite, float, nets + (2, 2 * channels)
+    )
+    head_b = _as_array("head_b", params.head_b, (bias.ndim,), finite, float, nets + (2,))
+    return _Layers(bank, bias, head_w, head_b)
 
 
 class _Step:
@@ -416,9 +411,7 @@ def backward(x: np.ndarray, t: np.ndarray, params: CnnParams) -> tuple[float, np
     ``x`` (N,) and ``t`` (2,) follow the array rule of :mod:`wlmf.errors`;
     another shape raises ``DimensionMismatchError``.
     """
-    t = _as_array("t", t, (1,), dtype=float)
-    if t.shape != (2,):
-        raise DimensionMismatchError(f"backward takes t of shape (2,), got {t.shape}")
+    t = _as_array("t", t, (1,), dtype=float, lead=(2,))
     layers = _layers(params)
     windows = _windows(x, layers, (1,))
     step = _BackwardStep(layers, windows.shape)

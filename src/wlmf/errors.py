@@ -92,10 +92,11 @@ def _as_float(name: str, value) -> float:
     return float(value)
 
 
-def _as_array(name: str, value, ndim, finite: bool = True, dtype=complex) -> np.ndarray:
+def _as_array(name: str, value, ndim, finite: bool = True, dtype=complex, lead=()) -> np.ndarray:
     """``value`` as an array of ``dtype`` under the array rule, with a
-    dimension count in ``ndim`` (any when None), finite unless ``finite`` is
-    False. The dtype is checked first: the conversion reads ``"1"`` as 1."""
+    dimension count in ``ndim`` (any when None) and a shape that starts with
+    ``lead``, finite unless ``finite`` is False. The dtype is checked first:
+    the conversion reads ``"1"`` as 1."""
     try:
         array = np.asarray(value)
     except ValueError:
@@ -109,6 +110,8 @@ def _as_array(name: str, value, ndim, finite: bool = True, dtype=complex) -> np.
     array = array.astype(dtype, copy=False)
     if ndim is not None and array.ndim not in ndim:
         raise DimensionMismatchError(f"{name} must have ndim in {ndim}, got shape {array.shape}")
+    if array.shape[: len(lead)] != lead:
+        raise DimensionMismatchError(f"{name} must have a shape starting {lead}, got {array.shape}")
     if finite and not np.isfinite(array).all():
         raise NonFiniteInputError(f"{name} contains non-finite entries")
     return array

@@ -43,20 +43,10 @@ __all__ = [
 ]
 
 
-def _as_window(x, dim: int, ndim=(1,), finite: bool = True) -> np.ndarray:
-    """Coerce to one window, a vector of length ``dim``, or with ``ndim``
-    (1, 2) to a window or a batch of them as columns; finite unless
-    ``finite`` is False."""
-    x = _as_array("x", x, ndim, finite)
-    if x.shape[0] != dim:
-        raise DimensionMismatchError(f"x has length {x.shape[0]}, expected {dim}")
-    return x
-
-
 def _as_columns(x, dim: int, finite: bool = True) -> tuple[np.ndarray, bool]:
-    """Coerce to an (L, K) column matrix, finite unless ``finite`` is False;
-    report whether input was a vector."""
-    x = _as_window(x, dim, (1, 2), finite)
+    """Coerce a window (``dim``,) or a batch (``dim``, K >= 1) to (L, K)
+    columns, finite unless ``finite`` is False; report whether it was a vector."""
+    x = _as_array("x", x, (1, 2), finite, lead=(dim,))
     if x.ndim == 2 and x.shape[1] == 0:
         raise EmptyInputError("x has no columns")
     return (x[:, None], True) if x.ndim == 1 else (x, False)
@@ -112,7 +102,7 @@ def slmf_solve(x: np.ndarray, cov: CovariancePair) -> np.ndarray:
     """Taps ``f = R^{-1} x`` of the strictly linear matched filter (the
     paper's ``f = alpha R^{-1} x`` at ``alpha = 1``), solved through the
     pair's cached inverse Cholesky factor of ``R`` with one refinement step."""
-    return _refined_solve(cov.r, cov.inverse_cholesky, _as_window(x, cov.dim))
+    return _refined_solve(cov.r, cov.inverse_cholesky, _as_array("x", x, (1,), lead=(cov.dim,)))
 
 
 def wlmf_solve(x: np.ndarray, cov: CovariancePair) -> tuple[np.ndarray, np.ndarray]:
@@ -139,7 +129,7 @@ def wlmf_solve(x: np.ndarray, cov: CovariancePair) -> tuple[np.ndarray, np.ndarr
         ||z||)`` exceeds 1e-12, which for positive definite inputs indicates
         severe ill-conditioning.
     """
-    xv = _as_window(x, cov.dim)
+    xv = _as_array("x", x, (1,), lead=(cov.dim,))
     a, white = cov.whitening
 
     def conjugate_branch(rhs):
@@ -232,9 +222,11 @@ def apply_filter_sequence(
     :mod:`wlmf.errors`, and 0-d taps raise ``DimensionMismatchError``.
     """
     f = _as_array("taps", f, None)
-    f_conj = np.zeros_like(f) if f_conj is None else _as_array("taps", f_conj, None)
-    if f.ndim == 0 or f_conj.shape != f.shape:
-        raise DimensionMismatchError("taps must be at least 1-D, and f_conj of the shape of f")
+    if f.ndim == 0:
+        raise DimensionMismatchError("taps must be at least 1-D")
+    f_conj = (
+        np.zeros_like(f) if f_conj is None else _as_array("f_conj", f_conj, (f.ndim,), lead=f.shape)
+    )
     return _filter_bank(sliding_windows(sequence, f.shape[-1]), np.stack([np.conj(f), f_conj]))
 
 

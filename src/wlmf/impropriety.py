@@ -44,7 +44,7 @@ import numpy as np
 
 from .errors import DegenerateWindowError, InvalidImproprietyError
 from .errors import SingularAtOneError, _as_array, _as_float
-from .filters import _as_columns, _as_window, _real_map_squared_norms, snr_gain
+from .filters import _as_columns, _real_map_squared_norms, snr_gain
 from .linalg import _read_only, _real_form, hermitian_eig, takagi
 from .noise import CovariancePair, sliding_windows
 from .seeding import as_generator
@@ -201,7 +201,7 @@ def impropriety_profile(aut: AutDecomposition, rotated: np.ndarray) -> Improprie
     coefficient of the input. Zero components get epsilon 0 and a raised
     ``zero_mask`` flag instead of an exception.
     """
-    xt = _as_window(rotated, aut.dim)
+    xt = _as_array("rotated", rotated, (1,), lead=(aut.dim,))
     power = np.abs(xt) ** 2
     zero = power == 0.0
     eps = np.where(zero, 0.0, np.real(xt * xt) / np.where(zero, 1.0, power))

@@ -189,9 +189,7 @@ def hermitian_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         ``1e-12 * max(diag(a))``.
     """
     a = _as_structured(a, "a", hermitian=True)
-    b = _as_array("b", b, (1, 2))
-    if b.shape[0] != a.shape[0]:
-        raise DimensionMismatchError(f"b has {b.shape[0]} rows, expected {a.shape[0]}")
+    b = _as_array("b", b, (1, 2), lead=a.shape[:1])
     return _refined_solve(a, _inverse_cholesky(a), b)
 
 

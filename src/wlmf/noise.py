@@ -268,13 +268,17 @@ def sliding_windows(sequence: np.ndarray, window_len: int) -> np.ndarray:
     (0-based), i.e. positions L..N in 1-based terms, K = N - L + 1 columns.
     A stack of sequences, shape ``(..., N)``, gives one such matrix per
     sequence, shape ``(..., L, K)``. The sequence follows the array rule of
-    :mod:`wlmf.errors`, so the windows are complex.
+    :mod:`wlmf.errors`, so the windows are complex; a 0-d one raises
+    ``DimensionMismatchError``, and one shorter than ``window_len``
+    ``InsufficientSamplesError``.
     """
     sequence = _as_array("sequence", sequence, None)
     window_len = _as_int("window_len", window_len, None)
     if window_len < 1:
         raise EmptyInputError(f"window_len must be >= 1, got {window_len}")
-    if sequence.ndim < 1 or sequence.shape[-1] < window_len:
+    if sequence.ndim < 1:
+        raise DimensionMismatchError("sequence must be at least 1-D, got shape ()")
+    if sequence.shape[-1] < window_len:
         raise InsufficientSamplesError(
             f"need sequences of at least {window_len} samples, got shape {sequence.shape}"
         )

@@ -655,3 +655,48 @@ def test_non_numeric_array_raises_invalid_parameter(name, bad):
     cov = analytic_covariances(demo_model(0.5), 4)
     with pytest.raises(InvalidParameterError):
         NON_NUMERIC_CALLS[name](cov, aut_decompose(cov), bad)
+
+
+WRONG_SHAPE_CALLS = {
+    "snr_slmf": lambda cov, aut: snr_slmf(np.ones(5), cov),
+    "snr_gain": lambda cov, aut: snr_gain(np.ones((5, 3)), cov),
+    "approx_snr_gain": lambda cov, aut: approx_snr_gain(np.ones(5), aut),
+    "wlmf_solve": lambda cov, aut: wlmf_solve(np.ones(5), cov),
+    "impropriety_profile": lambda cov, aut: impropriety_profile(aut, np.ones(5)),
+    "slmf_solve-column": lambda cov, aut: slmf_solve(np.ones((4, 1)), cov),
+    "snr_wlmf-3d": lambda cov, aut: snr_wlmf(np.ones((4, 3, 2)), cov),
+    "rotated_input": lambda cov, aut: rotated_input(aut, np.ones((5, 2))),
+    "hermitian_solve-rows": lambda cov, aut: hermitian_solve(cov.r, np.ones((5, 2))),
+    "hermitian_solve-3d": lambda cov, aut: hermitian_solve(cov.r, np.ones((4, 2, 2))),
+    "apply_filter_sequence-f_conj": lambda cov, aut: apply_filter_sequence(
+        np.ones(6), np.ones(4), np.ones(3)
+    ),
+    "apply_filter_sequence-0d-taps": lambda cov, aut: apply_filter_sequence(
+        np.ones(6), np.array(1.0)
+    ),
+    "apply_filter_sequence-0d-sequence": lambda cov, aut: apply_filter_sequence(
+        np.array(1.0), np.ones(1)
+    ),
+    "sliding_windows-0d": lambda cov, aut: sliding_windows(np.array(1.0), 1),
+    "CovariancePair-sizes": lambda cov, aut: CovariancePair(np.eye(3), np.zeros((4, 4))),
+    "CovariancePair-non-square": lambda cov, aut: CovariancePair(np.ones((4, 3)), cov.c),
+    "cnn.backward-t": lambda cov, aut: cnn.backward(np.ones(8), np.ones(3), CNN_PARAMS),
+    "predict_proba-3d": lambda cov, aut: predict_proba(np.ones((2, 2, 8)), CNN_PARAMS),
+    "empirical_covariances": lambda cov, aut: empirical_covariances(np.ones((2, 50)), 1),
+    "template_to_feature": lambda cov, aut: template_to_feature(np.ones((2, 3))),
+    "ma_filter": lambda cov, aut: ma_filter(np.ones((2, 6)), (1.0, 0.5)),
+    "normalized_snr_bias": lambda cov, aut: normalized_snr_bias(np.ones((2, 50)), cov, aut),
+    "takagi": lambda cov, aut: takagi(np.ones((4, 3))),
+    "hermitian_eig": lambda cov, aut: hermitian_eig(np.ones(4)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRONG_SHAPE_CALLS))
+def test_wrong_shape_raises_dimension_mismatch(name):
+    """A window of the wrong length, an array with a dimension count its
+    argument cannot have (a 0-d sequence included) or a matrix of the wrong
+    shape ends in DimensionMismatchError at every entry point that takes an
+    array."""
+    cov = analytic_covariances(demo_model(0.5), 4)
+    with pytest.raises(DimensionMismatchError):
+        WRONG_SHAPE_CALLS[name](cov, aut_decompose(cov))
