@@ -258,12 +258,12 @@ def _layers(params: CnnParams, finite: bool = True) -> _Layers:
     if params.conv2 is not None:
         bank[1] = _as_array("conv2", params.conv2, (conv1.ndim,), finite, lead=conv1.shape)
     bias = np.empty(nets + (channels,), dtype=complex)
-    bias.real = _as_array("bias_re", params.bias_re, (bias.ndim,), finite, float, bias.shape)
-    bias.imag = _as_array("bias_im", params.bias_im, (bias.ndim,), finite, float, bias.shape)
+    bias.real = _as_array("bias_re", params.bias_re, (bias.ndim,), finite, float, lead=bias.shape)
+    bias.imag = _as_array("bias_im", params.bias_im, (bias.ndim,), finite, float, lead=bias.shape)
     head_w = _as_array(
-        "head_w", params.head_w, (conv1.ndim,), finite, float, nets + (2, 2 * channels)
+        "head_w", params.head_w, (conv1.ndim,), finite, float, lead=nets + (2, 2 * channels)
     )
-    head_b = _as_array("head_b", params.head_b, (bias.ndim,), finite, float, nets + (2,))
+    head_b = _as_array("head_b", params.head_b, (bias.ndim,), finite, float, lead=nets + (2,))
     return _Layers(bank, bias, head_w, head_b)
 
 

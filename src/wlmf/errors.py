@@ -3,8 +3,9 @@ checks its arguments share. The array rule: a ragged nesting, an array of
 strings (numeric ones included), booleans or objects, or a list with a bool
 anywhere in it, raises ``InvalidParameterError``; integer and real arrays,
 and complex ones where complex values are taken, are converted. A
-dimension count the argument cannot have then raises
-``DimensionMismatchError``, and a NaN or infinite entry
+dimension count the argument cannot have, and then leading lengths it cannot
+have (a window's length against its covariance pair's), raise
+``DimensionMismatchError``, and after them a NaN or infinite entry
 ``NonFiniteInputError``."""
 
 import numbers

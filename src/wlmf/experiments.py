@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
@@ -193,6 +194,9 @@ class ExperimentSpec:
             raise InvalidParameterError(
                 f"mode must be 'analytic' or 'empirical', got {self.mode!r}"
             )
+        if not isinstance(self.out_dir, (str, os.PathLike)):
+            raise InvalidParameterError(f"out_dir must be a path, got {self.out_dir!r}")
+        object.__setattr__(self, "out_dir", os.fspath(self.out_dir))
 
     @classmethod
     def with_defaults(cls, experiment: str, **overrides) -> "ExperimentSpec":

@@ -26,7 +26,8 @@ def as_generator(rng: np.random.Generator | int | None) -> np.random.Generator:
 
 
 def derive_rng(master_seed: int, *key: int) -> np.random.Generator:
-    """Independent generator for stream/trial ``key`` under ``master_seed``, an
-    integer >= 0 (else ``InvalidParameterError``)."""
+    """Independent generator for stream/trial ``key`` under ``master_seed``;
+    the seed and each key are integers >= 0 (else ``InvalidParameterError``)."""
     seed = _as_int("seed", master_seed, 0)
+    key = tuple(_as_int("key", k, 0) for k in key)
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))

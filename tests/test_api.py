@@ -6,7 +6,10 @@ import collections
 import importlib
 import pkgutil
 import re
+import warnings
 from pathlib import Path
+
+import pytest
 
 import wlmf
 
@@ -104,3 +107,12 @@ def test_every_private_definition_has_a_caller_in_the_package():
     uncalled = [f"{module}:{node.name}" for module, node in private
                 if references[node.name] == list(referenced_names(node)).count(node.name)]
     assert uncalled == []
+
+
+@pytest.mark.parametrize("category", [RuntimeWarning, DeprecationWarning, FutureWarning])
+def test_warnings_from_package_code_fail_the_suite(category):
+    """The suite turns a runtime, deprecation or future warning raised from a
+    ``wlmf`` module into an error, so a deprecated numpy call in the package
+    fails a test instead of passing silently."""
+    with pytest.raises(category):
+        warnings.warn_explicit("probe", category, "filters.py", 1, module="wlmf.filters")

@@ -131,6 +131,27 @@ def test_numpy_integer_seed_writes_a_plain_manifest(tmp_path):
     assert manifest["master_seed"] == 5 and manifest["spec"]["seed"] == 5
 
 
+def test_integer_keys_of_any_type_draw_one_stream():
+    expected = derive_rng(1234, 10, 3, 2).standard_normal(4)
+    assert np.array_equal(derive_rng(1234, np.int64(10), np.intp(3), 2).standard_normal(4), expected)
+
+
+def test_path_out_dir_writes_a_plain_manifest(tmp_path):
+    spec = ExperimentSpec.with_defaults("mf-demo", out_dir=tmp_path / "run")
+    assert spec.out_dir == str(tmp_path / "run")
+    run_experiment(spec)
+    manifest = json.loads((tmp_path / "run" / "mf-demo-manifest.json").read_text())
+    assert manifest["spec"]["out_dir"] == str(tmp_path / "run")
+
+
+@pytest.mark.parametrize("out_dir", [None, 5])
+def test_non_path_out_dir_raises_before_writing(out_dir, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(InvalidParameterError, match="out_dir"):
+        run_experiment(ExperimentSpec.with_defaults("mf-demo", out_dir=out_dir))
+    assert not any(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize(
     "experiment, key, values",
     [
@@ -195,6 +216,10 @@ TYPED_ARGUMENT_ERRORS = {
     # Seeds and grids.
     "derive_rng-negative-seed": (InvalidParameterError, lambda: derive_rng(-1)),
     "derive_rng-float-seed": (InvalidParameterError, lambda: derive_rng(1.5, 0)),
+    "derive_rng-negative-key": (InvalidParameterError, lambda: derive_rng(1, -1)),
+    "derive_rng-float-key": (InvalidParameterError, lambda: derive_rng(1, 1.5)),
+    "derive_rng-string-key": (InvalidParameterError, lambda: derive_rng(1, "a")),
+    "derive_rng-bool-key": (InvalidParameterError, lambda: derive_rng(1, True)),
     "train-negative-seed": (InvalidParameterError, lambda: train(-1)),
     "train-float-seed": (InvalidParameterError, lambda: train(1.5)),
     "make_dataset-negative-seed": (InvalidParameterError, lambda: make_dataset(2, -1)),

@@ -662,6 +662,8 @@ WRONG_SHAPE_CALLS = {
     "snr_gain": lambda cov, aut: snr_gain(np.ones((5, 3)), cov),
     "approx_snr_gain": lambda cov, aut: approx_snr_gain(np.ones(5), aut),
     "wlmf_solve": lambda cov, aut: wlmf_solve(np.ones(5), cov),
+    # The shape is checked before the entries: a mis-shaped NaN window reports its shape.
+    "wlmf_solve-non-finite": lambda cov, aut: wlmf_solve(np.full(5, np.nan), cov),
     "impropriety_profile": lambda cov, aut: impropriety_profile(aut, np.ones(5)),
     "slmf_solve-column": lambda cov, aut: slmf_solve(np.ones((4, 1)), cov),
     "snr_wlmf-3d": lambda cov, aut: snr_wlmf(np.ones((4, 3, 2)), cov),
