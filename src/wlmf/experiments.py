@@ -265,7 +265,10 @@ def _map_tasks(func, tasks: list, workers: int) -> list:
         return [func(t) for t in tasks]
     # Each worker holds OpenBLAS at one thread, whatever the start method: the
     # workers already share the cores, and a BLAS thread of their own would
-    # only compete with them.
+    # only compete with them. A forked worker inherits the count of 1 that
+    # run_experiment holds, so the initializer leaves it be (a set after the
+    # fork would restart a busy-polling thread server); a spawned worker
+    # starts at OpenBLAS's default, and there the initializer sets it.
     with ProcessPoolExecutor(
         max_workers=workers, initializer=_set_blas_threads, initargs=(1,)
     ) as pool:

@@ -82,13 +82,21 @@ def _openblas_threads():
 
 def _set_blas_threads(n: int) -> int | None:
     """Set the OpenBLAS thread count to ``n``; return the prior count, or
-    None (and change nothing) when no OpenBLAS is loaded."""
+    None (and change nothing) when no OpenBLAS is loaded.
+
+    The setter is called only when the count differs from ``n``. A forked
+    process inherits its parent's count while the fork has shut OpenBLAS's
+    thread server down, and a set there restarts that server, whose helper
+    thread busy-polls beside the process on the cores it shares. A spawned
+    process loads OpenBLAS afresh at its default count, so there the set
+    still acts."""
     funcs = _openblas_threads()
     if funcs is None:
         return None
     setter, getter = funcs
     prior = getter()
-    setter(n)
+    if prior != n:
+        setter(n)
     return prior
 
 

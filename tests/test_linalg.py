@@ -279,6 +279,27 @@ def test_blas_threads_restores_prior_count(monkeypatch):
     assert fake.sets == [1, 4, 1, 4]
 
 
+def test_set_blas_threads_skips_a_count_already_held(monkeypatch):
+    """Setting the count a process already holds calls no setter (in a
+    forked process that set would restart OpenBLAS's thread server), and
+    still returns the prior count."""
+    fake = FakeBlas(1)
+    monkeypatch.setattr(linalg, "_openblas_threads", lambda: (fake.set, fake.get))
+    assert linalg._set_blas_threads(1) == 1
+    assert fake.sets == []
+
+
+def test_nested_blas_threads_set_only_the_outer_change(monkeypatch):
+    fake = FakeBlas(4)
+    monkeypatch.setattr(linalg, "_openblas_threads", lambda: (fake.set, fake.get))
+    with linalg._blas_threads(1):
+        with linalg._blas_threads(1):
+            assert fake.count == 1
+        assert fake.count == 1
+    assert fake.count == 4
+    assert fake.sets == [1, 4]
+
+
 def test_blas_threads_without_openblas_is_a_no_op(monkeypatch):
     monkeypatch.setattr(linalg, "_openblas_threads", lambda: None)
     assert linalg._set_blas_threads(1) is None
