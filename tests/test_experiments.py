@@ -41,6 +41,7 @@ from wlmf import (
     slmf_solve,
     sliding_windows,
     snr_gain,
+    template_to_feature,
     train,
     wlmf_solve,
 )
@@ -240,6 +241,7 @@ TYPED_ARGUMENT_ERRORS = {
     "apply_filter_sequence-0d-taps": (
         DimensionMismatchError, lambda: apply_filter_sequence(np.ones(5), 1.0)
     ),
+    "ma_filter-2d-input": (DimensionMismatchError, lambda: ma_filter(np.ones((2, 3)), (1,))),
     "ma_filter-2d-taps": (DimensionMismatchError, lambda: ma_filter(np.ones(3), np.ones((2, 2)))),
     "NoiseModel-2d-taps": (DimensionMismatchError, lambda: NoiseModel(np.ones((2, 2)), 0.5)),
     "NoiseModel-scalar-taps": (DimensionMismatchError, lambda: NoiseModel(5, 0.5)),
@@ -249,18 +251,26 @@ TYPED_ARGUMENT_ERRORS = {
     "NoiseModel-inf-power": (
         InvalidParameterError, lambda: NoiseModel((1.0,), 0.5, sigma2_u=np.inf)
     ),
+    "template_to_feature-2d": (DimensionMismatchError, lambda: template_to_feature(np.ones((2, 2)))),
+    "empirical_covariances-2d-record": (
+        DimensionMismatchError, lambda: empirical_covariances(np.ones((2, 100)), 3)
+    ),
     "empirical_covariances-empty-record": (
         InsufficientSamplesError, lambda: empirical_covariances(np.ones(0), 3)
     ),
     "slmf_solve-batch": (DimensionMismatchError, lambda: slmf_solve(np.ones((4, 2)), DEMO_PAIR)),
     "wlmf_solve-batch": (DimensionMismatchError, lambda: wlmf_solve(np.ones((4, 2)), DEMO_PAIR)),
     # A single window is a vector: one (L, 1) column is a batch too.
+    "slmf_solve-column": (DimensionMismatchError, lambda: slmf_solve(np.ones((4, 1)), DEMO_PAIR)),
     "wlmf_solve-column": (DimensionMismatchError, lambda: wlmf_solve(np.ones((4, 1)), DEMO_PAIR)),
     "impropriety_profile-column": (
         DimensionMismatchError, lambda: impropriety_profile(DEMO_AUT, np.ones((4, 1)))
     ),
     "snr_gain-3d": (DimensionMismatchError, lambda: snr_gain(np.ones((4, 2, 2)), DEMO_PAIR)),
     "snr_gain-no-columns": (EmptyInputError, lambda: snr_gain(np.ones((4, 0)), DEMO_PAIR)),
+    "CovariancePair-non-square": (
+        DimensionMismatchError, lambda: CovariancePair(np.ones((2, 3)), np.ones((2, 3)))
+    ),
     "CovariancePair-empty": (
         EmptyInputError, lambda: CovariancePair(np.ones((0, 0)), np.ones((0, 0)))
     ),
