@@ -17,10 +17,12 @@ whose buffers are allocated once: the public calls build one per call, and
 :func:`train` one for all its steps. :func:`train` trains the strictly and
 widely linear networks as the two rows of one widely linear network, the
 strictly linear row keeping a zero conjugate branch: one forward and
-backward pass per step, one update over one parameter buffer, and one
-``predict_proba`` call on the holdout signals per evaluation serve both,
-and the stream, holdout and window stack are drawn and built once. Each
-network computes, bit for bit, what it computes alone.
+backward pass per step and one update over one parameter buffer serve
+both, and the stream, holdout and window stack are drawn and built once.
+Each evaluation copies the buffer; after the last step the holdout signals
+are scored on those copies, three evaluations of both networks per
+``predict_proba`` call. Each network computes, bit for bit, what it
+computes alone.
 
 Gradients are taken with respect to the real and imaginary parts of every
 complex parameter; the complex carrier ``d(Re) + 1j d(Im)`` that the
@@ -60,6 +62,8 @@ PATTERN_ONE = np.array([-0.5 - 1j, 1.0 - 1j, -0.5 - 1j])
 PATTERN_TWO = np.array([1.0 + 1j, 1.0 + 1j, 1.0 + 1j])
 CLUTTER_HIGH = 0.3
 NOISE_STD = 0.05
+# Evaluations of both networks that train scores per predict_proba call.
+_SCORED_PER_CALL = 3
 
 
 @dataclass(frozen=True)
@@ -427,12 +431,15 @@ def backward(x: np.ndarray, t: np.ndarray, params: CnnParams) -> tuple[float, np
 
 
 def _flat_views(buffer: np.ndarray, like: dict) -> dict:
-    """Views of a flat float ``buffer`` with the shapes and dtypes of the
-    arrays of ``like``, laid end to end in its order."""
+    """Views of a float ``buffer`` with the shapes and dtypes of the arrays
+    of ``like``, laid end to end in its order along its last axis; its
+    leading axes, if any, lead every view."""
     views, start = {}, 0
     for name, array in like.items():
         stop = start + array.nbytes // buffer.itemsize
-        views[name] = buffer[start:stop].view(array.dtype).reshape(array.shape)
+        views[name] = buffer[..., start:stop].view(array.dtype).reshape(
+            buffer.shape[:-1] + array.shape
+        )
         start = stop
     return views
 
@@ -473,7 +480,9 @@ def train(
     from the same strictly linear function. They are the rows of one widely
     linear stack, the strictly linear row's conjugate branch held at zero;
     each step runs one forward and backward pass for both, and each
-    evaluation one ``predict_proba`` call on the holdout signals.
+    evaluation copies their parameters. After the last step the copies are
+    scored on the holdout signals, ``_SCORED_PER_CALL`` = 3 evaluations of
+    both networks, a stack of six, per ``predict_proba`` call.
 
     The stack is held in the step's layout, :class:`_Layers`: the taps as
     one bank ``(branch, network, channel, L)`` of ``conj(conv1)`` and
@@ -484,7 +493,9 @@ def train(
     update is one operation over the whole buffer; the true-class
     probabilities go into one (steps, 2) array. After the last step the
     bank's first branch is conjugated back in place, so the results'
-    ``params`` are views of the stack. Each network's result is, bit for
+    ``params`` are views of the stack. A non-finite parameter that leaves
+    every loss finite raises ``NonFiniteInputError`` when the holdout is
+    scored, after the last step. Each network's result is, bit for
     bit, that of training it alone. Returns the strictly and the widely
     linear :class:`TrainResult`.
 
@@ -532,7 +543,9 @@ def train(
     classes = [np.flatnonzero(holdout_labels == label) for label in range(2)]
 
     p_true = np.empty((total, len(configs)))
-    evals: list[list[tuple[int, float, float]]] = [[] for _ in configs]
+    # One copy of the parameter buffer per evaluation, scored after the
+    # last step: nothing in the loop reads an evaluation.
+    snapshots = np.empty((total // config.eval_every, flat.size))
     samples = zip(windows, targets, stream_labels.tolist(), p_true)
     for iteration, (sample_windows, t, label, p_row) in enumerate(samples, start=1):
         probs = step.backward(sample_windows, t)
@@ -546,13 +559,23 @@ def train(
             )
         np.subtract(flat, np.multiply(grad_flat, config.learning_rate, out=update), out=flat)
         if iteration % config.eval_every == 0:
-            # The holdout is scored on the public parameters, conv1 itself.
-            np.conj(bank[0], out=bank[0])
-            means = _holdout_means(holdout_x, classes, params)
-            np.conj(bank[0], out=bank[0])
-            for net_evals, net_means in zip(evals, means):
-                net_evals.append((iteration, *net_means))
+            snapshots[iteration // config.eval_every - 1] = flat
     np.conj(bank[0], out=bank[0])
+    # The holdout is scored on the public parameters, conv1 itself, for
+    # _SCORED_PER_CALL evaluations per call: network j of a call is
+    # evaluation start + j // 2 of the network of mode j % 2.
+    evals: list[list[tuple[int, float, float]]] = [[] for _ in configs]
+    for start in range(0, len(snapshots), _SCORED_PER_CALL):
+        block = _Layers(**_flat_views(snapshots[start:start + _SCORED_PER_CALL], packed))
+        conv1, conv2, bias, head_w, head_b = (
+            array.reshape((-1,) + array.shape[2:])
+            for array in (np.conj(block.bank[:, 0]), block.bank[:, 1], block.bias,
+                          block.head_w, block.head_b)
+        )
+        means = _holdout_means(holdout_x, classes,
+                               CnnParams(conv1, conv2, bias.real, bias.imag, head_w, head_b))
+        for j, net_means in enumerate(means):
+            evals[j % 2].append(((start + j // 2 + 1) * config.eval_every, *net_means))
     steps, patterns = range(1, total + 1), (stream_labels + 1).tolist()
     return tuple(
         TrainResult(view, list(zip(steps, patterns, trace)), net_evals,

@@ -1,4 +1,5 @@
 import copy
+import math
 from dataclasses import fields
 
 import numpy as np
@@ -496,23 +497,62 @@ def test_train_is_the_public_per_sample_path_at_other_shapes(input_len, filter_l
             assert np.ascontiguousarray(got).tobytes() == want.tobytes(), (mode, name)
 
 
-def test_train_scores_the_holdout_once_per_evaluation(monkeypatch):
-    """Each evaluation scores the whole holdout for both networks with one
-    ``predict_proba`` call, (holdout, N) signals -> (holdout, 2, 2)."""
-    shapes = []
+def test_train_scores_the_holdout_after_the_last_step(monkeypatch):
+    """After the last of its 2,000 steps, ``train`` scores the 200
+    evaluations of both networks ``_SCORED_PER_CALL`` = k at a time: one
+    ``predict_proba`` call of (holdout, N) signals -> (holdout, 2n, 2) per
+    block of n evaluations, n = k but in a shorter last call."""
+    events = []
+    step_backward = cnn._BackwardStep.backward
+
+    def counting_backward(self, windows, t):
+        events.append("backward")
+        return step_backward(self, windows, t)
 
     def counting_predict_proba(x, params):
         probs = predict_proba(x, params)
-        shapes.append((np.shape(x), probs.shape))
+        events.append((np.shape(x), probs.shape))
         return probs
 
+    monkeypatch.setattr(cnn._BackwardStep, "backward", counting_backward)
     monkeypatch.setattr(cnn, "predict_proba", counting_predict_proba)
     train(5)
     config = CnnConfig()
     steps = config.epochs * config.realizations_per_epoch
-    batch = config.holdout_size
-    assert len(shapes) == steps // config.eval_every == 200
-    assert set(shapes) == {((batch, config.input_len), (batch, 2, 2))}
+    evaluations = steps // config.eval_every
+    per_call, batch = cnn._SCORED_PER_CALL, config.holdout_size
+    assert events[:steps] == ["backward"] * steps == ["backward"] * 2000
+    calls = events[steps:]
+    assert len(calls) == math.ceil(evaluations / per_call)
+    sizes = [min(per_call, evaluations - start) for start in range(0, evaluations, per_call)]
+    assert sum(sizes) == evaluations == 200
+    assert calls == [((batch, config.input_len), (batch, 2 * n, 2)) for n in sizes]
+
+
+@pytest.fixture(scope="module")
+def default_stack_run():
+    """``train(23)`` at the default ``_SCORED_PER_CALL``."""
+    return train(23)
+
+
+@pytest.mark.parametrize("per_call", [1, 7, 64])
+def test_train_stack_size_changes_no_bit(monkeypatch, default_stack_run, per_call):
+    """The number of evaluations scored per ``predict_proba`` call changes no
+    bit of the traces, evaluations or parameters: 7 leaves a call of 4
+    evaluations at the end, and 64 stacks 128 networks."""
+    monkeypatch.setattr(cnn, "_SCORED_PER_CALL", per_call)
+    for got, want in zip(train(23), default_stack_run):
+        assert got.trace == want.trace
+        assert [(i, a.hex(), b.hex()) for i, a, b in got.evals] == [
+            (i, a.hex(), b.hex()) for i, a, b in want.evals
+        ]
+        assert got.first_sustained == want.first_sustained
+        for name in ("conv1", "conv2", "bias_re", "bias_im", "head_w", "head_b"):
+            a, b = getattr(got.params, name), getattr(want.params, name)
+            assert a is b is None or (
+                a.shape == b.shape and a.dtype == b.dtype
+                and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+            ), name
 
 
 def _train_from_edited_params(monkeypatch, seed, edit):
@@ -570,6 +610,41 @@ def test_train_divergence_on_nan_parameter(monkeypatch, modes, name):
     with pytest.raises(DivergenceDetectedError,
                        match=f"'{poisoned[0]}' network at iteration 1$"):
         _train_from_edited_params(monkeypatch, 9, poison)
+
+
+def test_train_reports_a_non_finite_parameter_after_the_last_step(monkeypatch):
+    """A -inf real bias leaves every loss finite: the channel's rectified
+    real part is 0 and passes no gradient, so the bias stays -inf. The
+    holdout, scored after the last step, then raises
+    ``NonFiniteInputError``. A divergence at a later step than an
+    evaluation that holds the bias is raised first: with an evaluation after
+    every step, a head bias gap that gives the first sample probability 1
+    and the second, of the other class, 0 diverges at iteration 2."""
+    first, second = make_dataset(2, derive_rng(9, 0))
+    assert first.pattern != second.pattern
+    steps = []
+    step_backward = cnn._BackwardStep.backward
+
+    def counting_backward(self, windows, t):
+        steps.append(len(steps) + 1)
+        return step_backward(self, windows, t)
+
+    def sink_bias(config, params):
+        if config.mode == "sl":
+            params.bias_re[0] = -np.inf
+
+    def sink_bias_and_gap(config, params):
+        sink_bias(config, params)
+        label = first.pattern - 1
+        params.head_b[label], params.head_b[1 - label] = 1e4, -1e4
+
+    monkeypatch.setattr(cnn._BackwardStep, "backward", counting_backward)
+    with pytest.raises(NonFiniteInputError, match="^bias_re"):
+        _train_from_edited_params(monkeypatch, 9, sink_bias)
+    assert len(steps) == CnnConfig.epochs * CnnConfig.realizations_per_epoch == 2000
+    monkeypatch.setattr(CnnConfig, "eval_every", 1)
+    with pytest.raises(DivergenceDetectedError, match="'sl' network at iteration 2$"):
+        _train_from_edited_params(monkeypatch, 9, sink_bias_and_gap)
 
 
 def test_first_sustained_scan():
