@@ -13,16 +13,16 @@ one block, is filtered in one contraction that agrees bit for bit with its
 signals filtered one at a time.
 
 Each pass runs through a step, :class:`_Step` or :class:`_BackwardStep`,
-whose buffers are allocated once: the public calls build one per call, and
-:func:`train` one for all its steps. :func:`train` trains the strictly and
-widely linear networks as the two rows of one widely linear network, the
-strictly linear row keeping a zero conjugate branch: one forward and
-backward pass per step and one update over one parameter buffer serve
-both, and the stream, holdout and window stack are drawn and built once.
-Each evaluation copies the buffer; after the last step the holdout signals
-are scored on those copies, three evaluations of both networks per
-``predict_proba`` call. Each network computes, bit for bit, what it
-computes alone.
+whose buffers are allocated once: the public calls build one per call (per
+block of 8 networks of a stack), and :func:`train` one for all its steps.
+A forward-only pass filters a strictly linear network with one branch.
+:func:`train` trains the strictly and widely linear networks as the two
+rows of one widely linear network, the strictly linear row keeping a zero
+conjugate branch: one forward and backward pass per step and one update
+over one parameter buffer serve both, and the stream, holdout and window
+stack are drawn and built once. Each evaluation copies the buffer; after
+the last step the holdout is scored on those copies, one ``predict_proba``
+call per network. Each network computes, bit for bit, what it computes alone.
 
 Gradients are taken with respect to the real and imaginary parts of every
 complex parameter; the complex carrier ``d(Re) + 1j d(Im)`` that the
@@ -62,8 +62,8 @@ PATTERN_ONE = np.array([-0.5 - 1j, 1.0 - 1j, -0.5 - 1j])
 PATTERN_TWO = np.array([1.0 + 1j, 1.0 + 1j, 1.0 + 1j])
 CLUTTER_HIGH = 0.3
 NOISE_STD = 0.05
-# Evaluations of both networks that train scores per predict_proba call.
-_SCORED_PER_CALL = 3
+# Networks of a stack that predict_proba runs through one step per pass.
+_NETWORKS_PER_PASS = 8
 
 
 @dataclass(frozen=True)
@@ -235,10 +235,10 @@ def init_params(config: CnnConfig, rng: np.random.Generator | int | None = None)
 @dataclass
 class _Layers:
     """A network, or a stack of them behind a leading network axis, in the
-    layout the step reads: ``bank`` (2, ..., C, L) holds ``conj(conv1)`` and
-    ``conv2``, zero for a strictly linear network, so one contraction
-    convolves both branches (see :func:`wlmf.filters._filter_bank`); ``bias``
-    (..., C) interleaves the real biases as ``bias_re + 1j bias_im``."""
+    layout the step reads: ``bank`` (2 or 1, ..., C, L) holds ``conj(conv1)``
+    and ``conv2``, or zero, if any, so one contraction convolves both
+    branches (see :func:`wlmf.filters._filter_bank`); ``bias`` (..., C)
+    interleaves the real biases as ``bias_re + 1j bias_im``."""
 
     bank: np.ndarray
     bias: np.ndarray
@@ -246,8 +246,9 @@ class _Layers:
     head_b: np.ndarray
 
 
-def _layers(params: CnnParams, finite: bool = True) -> _Layers:
-    """``params`` in the step's layout, as new arrays but for the head.
+def _layers(params: CnnParams, finite: bool = True, zero_branch: bool = False) -> _Layers:
+    """``params`` in the step's layout, as new arrays but for the head; a
+    strictly linear bank gets a zero second branch only if ``zero_branch``.
 
     Every array follows the array rule of :mod:`wlmf.errors`, the biases and
     the head real ones, and is finite unless ``finite`` is False. ``conv1``
@@ -257,7 +258,7 @@ def _layers(params: CnnParams, finite: bool = True) -> _Layers:
     ``DimensionMismatchError``."""
     conv1 = _as_array("conv1", params.conv1, (2, 3), finite)
     nets, channels = conv1.shape[:-2], conv1.shape[-2]
-    bank = np.zeros((2,) + conv1.shape, dtype=complex)
+    bank = np.zeros((1 + (zero_branch or params.conv2 is not None),) + conv1.shape, dtype=complex)
     np.conj(conv1, out=bank[0])
     if params.conv2 is not None:
         bank[1] = _as_array("conv2", params.conv2, (conv1.ndim,), finite, lead=conv1.shape)
@@ -279,7 +280,6 @@ class _Step:
 
     def __init__(self, layers: _Layers, shape: tuple):
         self.layers = layers
-        self.bias = layers.bias[..., None]
         bank = layers.bank
         self.a = np.empty(shape[:-2] + bank.shape[1:-1] + shape[-1:], dtype=complex)
         self.a_parts = self.a.view(float)
@@ -310,7 +310,7 @@ class _Step:
         # Split rectifier: adding the biases ``bias_re + 1j bias_im`` is the
         # two real adds, and one maximum on the float view rectifies both
         # parts.
-        np.add(self.y, self.bias, out=a)
+        np.add(self.y, layers.bias[..., None], out=a)
         np.maximum(self.a_parts, 0.0, out=self.a_parts)
         # Max-modulus pooling, the first index on ties: each pooled entry's
         # flat index is its row's start plus its argmax.
@@ -384,7 +384,7 @@ class _BackwardStep(_Step):
 
 def _windows(x, layers: _Layers, ndim=(1, 2)) -> np.ndarray:
     """Newest-first windows of one signal (L, K) or of a batch (B, L, K)."""
-    return sliding_windows(_as_array("x", x, ndim), layers.bank.shape[-1])
+    return sliding_windows(_as_array("x", x, ndim, finite=False), layers.bank.shape[-1])
 
 
 def forward(x: np.ndarray, params: CnnParams) -> tuple[np.ndarray, dict]:
@@ -401,8 +401,23 @@ def forward(x: np.ndarray, params: CnnParams) -> tuple[np.ndarray, dict]:
 
 def predict_proba(x: np.ndarray, params: CnnParams) -> np.ndarray:
     """Class probabilities of one signal (N,) -> (2,), or of a batch (B, N) -> (B, 2);
-    a stack of networks adds its axis in front of the classes."""
-    return forward(x, params)[0]
+    a stack of networks adds its axis in front of the classes. A stack runs
+    in blocks of ``_NETWORKS_PER_PASS`` networks through one step (a shorter
+    last block through its own), so its temporaries do not grow with it."""
+    layers = _layers(params)
+    windows = _windows(x, layers)
+    if layers.bias.ndim == 1:
+        return _Step(layers, windows.shape).forward(windows)
+    probs, step = np.empty(windows.shape[:-2] + layers.head_b.shape), None
+    for start in range(0, len(layers.bias), _NETWORKS_PER_PASS):
+        rows = slice(start, start + _NETWORKS_PER_PASS)
+        block = _Layers(layers.bank[:, rows], layers.bias[rows], layers.head_w[rows],
+                        layers.head_b[rows])
+        if step is None or len(block.bias) < len(step.layers.bias):
+            step = _Step(block, windows.shape)
+        step.layers = block
+        probs[..., rows, :] = step.forward(windows)
+    return probs
 
 
 def backward(x: np.ndarray, t: np.ndarray, params: CnnParams) -> tuple[float, np.ndarray, dict]:
@@ -416,7 +431,7 @@ def backward(x: np.ndarray, t: np.ndarray, params: CnnParams) -> tuple[float, np
     another shape raises ``DimensionMismatchError``.
     """
     t = _as_array("t", t, (1,), dtype=float, lead=(2,))
-    layers = _layers(params)
+    layers = _layers(params, zero_branch=True)
     windows = _windows(x, layers, (1,))
     step = _BackwardStep(layers, windows.shape)
     probs = step.backward(windows, t)
@@ -444,9 +459,7 @@ def _flat_views(buffer: np.ndarray, like: dict) -> dict:
     return views
 
 
-def _holdout_means(
-    x: np.ndarray, classes: list[np.ndarray], params: CnnParams
-) -> list[tuple[float, float]]:
+def _holdout_means(x: np.ndarray, classes: list[np.ndarray], params: CnnParams) -> list:
     """Mean true-class probability over held-out signals ``x`` (B, N) whose
     ``classes`` list each class's rows, per class, for each network of a
     stack, from one ``predict_proba`` call whose probabilities are (B,
@@ -480,9 +493,9 @@ def train(
     from the same strictly linear function. They are the rows of one widely
     linear stack, the strictly linear row's conjugate branch held at zero;
     each step runs one forward and backward pass for both, and each
-    evaluation copies their parameters. After the last step the copies are
-    scored on the holdout signals, ``_SCORED_PER_CALL`` = 3 evaluations of
-    both networks, a stack of six, per ``predict_proba`` call.
+    evaluation copies their parameters. After the last step the holdout is
+    scored on the copies in two ``predict_proba`` calls, each on one
+    network's stack of evaluations, the strictly linear one without ``conv2``.
 
     The stack is held in the step's layout, :class:`_Layers`: the taps as
     one bank ``(branch, network, channel, L)`` of ``conj(conv1)`` and
@@ -519,7 +532,8 @@ def train(
     # exactly +0, which leaves its responses bit-identical; each network's
     # layers stack on a network axis, behind the bank's branch axis. A
     # non-finite parameter is left to the divergence check of the first step.
-    nets = [vars(_layers(init_params(c, derive_rng(seed, 1)), finite=False)) for c in configs]
+    nets = [vars(_layers(init_params(c, derive_rng(seed, 1)), finite=False, zero_branch=True))
+            for c in configs]
     packed = {name: np.stack([net[name] for net in nets], axis=int(name == "bank"))
               for name in nets[0]}
     # On a complex field the buffer's update is the complex update, bit for
@@ -561,21 +575,14 @@ def train(
         if iteration % config.eval_every == 0:
             snapshots[iteration // config.eval_every - 1] = flat
     np.conj(bank[0], out=bank[0])
-    # The holdout is scored on the public parameters, conv1 itself, for
-    # _SCORED_PER_CALL evaluations per call: network j of a call is
-    # evaluation start + j // 2 of the network of mode j % 2.
-    evals: list[list[tuple[int, float, float]]] = [[] for _ in configs]
-    for start in range(0, len(snapshots), _SCORED_PER_CALL):
-        block = _Layers(**_flat_views(snapshots[start:start + _SCORED_PER_CALL], packed))
-        conv1, conv2, bias, head_w, head_b = (
-            array.reshape((-1,) + array.shape[2:])
-            for array in (np.conj(block.bank[:, 0]), block.bank[:, 1], block.bias,
-                          block.head_w, block.head_b)
-        )
-        means = _holdout_means(holdout_x, classes,
-                               CnnParams(conv1, conv2, bias.real, bias.imag, head_w, head_b))
-        for j, net_means in enumerate(means):
-            evals[j % 2].append(((start + j // 2 + 1) * config.eval_every, *net_means))
+    # The holdout is scored on the public parameters, conv1 itself.
+    stack, evals = _Layers(**_flat_views(snapshots, packed)), []
+    for net, c in enumerate(configs):
+        bias, bank = stack.bias[:, net], stack.bank[:, :, net]
+        means = _holdout_means(holdout_x, classes, CnnParams(
+            np.conj(bank[:, 0]), bank[:, 1] if c.mode == "wl" else None, bias.real, bias.imag,
+            stack.head_w[:, net], stack.head_b[:, net]))
+        evals.append([(i * config.eval_every, *m) for i, m in enumerate(means, start=1)])
     steps, patterns = range(1, total + 1), (stream_labels + 1).tolist()
     return tuple(
         TrainResult(view, list(zip(steps, patterns, trace)), net_evals,

@@ -237,10 +237,11 @@ def _filter_bank(windows: np.ndarray, bank: np.ndarray, out: np.ndarray | None =
     ``bank`` (2, ..., L) holds two branches: the conjugated taps ``conj(f)``
     and the conjugate-branch taps ``f_conj``, zero for a strictly linear
     filter. The response ``f^H w + f_conj^H conj(w)`` is ``r0 + conj(r1)``
-    for the two branches' plain sums ``r = bank . w``. On one sequence's
-    windows the branches' sums land in ``out`` (2, *response shape*) when it
-    is given, and the response in ``out[0]``, so a caller that owns ``out``
-    allocates nothing.
+    for the two branches' plain sums ``r = bank . w``; a bank (1, ..., L) of
+    the first branch alone is strictly linear, its response ``r0``. On one
+    sequence's windows the branches' sums land in ``out`` (branches, *response
+    shape*) when it is given, and the response in ``out[0]``, so a caller
+    that owns ``out`` allocates nothing.
 
     One sequence's windows (L, K) are contracted in place; the windows of
     several sequences are folded into one contiguous (L, B, K) block that
@@ -263,6 +264,8 @@ def _filter_bank(windows: np.ndarray, bank: np.ndarray, out: np.ndarray | None =
     # strictly linear part, which is never -0, makes the two sums
     # bit-identical; for the same reason, adding a zero branch's ±0 changes
     # nothing.
+    if len(sums) == 1:
+        return sums[0]
     # Without ``out`` the response is a new array, so it does not keep the
     # second branch's sums alive.
     y, conj_sums = sums

@@ -295,7 +295,7 @@ def normalized_snr_bias(signal: np.ndarray, cov: CovariancePair, aut: AutDecompo
         If some window's exact surplus falls below 1e-14, making the
         normalization meaningless.
     """
-    windows = sliding_windows(_as_array("signal", signal, (1,)), cov.dim)
+    windows = sliding_windows(_as_array("signal", signal, (1,), finite=False), cov.dim)
     exact = snr_gain(windows, cov)
     if np.any(exact < 1e-14):
         raise DegenerateWindowError("a window has numerically zero exact SNR surplus")

@@ -302,7 +302,7 @@ def empirical_covariances(v: np.ndarray, filter_len: int) -> CovariancePair:
     conj(w))`` vectors and inherits positive semidefiniteness by
     construction.
     """
-    v = _as_array("noise record", v, (1,))
+    v = _as_array("noise record", v, (1,), finite=False)
     filter_len = _as_int("filter_len", filter_len, None)
     if v.size < 10 * filter_len:
         raise InsufficientSamplesError(

@@ -1,5 +1,4 @@
 import copy
-import math
 from dataclasses import fields
 
 import numpy as np
@@ -499,9 +498,9 @@ def test_train_is_the_public_per_sample_path_at_other_shapes(input_len, filter_l
 
 def test_train_scores_the_holdout_after_the_last_step(monkeypatch):
     """After the last of its 2,000 steps, ``train`` scores the 200
-    evaluations of both networks ``_SCORED_PER_CALL`` = k at a time: one
-    ``predict_proba`` call of (holdout, N) signals -> (holdout, 2n, 2) per
-    block of n evaluations, n = k but in a shorter last call."""
+    evaluations of each network in one ``predict_proba`` call of (holdout,
+    N) signals -> (holdout, 200, 2): first the strictly linear stack, whose
+    ``conv2`` is None, then the widely linear one."""
     events = []
     step_backward = cnn._BackwardStep.backward
 
@@ -511,7 +510,7 @@ def test_train_scores_the_holdout_after_the_last_step(monkeypatch):
 
     def counting_predict_proba(x, params):
         probs = predict_proba(x, params)
-        events.append((np.shape(x), probs.shape))
+        events.append((np.shape(x), probs.shape, params.conv2 is None))
         return probs
 
     monkeypatch.setattr(cnn._BackwardStep, "backward", counting_backward)
@@ -520,27 +519,24 @@ def test_train_scores_the_holdout_after_the_last_step(monkeypatch):
     config = CnnConfig()
     steps = config.epochs * config.realizations_per_epoch
     evaluations = steps // config.eval_every
-    per_call, batch = cnn._SCORED_PER_CALL, config.holdout_size
     assert events[:steps] == ["backward"] * steps == ["backward"] * 2000
-    calls = events[steps:]
-    assert len(calls) == math.ceil(evaluations / per_call)
-    sizes = [min(per_call, evaluations - start) for start in range(0, evaluations, per_call)]
-    assert sum(sizes) == evaluations == 200
-    assert calls == [((batch, config.input_len), (batch, 2 * n, 2)) for n in sizes]
+    shapes = ((config.holdout_size, config.input_len), (config.holdout_size, evaluations, 2))
+    assert shapes == ((100, 8), (100, 200, 2))
+    assert events[steps:] == [(*shapes, True), (*shapes, False)]
 
 
 @pytest.fixture(scope="module")
 def default_stack_run():
-    """``train(23)`` at the default ``_SCORED_PER_CALL``."""
+    """``train(23)`` at the default ``_NETWORKS_PER_PASS``."""
     return train(23)
 
 
-@pytest.mark.parametrize("per_call", [1, 7, 64])
-def test_train_stack_size_changes_no_bit(monkeypatch, default_stack_run, per_call):
-    """The number of evaluations scored per ``predict_proba`` call changes no
-    bit of the traces, evaluations or parameters: 7 leaves a call of 4
-    evaluations at the end, and 64 stacks 128 networks."""
-    monkeypatch.setattr(cnn, "_SCORED_PER_CALL", per_call)
+@pytest.mark.parametrize("per_pass", [1, 7, 64])
+def test_train_stack_size_changes_no_bit(monkeypatch, default_stack_run, per_pass):
+    """The number of networks per pass of ``predict_proba``'s block walk
+    changes no bit of the traces, evaluations or parameters: of 200
+    networks, 7 leaves a last block of 4 and 64 one of 8."""
+    monkeypatch.setattr(cnn, "_NETWORKS_PER_PASS", per_pass)
     for got, want in zip(train(23), default_stack_run):
         assert got.trace == want.trace
         assert [(i, a.hex(), b.hex()) for i, a, b in got.evals] == [
@@ -553,6 +549,55 @@ def test_train_stack_size_changes_no_bit(monkeypatch, default_stack_run, per_cal
                 a.shape == b.shape and a.dtype == b.dtype
                 and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
             ), name
+
+
+def _stack_of(nets):
+    """The networks ``nets`` of one mode as one stack."""
+    return cnn.CnnParams(**{
+        f.name: None if getattr(nets[0], f.name) is None
+        else np.stack([getattr(net, f.name) for net in nets])
+        for f in fields(cnn.CnnParams)
+    })
+
+
+@pytest.mark.parametrize("per_pass", [1, 4, 11, 32])
+@pytest.mark.parametrize("mode", ["sl", "wl"])
+def test_predict_proba_walks_a_stack_as_each_network_alone(monkeypatch, mode, per_pass):
+    """Each of a stack of 11 networks gets from ``predict_proba``, bit for
+    bit, its probabilities alone, on a batch and on one signal, whatever
+    the block size of the walk: 4 leaves a last block of 3, and 32 runs the
+    stack in one block shorter than the step's size."""
+    rng = np.random.default_rng(81)
+    batch = np.stack([sample.x for sample in make_dataset(20, rng)])
+    nets = [random_cnn_params(rng, CnnConfig(mode=mode)) for _ in range(11)]
+    alone = [(predict_proba(batch, net), predict_proba(batch[3], net)) for net in nets]
+    monkeypatch.setattr(cnn, "_NETWORKS_PER_PASS", per_pass)
+    probs, single = predict_proba(batch, _stack_of(nets)), predict_proba(batch[3], _stack_of(nets))
+    assert probs.shape == (20, 11, 2) and single.shape == (11, 2)
+    for n, (want, want_single) in enumerate(alone):
+        assert probs[:, n].tobytes() == want.tobytes(), n
+        assert single[n].tobytes() == want_single.tobytes(), n
+
+
+@pytest.mark.parametrize("stack", [False, True], ids=["network", "stack"])
+def test_one_branch_pass_is_the_zero_branch_pass(stack):
+    """A strictly linear network, its bank of one branch, computes in
+    ``forward`` and ``predict_proba`` the bytes of the same network with an
+    explicit zero ``conv2``: every cached layer, on a batch and on one
+    signal."""
+    rng = np.random.default_rng(82)
+    batch = np.stack([sample.x for sample in make_dataset(20, rng)])
+    nets = [random_cnn_params(rng, CnnConfig(mode="sl")) for _ in range(3 if stack else 1)]
+    params_sl = _stack_of(nets) if stack else nets[0]
+    params_zero = copy.deepcopy(params_sl)
+    params_zero.conv2 = np.zeros_like(params_sl.conv1)
+    for x in (batch, batch[5]):
+        got, want = forward(x, params_sl)[1], forward(x, params_zero)[1]
+        assert got.keys() == want.keys() == {"y", "a", "idx", "feat", "probs"}
+        for name in got:
+            assert got[name].shape == want[name].shape, name
+            assert got[name].tobytes() == want[name].tobytes(), name
+        assert predict_proba(x, params_sl).tobytes() == predict_proba(x, params_zero).tobytes()
 
 
 def _train_from_edited_params(monkeypatch, seed, edit):

@@ -612,6 +612,24 @@ def test_non_finite_input_raises_typed_error(name, bad):
         NON_FINITE_CALLS[name](cov, aut_decompose(cov), bad)
 
 
+WINDOWED_CALLS = {
+    **{name: NON_FINITE_CALLS[name]
+       for name in ("normalized_snr_bias", "predict_proba", "cnn.forward", "cnn.backward")},
+    "empirical_covariances": lambda cov, aut, bad: empirical_covariances(
+        _with_first_entry(np.ones(50), bad), 4
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WINDOWED_CALLS))
+def test_windowed_input_is_scanned_once_by_sliding_windows(name):
+    """A call that windows its input leaves the finiteness scan to
+    ``sliding_windows``, so a NaN entry is reported as the sequence's."""
+    cov = analytic_covariances(demo_model(0.5), 4)
+    with pytest.raises(NonFiniteInputError, match="^sequence contains non-finite entries$"):
+        WINDOWED_CALLS[name](cov, aut_decompose(cov), np.nan)
+
+
 NON_NUMERIC_INPUTS = {
     "string": np.array(["a", "b", "c"]),
     "object": np.array([1.0, 2.0, 3.0], dtype=object),
